@@ -6,9 +6,20 @@ weighted sum power sum_i sigma_i^2 tr(Q_i).  Internally everything is
 whitened (channels (H_i / sigma_i) A^{-1/2}, identity noise, plain trace
 budget), where the weighted-sum-rate problem is concave and has a cheap exact
 projection, so projected gradient ascent with Armijo backtracking suffices.
+
+The weighted-sum-rate solver holds its per-user blocks as stacked arrays,
+whitened channels ``Ghat`` (K, Nr, Nt) and covariances ``Z`` (K, Nr, Nr),
+so the objective, gradient, projection and KKT residual are each a few
+batched calls.  The stacks stay in user order; only the cumulative
+matrices Phi_m are taken in encoding order, by one permutation of the
+stacked terms on the way in and one on the way back.  Every sum over
+blocks therefore adds its terms in user order whatever the encoding order,
+which matters for the projection's budget test: a warm start meets the
+budget with equality, and the order of the sum decides which side of it
+the rounding falls on.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +55,25 @@ class MacSolution:
     converged: bool = True
 
 
+def _ctrans(X):
+    """Conjugate transpose of every block of a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
+def _lsum(x):
+    """Left-to-right sum of a 1-D array; np.sum pairs terms, rounding apart."""
+    return float(np.cumsum(x)[-1])
+
+
 def _whitened(ch, noise, pd_floor):
+    """Whitened channels (H_i / sigma_i) A^{-1/2}, stacked."""
     W = linalg.inv_sqrt(noise, floor=pd_floor)
-    return [ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]
+    return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)])
+
+
+def _scaled(ch, cov):
+    """Whitened-budget covariances sigma_i^2 Q_i of an uplink set, stacked."""
+    return np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
 
 
 def _rate_coeffs(ch, weights):
@@ -57,63 +84,44 @@ def _rate_coeffs(ch, weights):
         raise InvalidInput(f"weights must have length {ch.K}")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InvalidInput("weights must be positive and finite")
-    order = ch.encoding_order
-    c = np.empty(ch.K)
-    for m in range(ch.K):
-        nxt = w[order[m + 1]] if m + 1 < ch.K else 0.0
-        c[m] = w[order[m]] - nxt
-    return c
+    ordered = w[list(ch.encoding_order)]
+    return ordered - np.append(ordered[1:], 0.0)
 
 
 def _cum_mats(ch, Ghat, Z):
-    nt = Ghat[0].shape[1]
-    cum = np.eye(nt, dtype=np.complex128)
-    out = []
-    for m in range(ch.K):
-        i = ch.encoding_order[m]
-        cum = cum + Ghat[i].conj().T @ Z[i] @ Ghat[i]
-        out.append(cum)
-    return out
+    """Phi_m = I + sum of Ghat_i^H Z_i Ghat_i over the users encoded at
+    positions 0..m, for every position m."""
+    terms = (_ctrans(Ghat) @ Z @ Ghat)[list(ch.encoding_order)]
+    terms[0] += np.eye(Ghat.shape[2])
+    return np.cumsum(terms, axis=0)
 
 
-def _objective(ch, Ghat, coeffs, Z):
-    val = 0.0
-    for m, Phi in enumerate(_cum_mats(ch, Ghat, Z)):
-        sign, ld = np.linalg.slogdet(Phi)
-        if sign.real <= 0:
-            return -np.inf
-        val += coeffs[m] * ld
-    return float(val)
+def _objective(ch, Ghat, coeffs, Z, mats=None):
+    """sum_m c_m logdet(Phi_m); -inf off the positive definite cone."""
+    sign, ld = np.linalg.slogdet(_cum_mats(ch, Ghat, Z) if mats is None else mats)
+    if np.any(sign.real <= 0):
+        return -np.inf
+    return _lsum(coeffs * ld)
 
 
-def _gradient(ch, Ghat, coeffs, Z):
+def _gradient(ch, Ghat, coeffs, Z, mats=None):
     """d(objective)/dZ_i = sum_{m >= pos(i)} c_m Ghat_i Phi_m^{-1} Ghat_i^H."""
-    mats = _cum_mats(ch, Ghat, Z)
-    K = ch.K
-    nt = Ghat[0].shape[1]
-    suffix = np.zeros((nt, nt), dtype=np.complex128)
-    weighted = [None] * K
-    for m in range(K - 1, -1, -1):
-        suffix = suffix + coeffs[m] * np.linalg.inv(mats[m])
-        weighted[m] = suffix
-    grads = [None] * K
-    for m in range(K):
-        i = ch.encoding_order[m]
-        g = Ghat[i] @ weighted[m] @ Ghat[i].conj().T
-        grads[i] = linalg.hermitian_part(g)
-    return grads
+    mats = _cum_mats(ch, Ghat, Z) if mats is None else mats
+    terms = coeffs[:, None, None] * np.linalg.inv(mats)
+    suffix = np.cumsum(terms[::-1], axis=0)[::-1]
+    g = Ghat @ suffix[np.argsort(ch.encoding_order)] @ _ctrans(Ghat)
+    return 0.5 * (g + _ctrans(g))
 
 
 def _project_blocks(mats, budget):
     """Exact Euclidean projection onto {Z_i >= 0, sum_i tr(Z_i) <= budget}:
     eigen-clip every block, and if the trace budget is exceeded subtract the
     common level mu solving sum (lam - mu)_+ = budget."""
-    eigs, vecs = [], []
-    for M in mats:
-        w, V = np.linalg.eigh(linalg.hermitian_part(M))
-        eigs.append(w)
-        vecs.append(V)
-    lam = np.concatenate(eigs)
+    M = np.asarray(mats, dtype=np.complex128)
+    if not np.all(np.isfinite(M)):
+        raise InvalidInput("covariance blocks have non-finite entries")
+    eigs, V = np.linalg.eigh(0.5 * (M + _ctrans(M)))
+    lam = eigs.ravel()
     clipped = np.maximum(lam, 0.0)
     if clipped.sum() > budget:
         # common shift mu with sum (lam - mu)_+ = budget: keep the largest
@@ -128,41 +136,37 @@ def _project_blocks(mats, budget):
         else:
             mu = mu_cand[active[-1]]
             clipped = np.maximum(lam - mu, 0.0)
-    out = []
-    pos = 0
-    for w, V in zip(eigs, vecs):
-        z = clipped[pos:pos + w.size]
-        pos += w.size
-        out.append((V * z) @ V.conj().T)
-    return out
+    z = clipped.reshape(eigs.shape)
+    return (V * z[:, None, :]) @ _ctrans(V)
 
 
-def _inner(a, b):
-    return float(sum(np.real(np.trace(x.conj().T @ y)) for x, y in zip(a, b)))
+def _used(Z):
+    """Total trace, summed user by user."""
+    return sum(np.trace(Z, axis1=1, axis2=2).real.tolist())
 
 
 def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     """Projected gradient ascent with Armijo backtracking from Z0."""
     Z = _project_blocks(Z0, budget)
-    obj = _objective(ch, Ghat, coeffs, Z)
+    mats = _cum_mats(ch, Ghat, Z)
+    obj = _objective(ch, Ghat, coeffs, Z, mats)
     t = 1.0
     iters = 0
-    kkt = np.inf
     check_every = 10
     for it in range(settings.max_iters):
         iters = it + 1
-        grads = _gradient(ch, Ghat, coeffs, Z)
+        grads = _gradient(ch, Ghat, coeffs, Z, mats)
         accepted = False
         for _ in range(60):
-            cand = _project_blocks([Z[i] + t * grads[i] for i in range(ch.K)], budget)
-            step = [cand[i] - Z[i] for i in range(ch.K)]
-            progress = _inner(grads, step)
+            cand = _project_blocks(Z + t * grads, budget)
+            progress = _lsum(np.trace(_ctrans(grads) @ (cand - Z), axis1=1, axis2=2).real)
             if progress <= 1e-18 * max(1.0, abs(obj)):
                 break
-            new_obj = _objective(ch, Ghat, coeffs, cand)
+            cand_mats = _cum_mats(ch, Ghat, cand)
+            new_obj = _objective(ch, Ghat, coeffs, cand, cand_mats)
             if new_obj >= obj + settings.armijo_c * progress:
                 rel = abs(new_obj - obj) / max(1.0, abs(new_obj))
-                Z, obj = cand, new_obj
+                Z, obj, mats = cand, new_obj, cand_mats
                 accepted = True
                 t = min(t * 2.0, 1e8)
                 break
@@ -170,37 +174,32 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
         if not accepted:
             kkt = _kkt_from_state(Z, grads, budget)
             return Z, obj, iters, kkt, True
-        if accepted and (rel < settings.tol or it % check_every == check_every - 1):
-            kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z), budget)
+        if rel < settings.tol or it % check_every == check_every - 1:
+            kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z, mats), budget)
             if kkt <= KKT_TOL_FACTOR * settings.tol:
                 return Z, obj, iters, kkt, True
-    kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z), budget)
+    kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z, mats), budget)
     return Z, obj, iters, kkt, kkt <= KKT_TOL_FACTOR * settings.tol
 
 
 def _ls_multiplier(Z, grads, budget, rank_tol=1e-9):
     """Least-squares multiplier of the trace budget: the mean diagonal of the
     gradient restricted to the ranges of the Z_i (the sensitivity of the
-    optimal value to the budget at an exact optimum)."""
-    used = sum(float(np.trace(Zi).real) for Zi in Z)
-    slack = budget - used
-    bases = []
-    rank_sum = 0
-    tr_sum = 0.0
-    for Zi, Gi in zip(Z, grads):
-        w, V = np.linalg.eigh(linalg.hermitian_part(Zi))
-        mask = w > rank_tol * max(1.0, float(w[-1]))
-        B = V.conj().T @ Gi @ V
-        bases.append((mask, B))
-        rank_sum += int(mask.sum())
-        tr_sum += float(np.real(np.trace(B[np.ix_(mask, mask)]))) if mask.any() else 0.0
-    if slack > 1e-9 * max(1.0, budget):
+    optimal value to the budget at an exact optimum).  Also returns the
+    (K, n) range masks and the gradients B_i = V_i^H G_i V_i in the
+    eigenbases of the Z_i."""
+    w, V = np.linalg.eigh(0.5 * (Z + _ctrans(Z)))
+    mask = w > rank_tol * np.maximum(1.0, w[:, -1:])
+    B = _ctrans(V) @ grads @ V
+    rank_sum = int(mask.sum())
+    if budget - _used(Z) > 1e-9 * max(1.0, budget):
         lam = 0.0
     elif rank_sum > 0:
-        lam = max(0.0, tr_sum / rank_sum)
+        diag = np.where(mask, np.diagonal(B, axis1=1, axis2=2).real, 0.0)
+        lam = max(0.0, _lsum(diag.sum(axis=1)) / rank_sum)
     else:
-        lam = max(0.0, max(float(np.linalg.eigvalsh(B)[-1]) for _, B in bases))
-    return lam, bases
+        lam = max(0.0, float(np.linalg.eigvalsh(B).max()))
+    return lam, mask, B
 
 
 def _kkt_from_state(Z, grads, budget, rank_tol=1e-9):
@@ -209,21 +208,21 @@ def _kkt_from_state(Z, grads, budget, rank_tol=1e-9):
     Least-squares trace multiplier on the ranges of the Z_i, then the norm of
     the residual gradient projected on the feasible-cone tangent: free blocks
     on each range, positive part only on each null space.  Zero at an exact
-    maximizer.
+    maximizer.  The null-space part takes the eigenvalues of the residual
+    with its range rows and columns zeroed, which only adds zero eigenvalues.
     """
-    lam, bases = _ls_multiplier(Z, grads, budget, rank_tol)
-    worst = 0.0
-    for mask, B in bases:
-        R = B - lam * np.eye(B.shape[0])
-        rr = R[np.ix_(mask, mask)]
-        rn = R[np.ix_(mask, ~mask)]
-        nn = R[np.ix_(~mask, ~mask)]
-        res_sq = np.sum(np.abs(rr) ** 2) + 2.0 * np.sum(np.abs(rn) ** 2)
-        if nn.size:
-            w = np.linalg.eigvalsh(linalg.hermitian_part(nn))
-            res_sq += float(np.sum(np.maximum(w, 0.0) ** 2))
-        worst = max(worst, float(np.sqrt(res_sq)))
-    return worst
+    lam, mask, B = _ls_multiplier(Z, grads, budget, rank_tol)
+    R = B - lam * np.eye(B.shape[-1])
+    sq = np.abs(R) ** 2
+    rr = mask[:, :, None] & mask[:, None, :]
+    rn = mask[:, :, None] & ~mask[:, None, :]
+    nn = ~mask[:, :, None] & ~mask[:, None, :]
+    res_sq = np.sum(sq * rr, axis=(1, 2)) + 2.0 * np.sum(sq * rn, axis=(1, 2))
+    has_null = ~mask.all(axis=1)
+    if has_null.any():
+        w = np.linalg.eigvalsh(np.where(nn, 0.5 * (R + _ctrans(R)), 0.0)[has_null])
+        res_sq[has_null] += np.sum(np.maximum(w, 0.0) ** 2, axis=1)
+    return float(np.sqrt(res_sq.max()))
 
 
 def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
@@ -244,24 +243,21 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
         raise InvalidInput("budget must be nonnegative")
     Ghat = _whitened(ch, noise, settings.pd_floor)
     coeffs = _rate_coeffs(ch, weights)
-    nr = ch.nr
+    K, nr = ch.K, ch.nr
     if budget == 0.0:
-        cov = model.CovarianceSet.zeros(model.MAC, ch.K, nr)
+        cov = model.CovarianceSet.zeros(model.MAC, K, nr)
         return MacSolution(cov, 0.0, 0, 0.0, True)
     rng = np.random.default_rng(settings.seed)
     if init is not None:
-        inits = [[ch.sigma2[i] * init.Q[i] for i in range(ch.K)]]
+        inits = [_scaled(ch, init)]
     else:
-        inits = [[budget / (ch.K * nr) * np.eye(nr, dtype=np.complex128)
-                  for _ in range(ch.K)]]
+        eye = np.eye(nr, dtype=np.complex128)
+        inits = [budget / (K * nr) * np.broadcast_to(eye, (K, nr, nr))]
     for _ in range(max(0, settings.restarts - 1)):
-        blocks = []
-        for _ in range(ch.K):
-            X = rng.normal(size=(nr, nr)) + 1j * rng.normal(size=(nr, nr))
-            blocks.append(X @ X.conj().T)
-        tot = sum(float(np.trace(B).real) for B in blocks)
-        blocks = [B * (budget / tot) for B in blocks]
-        inits.append(blocks)
+        X = rng.normal(size=(K, 2, nr, nr))  # per user: real part, then imaginary
+        X = X[:, 0] + 1j * X[:, 1]
+        blocks = X @ _ctrans(X)
+        inits.append(blocks * (budget / _used(blocks)))
     best = None
     total_iters = 0
     objs = []
@@ -273,20 +269,22 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
             best = (Z, obj, kkt, ok)
     Z, obj, kkt, ok = best
     agree = max(objs) - min(objs) <= KKT_TOL_FACTOR * settings.tol * max(1.0, abs(obj))
-    cov = model.CovarianceSet(model.MAC, [Z[i] / ch.sigma2[i] for i in range(ch.K)])
+    cov = model.CovarianceSet(model.MAC, [Z[i] / ch.sigma2[i] for i in range(K)])
     return MacSolution(cov, obj, total_iters, kkt, bool(ok and agree))
+
+
+def _state_at(ch, noise, weights, cov, pd_floor):
+    """Stacked whitened covariances of ``cov`` and the gradient there."""
+    Z = _scaled(ch, cov)
+    grads = _gradient(ch, _whitened(ch, noise, pd_floor), _rate_coeffs(ch, weights), Z)
+    return Z, grads
 
 
 def kkt_residual_wsr(ch, noise, budget, weights, cov, pd_floor=linalg.PD_FLOOR):
     """Stationarity residual of a feasible uplink covariance set for the
     weighted-sum-rate problem; ~0 at an exact optimum."""
-    Ghat = _whitened(ch, noise, pd_floor)
-    coeffs = _rate_coeffs(ch, weights)
-    Z = [ch.sigma2[i] * cov.Q[i] for i in range(ch.K)]
-    grads = _gradient(ch, Ghat, coeffs, Z)
-    budget = float(budget) if budget is not None else sum(
-        float(np.trace(Zi).real) for Zi in Z
-    )
+    Z, grads = _state_at(ch, noise, weights, cov, pd_floor)
+    budget = float(budget) if budget is not None else _used(Z)
     return _kkt_from_state(Z, grads, budget)
 
 
@@ -295,19 +293,8 @@ def budget_multiplier_wsr(ch, noise, budget, weights, cov,
     """Sensitivity of the optimal weighted sum rate to the power budget (the
     budget constraint's Lagrange multiplier) estimated at ``cov`` by least
     squares on the active eigenspaces."""
-    Ghat = _whitened(ch, noise, pd_floor)
-    coeffs = _rate_coeffs(ch, weights)
-    Z = [ch.sigma2[i] * cov.Q[i] for i in range(ch.K)]
-    grads = _gradient(ch, Ghat, coeffs, Z)
-    lam, _ = _ls_multiplier(Z, grads, float(budget))
-    return lam
-
-
-def mac_wsr_objective(ch, noise, weights, cov):
-    """Weighted sum rate sum_i w_i r_i of an uplink covariance set."""
-    r = model.mac_rates(ch, cov, noise)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    return float(w @ r)
+    Z, grads = _state_at(ch, noise, weights, cov, pd_floor)
+    return _ls_multiplier(Z, grads, float(budget))[0]
 
 
 def _single_stream_setup(ch):

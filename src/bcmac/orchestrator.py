@@ -64,15 +64,13 @@ class OuterTrace:
     lam: list = field(default_factory=list)
     value: list = field(default_factory=list)
     subgrad: list = field(default_factory=list)
-    step: list = field(default_factory=list)
     converged: bool = False
     best_index: int = -1
 
-    def record(self, lam, value, subgrad, step):
+    def record(self, lam, value, subgrad):
         self.lam.append(np.array(lam))
         self.value.append(float(value))
         self.subgrad.append(np.array(subgrad))
-        self.step.append(float(step))
 
     def running_best(self, sense="min"):
         agg = np.minimum if sense == "min" else np.maximum
@@ -258,7 +256,7 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
         state["warm"] = sol.cov
         slacks = _slacks(cov_bc, constraints)
         sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol)
-        trace.record(lam.values, g, sub, 0.0)
+        trace.record(lam.values, g, sub)
         entry = (g, cov_bc, lam, len(trace.value) - 1)
         if state["best_any"] is None or g < state["best_any"][0]:
             state["best_any"] = entry
@@ -299,7 +297,7 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
         cov_bc = bf.bc_covariances()
         slacks = _slacks(cov_bc, constraints)
         sub = slacks.copy()
-        trace.record(lam.values, alpha, sub, 0.0)
+        trace.record(lam.values, alpha, sub)
         entry = (alpha, bf, lam, len(trace.value) - 1)
         if state["best_any"] is None or alpha < state["best_any"][0]:
             state["best_any"] = entry
@@ -352,7 +350,7 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
         sub = np.array(
             [model.constraint_value(cov_bc, c) - bound * c.P for c in constraints]
         ) / budget
-        trace.record(lam.values, bound, sub, 0.0)
+        trace.record(lam.values, bound, sub)
         entry = (achieved, bound, bf, lam, len(trace.value) - 1)
         if state["best"] is None or achieved < state["best"][0]:
             state["best"] = entry

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from . import model, orchestrator
-from .errors import InvalidInput
+from . import linalg, model, orchestrator
+from .errors import InvalidInput, SingularConstraintMatrix
 from .macsolver import SolverSettings
 from .model import ChannelSet, LinearConstraint, SinrTargets
 
@@ -180,6 +180,8 @@ def load_config(path):
             raise ConfigError("nonlinear_wsr requires a 'nonlinear' section")
     elif not constraints:
         raise ConfigError(f"objective {objective} requires a nonempty constraint list")
+    if objective == "wsr_region" and ch.K > 2:
+        raise ConfigError(f"wsr_region sweeps one or two users, config has {ch.K}")
     weights = doc.get("weights")
     if weights is not None:
         weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -203,6 +205,16 @@ def load_config(path):
         raise ConfigError("sweep.resolution must be >= 1")
     output = doc.get("output") or {}
     basename = str(output.get("basename", objective))
+    solver = _parse_settings(doc, "solver", SolverSettings())
+    heuristic = bool(doc.get("heuristic", False))
+    if heuristic and objective == "wsr_region":
+        # the heuristic solves under constraints[0] alone, which is unbounded
+        # unless its matrix is positive definite
+        try:
+            linalg.assert_pd(constraints[0].A, floor=solver.pd_floor,
+                             name="heuristic: constraints[0] matrix")
+        except SingularConstraintMatrix as exc:
+            raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
         objective=objective,
         channels=ch,
@@ -211,12 +223,12 @@ def load_config(path):
         weights=weights,
         targets=targets,
         resolution=resolution,
-        solver=_parse_settings(doc, "solver", SolverSettings()),
+        solver=solver,
         outer=_parse_settings(doc, "outer", SolverSettings(max_iters=80)),
         seed=int(doc.get("seed", 0)),
         workers=int(doc.get("workers", 1)),
         basename=basename,
-        heuristic=bool(doc.get("heuristic", False)),
+        heuristic=heuristic,
         raw=doc,
     )
 

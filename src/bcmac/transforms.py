@@ -100,18 +100,18 @@ def mac_to_bc_capacity(ch, cov_mac, A):
     K = ch.K
     # absorb the per-user noise weights so the budget is a plain trace
     Z = [ch.sigma2[i] * cov_mac.Q[i] for i in range(K)]
+    # Phis[pos] = I + sum of the uplink terms of the users encoded before pos
+    Phis = [np.eye(ch.nt, dtype=np.complex128)]
+    for j in order[:-1]:
+        Phis.append(Phis[-1] + Hhat[j].conj().T @ Z[j] @ Hhat[j])
     Qw = [None] * K  # whitened downlink covariances
     for pos in range(K - 1, -1, -1):
         i = order[pos]
-        Phi = np.eye(ch.nt, dtype=np.complex128)
-        for k in range(pos):
-            j = order[k]
-            Phi += Hhat[j].conj().T @ Z[j] @ Hhat[j]
         Om = np.eye(ch.nr, dtype=np.complex128)
         for k in range(pos + 1, K):
             j = order[k]
             Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
-        Qw[i] = _flip(Phi, Om, Hhat[i], Z[i], to_bc=True)
+        Qw[i] = _flip(Phis[pos], Om, Hhat[i], Z[i], to_bc=True)
     Q_bc = [linalg.hermitian_part(W @ Qw[i] @ W) for i in range(K)]
     return model.CovarianceSet(model.BC, Q_bc)
 
@@ -127,17 +127,15 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     K = ch.K
     Qw = [linalg.hermitian_part(As @ cov_bc.Q[i] @ As) for i in range(K)]
     Z = [None] * K
+    Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
     for pos in range(K):
         i = order[pos]
-        Phi = np.eye(ch.nt, dtype=np.complex128)
-        for k in range(pos):
-            j = order[k]
-            Phi += Hhat[j].conj().T @ Z[j] @ Hhat[j]
         Om = np.eye(ch.nr, dtype=np.complex128)
         for k in range(pos + 1, K):
             j = order[k]
             Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
         Z[i] = _flip(Phi, Om, Hhat[i], Qw[i], to_bc=False)
+        Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
     Q_mac = [Z[i] / ch.sigma2[i] for i in range(K)]
     return model.CovarianceSet(model.MAC, Q_mac)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,166 @@ def test_settings_validation():
         SolverSettings(tol=0.0)
     with pytest.raises(InvalidInput):
         SolverSettings(armijo_beta=1.5)
+
+
+# Stacked layout of the WSR solver (user-order stacks, cumulative matrices in
+# encoding order) against plain per-block references.
+
+STACK_ORDER = (2, 0, 3, 1)
+STACK_SIGMA2 = [0.7, 1.3, 2.0, 0.9]
+STACK_W = np.array([1.4, 0.6, 2.1, 1.0])
+
+
+def _stack_instance(rng):
+    ch = ChannelSet(rand_channels(rng, 4, 2, 3), STACK_SIGMA2, STACK_ORDER)
+    return ch, rand_pd(rng, 3)
+
+
+def _ref_whitened(ch, A):
+    """Per-user whitened channels (H_i / sigma_i) A^{-1/2}, in user order."""
+    w, V = np.linalg.eigh(A)
+    W = (V / np.sqrt(w)) @ V.conj().T
+    return [ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]
+
+
+def _ref_phis(ch, G, Z):
+    """Phi after each encoding position: I + sum of earlier and own terms."""
+    phis = []
+    cum = np.eye(G[0].shape[1], dtype=complex)
+    for i in ch.encoding_order:
+        cum = cum + G[i].conj().T @ Z[i] @ G[i]
+        phis.append(cum)
+    return phis
+
+
+def _ref_gradient(ch, G, w, Z):
+    """d(sum_j w_j r_j)/dZ_i from the rate form r_j = logdet Phi_{p(j)} -
+    logdet Phi_{p(j)-1}: user i enters Phi_m for every m >= p(i)."""
+    inv = [np.linalg.inv(P) for P in _ref_phis(ch, G, Z)]
+    pos = {i: m for m, i in enumerate(ch.encoding_order)}
+    grads = []
+    for i in range(ch.K):
+        S = np.zeros_like(inv[0])
+        for j in range(ch.K):
+            if pos[j] >= pos[i]:
+                S = S + w[j] * inv[pos[j]]
+            if pos[j] - 1 >= pos[i]:
+                S = S - w[j] * inv[pos[j] - 1]
+        g = G[i] @ S @ G[i].conj().T
+        grads.append(0.5 * (g + g.conj().T))
+    return grads
+
+
+def _ref_kkt(Z, grads, budget, rank_tol=1e-9):
+    """Least-squares budget multiplier and KKT residual, block by block."""
+    used = sum(float(np.trace(Zi).real) for Zi in Z)
+    parts, rank_sum, tr_sum = [], 0, 0.0
+    for Zi, Gi in zip(Z, grads):
+        w, V = np.linalg.eigh(0.5 * (Zi + Zi.conj().T))
+        mask = w > rank_tol * max(1.0, w[-1])
+        B = V.conj().T @ Gi @ V
+        parts.append((mask, B))
+        rank_sum += int(mask.sum())
+        tr_sum += float(np.trace(B[np.ix_(mask, mask)]).real)
+    if budget - used > 1e-9 * max(1.0, budget):
+        lam = 0.0
+    elif rank_sum:
+        lam = max(0.0, tr_sum / rank_sum)
+    else:
+        lam = max(0.0, max(float(np.linalg.eigvalsh(B)[-1]) for _, B in parts))
+    worst = 0.0
+    for mask, B in parts:
+        R = B - lam * np.eye(B.shape[0])
+        res = np.sum(np.abs(R[np.ix_(mask, mask)]) ** 2) \
+            + 2.0 * np.sum(np.abs(R[np.ix_(mask, ~mask)]) ** 2)
+        nn = R[np.ix_(~mask, ~mask)]
+        if nn.size:
+            res += np.sum(np.maximum(np.linalg.eigvalsh(0.5 * (nn + nn.conj().T)), 0) ** 2)
+        worst = max(worst, float(np.sqrt(res)))
+    return lam, worst
+
+
+def _rank_one_mac_cov(rng, K, nr, total):
+    """Uplink covariances of rank one (every block has a null space)."""
+    vs = [rng.normal(size=(nr, 1)) + 1j * rng.normal(size=(nr, 1)) for _ in range(K)]
+    mats = [v @ v.conj().T for v in vs]
+    tr = sum(float(np.trace(M).real) for M in mats)
+    return CovarianceSet("mac", [M * (total / tr) for M in mats])
+
+
+def test_stacked_objective_and_gradient_match_per_block(rng):
+    ch, A = _stack_instance(rng)
+    G = _ref_whitened(ch, A)
+    Ghat = macsolver._whitened(ch, A, 1e-8)
+    np.testing.assert_allclose(Ghat, np.array(G), rtol=1e-12, atol=0)
+    coeffs = macsolver._rate_coeffs(ch, STACK_W)
+    for _ in range(3):
+        cov = random_mac_cov(rng, 4, 2, 2.5)
+        Z = np.array([ch.sigma2[i] * cov.Q[i] for i in range(4)])
+        ref_obj = float(STACK_W @ mac_rates(ch, cov, A))
+        assert macsolver._objective(ch, Ghat, coeffs, Z) == pytest.approx(ref_obj, rel=1e-12)
+        grads = macsolver._gradient(ch, Ghat, coeffs, Z)
+        for i, g_ref in enumerate(_ref_gradient(ch, G, STACK_W, Z)):
+            assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def test_stacked_projection_matches_per_block(rng):
+    for budget in (0.5, 50.0):  # water level active, then every block clipped at zero
+        M = np.array([rand_pd(rng, 2) - 0.6 * np.eye(2) for _ in range(4)])
+        out = macsolver._project_blocks(M, budget)
+        eig = [np.linalg.eigh(0.5 * (Mi + Mi.conj().T)) for Mi in M]
+        lam = np.concatenate([w for w, _ in eig])
+        mu = 0.0
+        if np.maximum(lam, 0).sum() > budget:
+            lo, hi = 0.0, float(lam.max())
+            for _ in range(200):
+                mu = 0.5 * (lo + hi)
+                lo, hi = (mu, hi) if np.maximum(lam - mu, 0).sum() > budget else (lo, mu)
+        for m, (w, V) in enumerate(eig):
+            ref = (V * np.maximum(w - mu, 0)) @ V.conj().T
+            assert np.max(np.abs(out[m] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        total = sum(np.trace(Zm).real for Zm in out)
+        assert total <= budget * (1 + 1e-12)
+
+
+def test_project_blocks_rejects_nan():
+    M = np.array([np.eye(2, dtype=complex)] * 3)
+    M[1, 0, 1] = np.nan
+    with pytest.raises(InvalidInput):
+        macsolver._project_blocks(M, 1.0)
+
+
+def test_stacked_kkt_and_multiplier_match_per_block(rng):
+    ch, A = _stack_instance(rng)
+    G = _ref_whitened(ch, A)
+    covs = [random_mac_cov(rng, 4, 2, 2.5), _rank_one_mac_cov(rng, 4, 2, 2.5)]
+    for cov in covs:
+        Z = [ch.sigma2[i] * cov.Q[i] for i in range(4)]
+        grads = _ref_gradient(ch, G, STACK_W, Z)
+        for budget in (2.5, 4.0):  # tight, then slack
+            lam_ref, res_ref = _ref_kkt(Z, grads, budget)
+            lam = macsolver.budget_multiplier_wsr(ch, A, budget, STACK_W, cov)
+            res = kkt_residual_wsr(ch, A, budget, STACK_W, cov)
+            assert lam == pytest.approx(lam_ref, rel=1e-12)
+            assert res == pytest.approx(res_ref, rel=1e-12)
+    zero = CovarianceSet("mac", [np.zeros((2, 2))] * 4)
+    Z = [np.zeros((2, 2), dtype=complex)] * 4
+    lam_ref, res_ref = _ref_kkt(Z, _ref_gradient(ch, G, STACK_W, Z), 0.0)
+    assert lam_ref > 0  # the rank-zero branch: top gradient eigenvalue
+    assert macsolver.budget_multiplier_wsr(ch, A, 0.0, STACK_W, zero) \
+        == pytest.approx(lam_ref, rel=1e-12)
+    assert kkt_residual_wsr(ch, A, 0.0, STACK_W, zero) == pytest.approx(res_ref, rel=1e-12)
+
+
+def test_stacked_solution_in_user_order(rng):
+    ch, A = _stack_instance(rng)
+    sol = solve_wsr_mac(ch, A, 3.0, STACK_W, TIGHT)
+    assert sol.converged
+    assert sol.objective == pytest.approx(float(STACK_W @ mac_rates(ch, sol.cov, A)),
+                                          abs=1e-10)
+    power = sum(ch.sigma2[i] * np.trace(sol.cov.Q[i]).real for i in range(4))
+    assert power == pytest.approx(3.0, rel=1e-9)
+    # a warm start given in user order starts one step from the optimum
+    warm = solve_wsr_mac(ch, A, 3.0, STACK_W, replace(TIGHT, restarts=1, max_iters=1),
+                         init=sol.cov)
+    assert warm.objective >= sol.objective - 1e-9
