@@ -1,4 +1,5 @@
-"""Dense complex Hermitian primitives used by every solver module.
+"""Dense complex Hermitian primitives used by every solver module, and the
+one 1-D bracketing search (:func:`bisect_edge`).
 
 Matrices are plain ``numpy`` arrays in ``complex128``.  A "Hermitian" argument
 means conjugate symmetry up to roundoff (``norm(M - M^H) <= 1e-12 * norm(M)``);
@@ -69,8 +70,10 @@ def sqrt_psd(M, clamp_tol=CLAMP_TOL):
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def inv_sqrt(M, floor=PD_FLOOR):
-    """Hermitian inverse square root N with N M N^H = I.
+def pd_roots(M, floor):
+    """Square roots r of the eigenvalues (ascending) and the eigenvectors V of
+    a positive definite matrix: M^{1/2} = V diag(r) V^H and
+    M^{-1/2} = V diag(1/r) V^H from one eigendecomposition.
 
     Raises SingularConstraintMatrix when any eigenvalue is <= floor, which is
     how a non-positive-definite constraint matrix surfaces to callers.
@@ -80,7 +83,13 @@ def inv_sqrt(M, floor=PD_FLOOR):
         raise SingularConstraintMatrix(
             f"eigenvalue {w[0]:g} <= floor {floor:g}; matrix not invertible"
         )
-    return (V / np.sqrt(w)) @ V.conj().T
+    return np.sqrt(w), V
+
+
+def inv_sqrt(M, floor=PD_FLOOR):
+    """Hermitian inverse square root N with N M N^H = I (see pd_roots)."""
+    r, V = pd_roots(M, floor)
+    return (V / r) @ V.conj().T
 
 
 def project_psd(M):
@@ -109,3 +118,28 @@ def assert_pd(M, floor=0.0, name="matrix"):
             f"{name} is not positive definite (min eigenvalue {w[0]:g})"
         )
     return w, V
+
+
+def bisect_edge(f, level, hi, tol, unbounded, strict=False):
+    """Largest x >= 0 found with f(x) <= level, for f that stays at or below
+    ``level`` from 0 up to one crossing.
+
+    Doubles ``hi`` while f(hi) <= level (f(hi) < level if ``strict``), then
+    bisects [0, hi], keeping f <= level at the low end, for at most 200
+    halvings or until hi - lo <= tol * max(hi, 1).  Raises the exception
+    ``unbounded`` once the bracket passes 1e30.
+    """
+    while f(hi) < level if strict else f(hi) <= level:
+        hi *= 2.0
+        if hi > 1e30:
+            raise unbounded
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(hi, 1.0):
+            break
+    return lo

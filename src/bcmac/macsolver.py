@@ -65,12 +65,6 @@ def _lsum(x):
     return float(np.cumsum(x)[-1])
 
 
-def _whitened(ch, noise, pd_floor):
-    """Whitened channels (H_i / sigma_i) A^{-1/2}, stacked."""
-    W = linalg.inv_sqrt(noise, floor=pd_floor)
-    return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)])
-
-
 def _scaled(ch, cov):
     """Whitened-budget covariances sigma_i^2 Q_i of an uplink set, stacked."""
     return np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
@@ -150,12 +144,12 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     Z = _project_blocks(Z0, budget)
     mats = _cum_mats(ch, Ghat, Z)
     obj = _objective(ch, Ghat, coeffs, Z, mats)
+    grads = _gradient(ch, Ghat, coeffs, Z, mats)
     t = 1.0
     iters = 0
     check_every = 10
     for it in range(settings.max_iters):
         iters = it + 1
-        grads = _gradient(ch, Ghat, coeffs, Z, mats)
         accepted = False
         for _ in range(60):
             cand = _project_blocks(Z + t * grads, budget)
@@ -174,11 +168,14 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
         if not accepted:
             kkt = _kkt_from_state(Z, grads, budget)
             return Z, obj, iters, kkt, True
+        # the gradient at the accepted point serves the KKT check and the
+        # next step alike
+        grads = _gradient(ch, Ghat, coeffs, Z, mats)
         if rel < settings.tol or it % check_every == check_every - 1:
-            kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z, mats), budget)
+            kkt = _kkt_from_state(Z, grads, budget)
             if kkt <= KKT_TOL_FACTOR * settings.tol:
                 return Z, obj, iters, kkt, True
-    kkt = _kkt_from_state(Z, _gradient(ch, Ghat, coeffs, Z, mats), budget)
+    kkt = _kkt_from_state(Z, grads, budget)
     return Z, obj, iters, kkt, kkt <= KKT_TOL_FACTOR * settings.tol
 
 
@@ -241,7 +238,7 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     settings = settings or SolverSettings()
     if not (budget >= 0):
         raise InvalidInput("budget must be nonnegative")
-    Ghat = _whitened(ch, noise, settings.pd_floor)
+    Ghat = model.whitened_channels(ch, noise, settings.pd_floor)[0]
     coeffs = _rate_coeffs(ch, weights)
     K, nr = ch.K, ch.nr
     if budget == 0.0:
@@ -276,7 +273,8 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
 def _state_at(ch, noise, weights, cov, pd_floor):
     """Stacked whitened covariances of ``cov`` and the gradient there."""
     Z = _scaled(ch, cov)
-    grads = _gradient(ch, _whitened(ch, noise, pd_floor), _rate_coeffs(ch, weights), Z)
+    Ghat = model.whitened_channels(ch, noise, pd_floor)[0]
+    grads = _gradient(ch, Ghat, _rate_coeffs(ch, weights), Z)
     return Z, grads
 
 
@@ -310,24 +308,29 @@ def _single_stream_setup(ch):
     return [vi / np.linalg.norm(vi) for vi in v]
 
 
+def _single_stream(ch, u, v, q):
+    """Uplink solution with one stream per user from per-user vectors and
+    powers (indexed by user)."""
+    return model.BeamformingSolution(
+        u=[u[i].reshape(1, -1) for i in range(ch.K)],
+        v=[v[i].reshape(1, -1) for i in range(ch.K)],
+        q=[np.array([q[i]]) for i in range(ch.K)],
+    )
+
+
 def _mac_links(ch, v):
     """Effective uplink signal vectors at the base station, g_i = H_i^H v_i."""
     return [ch.H[i].conj().T @ v[i].ravel() for i in range(ch.K)]
 
 
-def _receive_update(ch, A, g, q):
-    """MMSE receive vectors in encoding order given uplink powers q."""
-    u = [None] * ch.K
-    interf = A.astype(np.complex128)
-    for m in range(ch.K):
-        i = ch.encoding_order[m]
-        ui = np.linalg.solve(interf, g[i])
-        n = np.linalg.norm(ui)
-        if n <= 0:
-            raise InfeasibleTargets(f"user {i}: zero effective channel")
-        u[i] = ui / n
-        interf = interf + q[i] * np.outer(g[i], g[i].conj())
-    return u
+def _mmse_pass(ch, A, g, power):
+    """Uplink SIC pass over the users in encoding order with MMSE receive
+    vectors; ``power(i, gain, den)`` sets user i's power (see
+    :func:`model.uplink_sic`).  Returns vectors and powers keyed by user."""
+    u, q, _ = model.uplink_sic(
+        A, [(i, g[i]) for i in ch.encoding_order], power,
+        vanishing=lambda i: InfeasibleTargets(f"user {i}: zero effective channel"))
+    return u, q
 
 
 def _link_gains(ch, A, g, u):
@@ -372,12 +375,7 @@ def _downlink_receiver_update(ch, A, u, v, q):
     """
     from . import transforms
 
-    bf = model.BeamformingSolution(
-        u=[u[i].reshape(1, -1) for i in range(ch.K)],
-        v=[v[i].reshape(1, -1) for i in range(ch.K)],
-        q=[np.array([q[i]]) for i in range(ch.K)],
-    )
-    bf_bc = transforms.mac_to_bc_sinr(ch, bf, A)
+    bf_bc = transforms.mac_to_bc_sinr(ch, _single_stream(ch, u, v, q), A)
     p = [bf_bc.p[i][0] for i in range(ch.K)]
     beams = [bf_bc.u[i][0] for i in range(ch.K)]
     vnew = model.bc_mmse_receivers(ch, beams, p)
@@ -409,27 +407,15 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
     sig2 = np.array([ch.sigma2[i] for i in range(ch.K)])
     for it in range(settings.max_iters):
         g = _mac_links(ch, v)
-        u = _receive_update(ch, A, g, q)
+        u, _ = _mmse_pass(ch, A, g, lambda i, gain, den: q[i])
         a, b, c = _link_gains(ch, A, g, u)
 
         def total(al):
             return float(sig2 @ _powers_for_ratio(ch, targets, a, b, c, al))
 
-        hi = max(alpha, 1.0)
-        while total(hi) < budget:
-            hi *= 2.0
-            if hi > 1e30:
-                raise InfeasibleTargets("balance ratio diverged")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if total(mid) <= budget:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(hi, 1.0):
-                break
-        new_alpha = lo
+        new_alpha = linalg.bisect_edge(total, budget, max(alpha, 1.0), 1e-14,
+                                       InfeasibleTargets("balance ratio diverged"),
+                                       strict=True)
         q = _powers_for_ratio(ch, targets, a, b, c, new_alpha)
         if it > 0 and abs(new_alpha - alpha) <= settings.tol * max(new_alpha, 1e-300):
             alpha = new_alpha
@@ -439,12 +425,7 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
             v = _downlink_receiver_update(ch, A, u, v, q)
     else:
         raise MaxItersExceeded("SINR balancing did not converge")
-    bf = model.BeamformingSolution(
-        u=[u[i].reshape(1, -1) for i in range(ch.K)],
-        v=[v[i].reshape(1, -1) for i in range(ch.K)],
-        q=[np.array([q[i]]) for i in range(ch.K)],
-    )
-    return alpha, bf
+    return alpha, _single_stream(ch, u, v, q)
 
 
 def solve_power_min_mac(ch, noise, targets, settings=None):
@@ -463,30 +444,20 @@ def solve_power_min_mac(ch, noise, targets, settings=None):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v = _single_stream_setup(ch)
     q = np.zeros(ch.K)
-    u = None
+
+    def target_power(i, gain, den):
+        # met exactly against the interference of already-updated earlier users
+        if gain <= 0:
+            raise InfeasibleTargets(f"user {i}: zero effective channel gain")
+        qi = targets.gamma[i] * den / gain
+        if qi > 1e12:
+            raise InfeasibleTargets("power fixed point diverged")
+        return qi
+
     for it in range(settings.max_iters):
-        g = _mac_links(ch, v)
-        # Gauss-Seidel sweep: receive vector and power per user in encoding
-        # order, against the interference of already-updated earlier users
-        new_q = np.zeros(ch.K)
-        u = [None] * ch.K
-        interf = A.astype(np.complex128)
-        for m in range(ch.K):
-            i = ch.encoding_order[m]
-            ui = np.linalg.solve(interf, g[i])
-            n = np.linalg.norm(ui)
-            if n <= 0:
-                raise InfeasibleTargets(f"user {i}: zero effective channel")
-            ui = ui / n
-            gain = abs(np.vdot(ui, g[i])) ** 2
-            if gain <= 0:
-                raise InfeasibleTargets(f"user {i}: zero effective channel gain")
-            den = float(np.real(ui.conj() @ interf @ ui))
-            new_q[i] = targets.gamma[i] * den / gain
-            if new_q[i] > 1e12:
-                raise InfeasibleTargets("power fixed point diverged")
-            u[i] = ui
-            interf = interf + new_q[i] * np.outer(g[i], g[i].conj())
+        # Gauss-Seidel sweep: receive vector, then power, user by user
+        u, new_q = _mmse_pass(ch, A, _mac_links(ch, v), target_power)
+        new_q = np.array([new_q[i] for i in range(ch.K)])
         change = float(np.max(np.abs(new_q - q) / np.maximum(new_q, 1e-300)))
         q = new_q
         if it > 0 and change <= 1e-11:
@@ -496,9 +467,4 @@ def solve_power_min_mac(ch, noise, targets, settings=None):
     else:
         raise MaxItersExceeded("power minimization did not converge")
     total = float(sum(ch.sigma2[i] * q[i] for i in range(ch.K)))
-    bf = model.BeamformingSolution(
-        u=[u[i].reshape(1, -1) for i in range(ch.K)],
-        v=[v[i].reshape(1, -1) for i in range(ch.K)],
-        q=[np.array([q[i]]) for i in range(ch.K)],
-    )
-    return total, bf
+    return total, _single_stream(ch, u, v, q)

@@ -230,19 +230,6 @@ class BeamformingSolution:
             out.append(Qi)
         return CovarianceSet(BC, out)
 
-    def mac_covariances(self):
-        """Q_i^(m) = sum_j q_ij v_ij v_ij^H (uplink side)."""
-        if self.q is None:
-            raise InvalidInput("uplink powers not set")
-        out = []
-        for i in range(self.K):
-            nr = self.v[i].shape[1]
-            Qi = np.zeros((nr, nr), dtype=np.complex128)
-            for j in range(self.v[i].shape[0]):
-                vj = self.v[i][j]
-                Qi += self.q[i][j] * np.outer(vj, vj.conj())
-            out.append(Qi)
-        return CovarianceSet(MAC, out)
 
 def mac_eigenbeams(cov, drop_tol=1e-12):
     """Eigendecompose uplink covariances into unit beams and powers.
@@ -360,22 +347,61 @@ def bc_sinr(ch, bf, scheme="dpc"):
     return out
 
 
+def whitened_channels(ch, A, floor=linalg.PD_FLOOR):
+    """Channels of the equivalent identity-noise problem, (H_i / sigma_i)
+    A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}."""
+    W = linalg.inv_sqrt(A, floor=floor)
+    return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
+
+
+def uplink_sic(A, links, power, receivers=None, vanishing=None):
+    """Successive interference cancellation on the dual uplink.
+
+    ``links`` lists (key, g) pairs in encoding order, g = H_i^H v; each is
+    decoded against C = A plus the links listed before it, with receive
+    vector ``receivers[key]`` or else the unit-norm MMSE vector C^{-1} g
+    normalized (raising ``vanishing(key)`` if it vanishes).  Its power is
+    ``power(key, gain, den)`` with gain = |u^H g|^2, den = u^H C u.  Returns
+    dicts by key of receive vectors, powers and SINRs q gain / den.
+    """
+    C = A.astype(np.complex128)
+    u, q, sinr = {}, {}, {}
+    for key, g in links:
+        if receivers is None:
+            x = np.linalg.solve(C, g)
+            n = np.linalg.norm(x)
+            if n <= 0:
+                raise vanishing(key)
+            x = x / n
+        else:
+            x = receivers[key]
+        gain = abs(np.vdot(x, g)) ** 2
+        den = float(np.real(x.conj() @ C @ x))
+        qk = power(key, gain, den)
+        u[key], q[key], sinr[key] = x, qk, qk * gain / den
+        C = C + qk * np.outer(g, g.conj())
+    return u, q, sinr
+
+
+def stream_links(ch, bf):
+    """(stream, H_i^H v_ij) uplink links of a beamforming solution in
+    encoding order, for :func:`uplink_sic`, and the stream powers q_ij."""
+    seq = _stream_order(ch, bf)
+    links = [((i, j), ch.H[i].conj().T @ bf.v[i][j]) for (i, j) in seq]
+    return links, (lambda s, gain, den: bf.q[s[0]][s[1]])
+
+
 def mac_sinr(ch, bf, noise):
     """Per-stream dual-uplink SINRs: stream (i,j) is decoded after everything
     encoded later, so it sees interference from streams encoded before it
     plus the base-station noise covariance."""
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
-    seq = _stream_order(ch, bf)
+    links, power = stream_links(ch, bf)
+    _, _, sinr = uplink_sic(A, links, power, {s: bf.u[s[0]][s[1]] for s, _ in links})
     out = [np.zeros(bf.u[i].shape[0]) for i in range(ch.K)]
-    interf = A.astype(np.complex128)
-    for (i, j) in seq:
-        uij = bf.u[i][j]
-        g = ch.H[i].conj().T @ bf.v[i][j]
-        sig = bf.q[i][j] * abs(np.vdot(uij, g)) ** 2
-        den = float(np.real(uij.conj() @ interf @ uij))
-        out[i][j] = sig / den
-        interf = interf + bf.q[i][j] * np.outer(g, g.conj())
+    for (i, j), val in sinr.items():
+        out[i][j] = val
     return out
 
 
@@ -385,6 +411,11 @@ def constraint_value(cov, c):
     if _tot.shape != c.A.shape:
         raise InvalidInput("constraint matrix dimension mismatch")
     return float(np.real(np.trace(_tot @ c.A)))
+
+
+def constraint_slacks(cov, constraints):
+    """P_l - tr((sum_i Q_i) A_l) for every constraint."""
+    return np.array([c.P - constraint_value(cov, c) for c in constraints])
 
 
 def bc_mmse_receivers(ch, u, p):

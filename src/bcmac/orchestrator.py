@@ -9,6 +9,12 @@ is tight at the optimal multipliers, so the outer loop is a projected
 subgradient descent (or ascent, for power balancing) over the unit simplex
 followed by a pairwise golden-section polish along simplex sections.
 
+Weighted sum rate, SINR balancing and power balancing share one routine for
+that loop (``_multiplier_loop``): it merges the constraints, records the
+trace, evaluates once when there is a single constraint, and keeps the
+evaluation of least key among the feasible ones, else among all.  Each solve
+supplies only its inner dual-uplink solve, transform, key and subgradient.
+
 A convex nonlinear constraint on the trace values tr(Q A_l) is handled by
 accumulating supporting hyperplanes (tangent cuts) of its feasible region.
 """
@@ -96,6 +102,7 @@ class CuttingPlaneState:
 def combined_constraint(constraints, lam):
     """Merged single constraint: noise matrix sum_l lam_l A_l (jittered PD)
     and budget sum_l lam_l P_l."""
+    lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
     if len(constraints) != lam.values.size:
         raise InvalidInput("multiplier count must match constraint count")
     A = sum(l * c.A for l, c in zip(lam.values, constraints))
@@ -106,23 +113,20 @@ def combined_constraint(constraints, lam):
     return linalg.hermitian_part(A), budget
 
 
-def _slacks(cov_bc, constraints):
-    return np.array([c.P - model.constraint_value(cov_bc, c) for c in constraints])
-
-
-def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None):
+def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None,
+                        merged=None):
     """Value and downlink covariance of the merged-constraint weighted sum
     rate bound at multipliers ``lam``; an upper bound on the multi-constraint
-    optimum for every ``lam``."""
-    lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
+    optimum for every ``lam``.  ``merged`` is the already computed
+    ``combined_constraint(constraints, lam)``."""
     inner = inner or SolverSettings()
-    A, budget = combined_constraint(constraints, lam)
+    A, budget = merged or combined_constraint(constraints, lam)
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
     cov_bc = transforms.mac_to_bc_capacity(ch, sol.cov, A)
     return sol.objective, cov_bc, sol
 
 
-def wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol):
+def wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, merged=None):
     """Subgradient of the merged-constraint bound at ``lam``.
 
     The bound's sensitivity to multiplier l is mu * (P_l - tr(Q A_l)) where
@@ -130,10 +134,9 @@ def wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol):
     sensitivity to the budget); without the mu factor the direction is the
     same but the subgradient inequality fails.
     """
-    lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
-    A, budget = combined_constraint(constraints, lam)
+    A, budget = merged or combined_constraint(constraints, lam)
     mu = budget_multiplier_wsr(ch, A, budget, weights, sol.cov)
-    return mu * _slacks(cov_bc, constraints)
+    return mu * model.constraint_slacks(cov_bc, constraints)
 
 
 def _project_simplex(x):
@@ -196,9 +199,10 @@ def _polish_simplex(evaluate, lam0, sense, passes=2, iters=24):
 
 
 def _outer_loop(evaluate, L, outer, sense):
-    """Projected subgradient with diminishing steps a/sqrt(t) on the simplex,
-    followed by the pairwise polish.  ``evaluate(lam) -> (value, subgrad)``
-    does its own best-candidate tracking; returns nothing."""
+    """Projected subgradient with diminishing steps a/sqrt(t) on the simplex
+    of L >= 2 multipliers, followed by the pairwise polish.
+    ``evaluate(lam) -> (value, subgrad)`` does its own best-candidate
+    tracking; returns nothing."""
     lam = np.full(L, 1.0 / L)
     sign = -1.0 if sense == "min" else 1.0
     step_scale = None
@@ -220,12 +224,43 @@ def _outer_loop(evaluate, L, outer, sense):
         step = step_scale / np.sqrt(t)
         lam = _project_simplex(lam + sign * step * sub)
         lam = DualWeights(lam).values
-    if L > 1:
-        def polish_eval(lam_arr):
-            v, _ = evaluate(lam_arr)
-            return v
+    _polish_simplex(lambda lam_arr: evaluate(lam_arr)[0], lam, sense)
 
-        _polish_simplex(polish_eval, lam, sense)
+
+def _feasible(slacks, constraints):
+    return np.min(slacks) >= -FEAS_TOL_FACTOR * max(c.P for c in constraints)
+
+
+def _multiplier_loop(constraints, outer, sense, evaluate):
+    """Outer loop over ``constraints``: ``evaluate(lam, A, budget)`` solves the
+    merged constraint (A, budget) at ``lam`` and returns (value, subgradient,
+    key, feasible, result).  Returns (key, result, multipliers, trace) of the
+    kept evaluation; ``trace.converged`` says whether it is feasible."""
+    outer = outer or SolverSettings(max_iters=120)
+    if not constraints:
+        raise InvalidInput("need at least one constraint")
+    trace = OuterTrace()
+    best = {}  # "feasible" and "any": (key, result, lam, trace index)
+
+    def run(lam_arr):
+        lam = DualWeights(lam_arr)
+        A, budget = combined_constraint(constraints, lam)
+        value, sub, key, feasible, result = evaluate(lam, A, budget)
+        trace.record(lam.values, value, sub)
+        entry = (key, result, lam, len(trace.value) - 1)
+        for slot in ("feasible", "any") if feasible else ("any",):
+            if slot not in best or key < best[slot][0]:
+                best[slot] = entry
+        return value, sub
+
+    if len(constraints) == 1:
+        run(np.ones(1))
+    else:
+        _outer_loop(run, len(constraints), outer, sense)
+    chosen = best.get("feasible", best["any"])
+    trace.converged = "feasible" in best
+    trace.best_index = chosen[3]
+    return chosen[0], chosen[1], chosen[2], trace
 
 
 def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
@@ -237,83 +272,37 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
     covariance that is feasible for every constraint, the multipliers, and
     the outer trace.
     """
-    outer = outer or SolverSettings(max_iters=120)
     inner = inner or SolverSettings()
     constraints = list(constraints)
-    L = len(constraints)
-    if L == 0:
-        raise InvalidInput("need at least one constraint")
-    feas_tol = FEAS_TOL_FACTOR * max(c.P for c in constraints)
-    trace = OuterTrace()
-    state = {"warm": None, "best": None, "best_any": None}
+    warm = [None]  # uplink covariances of the previous evaluation
 
-    def evaluate(lam_arr):
-        lam = DualWeights(lam_arr)
-        inner_here = inner if state["warm"] is None else replace(inner, restarts=1)
-        g, cov_bc, sol = eval_wsr_relaxation(
-            ch, constraints, lam, weights, inner_here, init=state["warm"]
-        )
-        state["warm"] = sol.cov
-        slacks = _slacks(cov_bc, constraints)
-        sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol)
-        trace.record(lam.values, g, sub)
-        entry = (g, cov_bc, lam, len(trace.value) - 1)
-        if state["best_any"] is None or g < state["best_any"][0]:
-            state["best_any"] = entry
-        if np.min(slacks) >= -feas_tol:
-            if state["best"] is None or g < state["best"][0]:
-                state["best"] = entry
-        return g, sub
+    def evaluate(lam, A, budget):
+        inner_here = inner if warm[0] is None else replace(inner, restarts=1)
+        g, cov_bc, sol = eval_wsr_relaxation(ch, constraints, lam, weights, inner_here,
+                                             warm[0], (A, budget))
+        warm[0] = sol.cov
+        sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, (A, budget))
+        feasible = _feasible(model.constraint_slacks(cov_bc, constraints), constraints)
+        return g, sub, g, feasible, cov_bc
 
-    if L == 1:
-        evaluate(np.ones(1))
-    else:
-        _outer_loop(evaluate, L, outer, sense="min")
-    chosen = state["best"] or state["best_any"]
-    trace.converged = state["best"] is not None
-    trace.best_index = chosen[3]
-    return chosen[1], chosen[2], trace
+    _, cov_bc, lam, trace = _multiplier_loop(constraints, outer, "min", evaluate)
+    return cov_bc, lam, trace
 
 
 def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     """SINR balancing under multiple linear constraints: minimize the merged
     upper bound on the balanced ratio over simplex multipliers.  Returns
     (alpha, downlink beamforming solution, multipliers, trace)."""
-    outer = outer or SolverSettings(max_iters=120)
     inner = inner or SolverSettings()
     constraints = list(constraints)
-    L = len(constraints)
-    if L == 0:
-        raise InvalidInput("need at least one constraint")
-    feas_tol = FEAS_TOL_FACTOR * max(c.P for c in constraints)
-    trace = OuterTrace()
-    state = {"best": None, "best_any": None}
 
-    def evaluate(lam_arr):
-        lam = DualWeights(lam_arr)
-        A, budget = combined_constraint(constraints, lam)
+    def evaluate(lam, A, budget):
         alpha, bf_mac = solve_sinr_balance_mac(ch, A, budget, targets, inner)
         bf = transforms.mac_to_bc_sinr(ch, bf_mac, A)
-        cov_bc = bf.bc_covariances()
-        slacks = _slacks(cov_bc, constraints)
-        sub = slacks.copy()
-        trace.record(lam.values, alpha, sub)
-        entry = (alpha, bf, lam, len(trace.value) - 1)
-        if state["best_any"] is None or alpha < state["best_any"][0]:
-            state["best_any"] = entry
-        if np.min(slacks) >= -feas_tol:
-            if state["best"] is None or alpha < state["best"][0]:
-                state["best"] = entry
-        return alpha, sub
+        slacks = model.constraint_slacks(bf.bc_covariances(), constraints)
+        return alpha, slacks, alpha, _feasible(slacks, constraints), bf
 
-    if L == 1:
-        evaluate(np.ones(1))
-    else:
-        _outer_loop(evaluate, L, outer, sense="min")
-    chosen = state["best"] or state["best_any"]
-    trace.converged = state["best"] is not None
-    trace.best_index = chosen[3]
-    return chosen[0], chosen[1], chosen[2], trace
+    return _multiplier_loop(constraints, outer, "min", evaluate)
 
 
 def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -326,44 +315,21 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
     maximized bound approaches it from below.  Returns
     (alpha, beamforming solution, multipliers, trace).
     """
-    outer = outer or SolverSettings(max_iters=120)
     inner = inner or SolverSettings()
     constraints = list(constraints)
-    L = len(constraints)
-    if L == 0:
-        raise InvalidInput("need at least one constraint")
-    trace = OuterTrace()
-    state = {"best": None}
 
-    def evaluate(lam_arr):
-        lam = DualWeights(lam_arr)
-        A, budget = combined_constraint(constraints, lam)
+    def evaluate(lam, A, budget):
         total, bf_mac = solve_power_min_mac(ch, A, targets, inner)
         bound = total / budget
         bf = transforms.mac_to_bc_sinr(ch, bf_mac, A)
         cov_bc = bf.bc_covariances()
-        ratios = np.array(
-            [model.constraint_value(cov_bc, c) / c.P for c in constraints]
-        )
-        achieved = float(np.max(ratios))
+        used = np.array([model.constraint_value(cov_bc, c) for c in constraints])
+        achieved = float(np.max(used / [c.P for c in constraints]))
         # supergradient of the bound: (tr(Q A_l) - bound * P_l) / (lam . P)
-        sub = np.array(
-            [model.constraint_value(cov_bc, c) - bound * c.P for c in constraints]
-        ) / budget
-        trace.record(lam.values, bound, sub)
-        entry = (achieved, bound, bf, lam, len(trace.value) - 1)
-        if state["best"] is None or achieved < state["best"][0]:
-            state["best"] = entry
-        return bound, sub
+        sub = np.array([u - bound * c.P for u, c in zip(used, constraints)]) / budget
+        return bound, sub, achieved, True, bf
 
-    if L == 1:
-        evaluate(np.ones(1))
-    else:
-        _outer_loop(evaluate, L, outer, sense="max")
-    achieved, bound, bf, lam, idx = state["best"]
-    trace.converged = True
-    trace.best_index = idx
-    return achieved, bf, lam, trace
+    return _multiplier_loop(constraints, outer, "max", evaluate)
 
 
 class TraceSpaceConstraint:
@@ -422,28 +388,19 @@ class AffineHalfspace(TraceSpaceConstraint):
         return self.coeffs.copy()
 
 
-def _boundary_point(f, target, anchor=None, iters=200):
+def _boundary_point(f, target, anchor=None):
     """Closest-direction boundary point of {phi <= 0}: bisection along the
     ray from a strictly feasible anchor (default origin) toward ``target``
-    in trace-value space."""
+    in trace-value space.  Raises InvalidInput when the ray never leaves
+    the region."""
     L = len(f.mats)
     anchor = np.zeros(L) if anchor is None else np.asarray(anchor, dtype=float)
     if f.phi(anchor) >= 0:
         raise InvalidInput("anchor must be strictly inside the feasible region")
     d = np.asarray(target, dtype=float) - anchor
-    hi = 1.0
-    for _ in range(200):
-        if f.phi(anchor + hi * d) > 0:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f.phi(anchor + mid * d) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return anchor + lo * d
+    s = linalg.bisect_edge(lambda x: f.phi(anchor + x * d), 0.0, 1.0, 0.0, InvalidInput(
+        f"the ray toward {d} never leaves the constraint region"))
+    return anchor + s * d
 
 
 def _tangent_cut(f, point):

@@ -5,13 +5,16 @@ matrix entries written as [re, im] pairs).  Results are CSV files with a
 header row plus a JSON metadata sidecar carrying the echoed settings and a
 sha256 content hash of the CSV, so identical config + seed give byte-identical
 outputs.  Rates are bits/channel use in files, nats internally.
+
+A swept weight is solved once per encoding order: the region point returns
+its row with the channel set and downlink covariance it came from, and the
+heuristic normalization rescales that covariance.
 """
 
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +46,6 @@ class ScenarioConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
     outer: SolverSettings = field(default_factory=lambda: SolverSettings(max_iters=80))
     seed: int = 0
-    workers: int = 1
     basename: str = "result"
     heuristic: bool = False
     raw: dict = None
@@ -226,7 +228,6 @@ def load_config(path):
         solver=solver,
         outer=_parse_settings(doc, "outer", SolverSettings(max_iters=80)),
         seed=int(doc.get("seed", 0)),
-        workers=int(doc.get("workers", 1)),
         basename=basename,
         heuristic=heuristic,
         raw=doc,
@@ -245,48 +246,41 @@ def _point_seed(base, idx):
     return (int(base) * 100003 + 7919 * int(idx)) % (2 ** 31 - 1)
 
 
-def _single_user_endpoint(cfg, user, seed):
-    """Boundary endpoint: the single-user capacity under the full constraint
-    set, all other rates zero."""
-    ch = cfg.channels
-    sub = ChannelSet([ch.H[user]], [ch.sigma2[user]])
-    inner = replace(cfg.solver, seed=seed)
-    cov, lam, tr = orchestrator.solve_wsr_multi(sub, cfg.constraints, [1.0],
-                                                cfg.outer, inner)
-    rate = model.bc_rates_dpc(sub, cov)[0]
+def _user_rates(ch, users, variant, cov):
+    """Rates of every user of ``ch`` (zero outside ``users``) for a downlink
+    covariance solved on ``variant``, the channel set of ``users``."""
     rates = np.zeros(ch.K)
-    rates[user] = rate
-    slacks = np.array([c.P - model.constraint_value(cov, c) for c in cfg.constraints])
-    gap = max(0.0, min(tr.value) - rate)
-    return rates, lam.values, slacks, tr.iterations, gap
+    rates[users] = model.bc_rates_dpc(variant, cov)
+    return rates
 
 
 def _region_point(cfg, t, idx):
-    """One swept weight: solve both encoding orders and keep the better."""
+    """One swept weight: the row, and the channel set, its users and the
+    downlink covariance it was solved on.  A two-user endpoint is the
+    weighted user's capacity alone (the other rate zero); other weights keep
+    the better encoding order."""
     ch = cfg.channels
-    seed = _point_seed(cfg.seed, idx)
+    inner = replace(cfg.solver, seed=_point_seed(cfg.seed, idx))
     w = np.array([t, 1.0 - t]) if ch.K == 2 else np.array([1.0])
-    if ch.K == 2 and (t == 0.0 or t == 1.0):
-        user = 0 if t == 1.0 else 1
-        rates, lam, slacks, iters, gap = _single_user_endpoint(cfg, user, seed)
-        return RegionPoint((t, 1.0 - t), _order_label(ch), rates / LN2, lam,
-                           slacks, iters, gap)
+    if ch.K == 2 and t in (0.0, 1.0):
+        users = [0 if t == 1.0 else 1]
+        variants = [ChannelSet([ch.H[users[0]]], [ch.sigma2[users[0]]])]
+    else:
+        users = list(range(ch.K))
+        variants = [ch] if ch.K == 1 else [ch, ch.reversed_order()]
     best = None
-    variants = [ch] if ch.K == 1 else [ch, ch.reversed_order()]
     for variant in variants:
-        inner = replace(cfg.solver, seed=seed)
-        cov, lam, tr = orchestrator.solve_wsr_multi(variant, cfg.constraints, w,
+        cov, lam, tr = orchestrator.solve_wsr_multi(variant, cfg.constraints, w[users],
                                                     cfg.outer, inner)
-        rates = model.bc_rates_dpc(variant, cov)
+        rates = _user_rates(ch, users, variant, cov)
         wsr = float(w @ rates)
-        gap = max(0.0, min(tr.value) - wsr)
-        slacks = np.array([c.P - model.constraint_value(cov, c)
-                           for c in cfg.constraints])
-        cand = (wsr, RegionPoint(tuple(w), _order_label(variant), rates / LN2,
-                                 lam.values, slacks, tr.iterations, gap))
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best[1]
+        if best is None or wsr > best[0]:
+            label = _order_label(variant if len(users) == ch.K else ch)
+            row = RegionPoint(tuple(w), label, rates / LN2, lam.values,
+                              model.constraint_slacks(cov, cfg.constraints),
+                              tr.iterations, max(0.0, min(tr.value) - wsr))
+            best = (wsr, row, variant, users, cov)
+    return best[1:]
 
 
 def sweep_weights(resolution):
@@ -296,14 +290,7 @@ def sweep_weights(resolution):
 def run_region(cfg):
     """Weighted-sum-rate region sweep; returns RegionPoint rows ordered by
     weight index."""
-    ts = sweep_weights(cfg.resolution)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda it: _region_point(cfg, it[1], it[0]),
-                                 enumerate(ts)))
-    else:
-        rows = [_region_point(cfg, t, i) for i, t in enumerate(ts)]
-    return rows
+    return [_region_point(cfg, t, i)[0] for i, t in enumerate(sweep_weights(cfg.resolution))]
 
 
 def run_heuristic_normalization(cfg):
@@ -311,41 +298,18 @@ def run_heuristic_normalization(cfg):
     then shrink the covariance so every remaining constraint holds."""
     if len(cfg.constraints) < 2:
         raise ConfigError("heuristic normalization needs at least two constraints")
-    primary, others = cfg.constraints[0], cfg.constraints[1:]
-    ch = cfg.channels
+    others = cfg.constraints[1:]
+    sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
     for idx, t in enumerate(sweep_weights(cfg.resolution)):
-        seed = _point_seed(cfg.seed, idx)
-        sub_cfg = replace(cfg, constraints=[primary])
-        point = _region_point(sub_cfg, t, idx)
-        # rebuild the covariance at the winning order to rescale it
-        w = np.array([t, 1.0 - t]) if ch.K == 2 else np.array([1.0])
-        variant = ch if _order_label(ch) == point.order else ch.reversed_order()
-        if ch.K == 2 and (t == 0.0 or t == 1.0):
-            user = 0 if t == 1.0 else 1
-            sub = ChannelSet([ch.H[user]], [ch.sigma2[user]])
-            inner = replace(cfg.solver, seed=seed)
-            cov, _, _ = orchestrator.solve_wsr_multi(sub, [primary], [1.0],
-                                                     cfg.outer, inner)
-            factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
-                                  for c in others])
-            scaled = model.CovarianceSet(model.BC, [factor * Q for Q in cov.Q])
-            rate = model.bc_rates_dpc(sub, scaled)[0]
-            rates = np.zeros(ch.K)
-            rates[user] = rate
-        else:
-            inner = replace(cfg.solver, seed=seed)
-            cov, _, _ = orchestrator.solve_wsr_multi(variant, [primary], w,
-                                                     cfg.outer, inner)
-            factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
-                                  for c in others])
-            scaled = model.CovarianceSet(model.BC, [factor * Q for Q in cov.Q])
-            rates = model.bc_rates_dpc(variant, scaled)
-        full = [primary] + list(others)
-        slacks = np.array([c.P - model.constraint_value(scaled, c) for c in full])
-        rows.append(RegionPoint((t, 1.0 - t) if ch.K == 2 else (1.0,),
-                                point.order, rates / LN2,
-                                np.full(len(full), np.nan), slacks, 0, np.nan))
+        point, variant, users, cov = _region_point(sub_cfg, t, idx)
+        factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
+                              for c in others])
+        scaled = model.CovarianceSet(model.BC, [factor * Q for Q in cov.Q])
+        rates = _user_rates(cfg.channels, users, variant, scaled)
+        rows.append(RegionPoint(point.weights, point.order, rates / LN2,
+                                np.full(len(cfg.constraints), np.nan),
+                                model.constraint_slacks(scaled, cfg.constraints), 0, np.nan))
     return rows
 
 
@@ -382,8 +346,7 @@ def run_balance(cfg):
     alpha, bf, lam, trace = orchestrator.solve_sinr_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer,
         replace(cfg.solver, seed=cfg.seed))
-    cov = bf.bc_covariances()
-    slacks = np.array([c.P - model.constraint_value(cov, c) for c in cfg.constraints])
+    slacks = model.constraint_slacks(bf.bc_covariances(), cfg.constraints)
     return alpha, lam.values, slacks, trace
 
 

@@ -58,10 +58,10 @@ def _svd_phase_fixed(G):
     return R, d, L
 
 
-def _whitened_channels(ch, A, floor=linalg.PD_FLOOR):
-    """Channels of the equivalent identity-noise problem: (H_i / sigma_i) A^{-1/2}."""
-    W = linalg.inv_sqrt(A, floor=floor)
-    return [ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)], W
+def _roots(M):
+    """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition."""
+    r, V = linalg.pd_roots(M, floor=1e-14)
+    return (V * r) @ V.conj().T, (V / r) @ V.conj().T
 
 
 def _flip(Phi, Om, Hhat, Q_src, to_bc):
@@ -71,10 +71,8 @@ def _flip(Phi, Om, Hhat, Q_src, to_bc):
     the leading min(Nr,Nt) block, which both directions keep intact."""
     nr, nt = Hhat.shape
     m = min(nr, nt)
-    Phi_is = linalg.inv_sqrt(Phi, floor=1e-14)
-    Om_is = linalg.inv_sqrt(Om, floor=1e-14)
-    Phi_s = linalg.sqrt_psd(Phi)
-    Om_s = linalg.sqrt_psd(Om)
+    Phi_s, Phi_is = _roots(Phi)
+    Om_s, Om_is = _roots(Om)
     G = Om_is @ Hhat @ Phi_is
     R, _, L = _svd_phase_fixed(G)
     if to_bc:
@@ -90,12 +88,23 @@ def _flip(Phi, Om, Hhat, Q_src, to_bc):
     return linalg.hermitian_part(out)
 
 
+def _omega(ch, Hhat, Qw, pos):
+    """Downlink-side cumulative interference of the user at encoding
+    position ``pos``: I + its whitened channel through every later-encoded
+    whitened downlink covariance."""
+    i = ch.encoding_order[pos]
+    Om = np.eye(ch.nr, dtype=np.complex128)
+    for j in ch.encoding_order[pos + 1:]:
+        Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
+    return Om
+
+
 def mac_to_bc_capacity(ch, cov_mac, A):
     """Map dual-uplink covariances to downlink covariances achieving the same
     per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m))."""
     if cov_mac.side != model.MAC or cov_mac.K != ch.K:
         raise InvalidInput("expected uplink covariances matching the channel set")
-    Hhat, W = _whitened_channels(ch, A)
+    Hhat, W = model.whitened_channels(ch, A)
     order = ch.encoding_order
     K = ch.K
     # absorb the per-user noise weights so the budget is a plain trace
@@ -107,11 +116,7 @@ def mac_to_bc_capacity(ch, cov_mac, A):
     Qw = [None] * K  # whitened downlink covariances
     for pos in range(K - 1, -1, -1):
         i = order[pos]
-        Om = np.eye(ch.nr, dtype=np.complex128)
-        for k in range(pos + 1, K):
-            j = order[k]
-            Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
-        Qw[i] = _flip(Phis[pos], Om, Hhat[i], Z[i], to_bc=True)
+        Qw[i] = _flip(Phis[pos], _omega(ch, Hhat, Qw, pos), Hhat[i], Z[i], to_bc=True)
     Q_bc = [linalg.hermitian_part(W @ Qw[i] @ W) for i in range(K)]
     return model.CovarianceSet(model.BC, Q_bc)
 
@@ -121,7 +126,7 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     if cov_bc.side != model.BC or cov_bc.K != ch.K:
         raise InvalidInput("expected downlink covariances matching the channel set")
-    Hhat, _ = _whitened_channels(ch, A)
+    Hhat, _ = model.whitened_channels(ch, A)
     As = linalg.sqrt_psd(A)
     order = ch.encoding_order
     K = ch.K
@@ -130,11 +135,7 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
     for pos in range(K):
         i = order[pos]
-        Om = np.eye(ch.nr, dtype=np.complex128)
-        for k in range(pos + 1, K):
-            j = order[k]
-            Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
-        Z[i] = _flip(Phi, Om, Hhat[i], Qw[i], to_bc=False)
+        Z[i] = _flip(Phi, _omega(ch, Hhat, Qw, pos), Hhat[i], Qw[i], to_bc=False)
         Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
     Q_mac = [Z[i] / ch.sigma2[i] for i in range(K)]
     return model.CovarianceSet(model.MAC, Q_mac)
@@ -154,22 +155,14 @@ def mac_to_bc_sinr(ch, bf_mac, A):
     if bf_mac.q is None:
         raise InvalidInput("uplink powers required")
     K = ch.K
-    seq = model._stream_order(ch, bf_mac)
-    # MMSE receive vectors in encoding order, accumulating uplink interference
+    links, power = model.stream_links(ch, bf_mac)
+    seq = [s for s, _ in links]
+    u_mmse, _, sinr_mac = model.uplink_sic(
+        A, links, power, vanishing=lambda s: DegenerateTransform(
+            f"stream ({s[0]},{s[1]}): vanishing receive vector"))
     u = [np.zeros((bf_mac.v[i].shape[0], ch.nt), dtype=np.complex128) for i in range(K)]
-    sinr_mac = [np.zeros(bf_mac.v[i].shape[0]) for i in range(K)]
-    interf = A.astype(np.complex128)
-    for (i, j) in seq:
-        g = ch.H[i].conj().T @ bf_mac.v[i][j]
-        uij = np.linalg.solve(interf, g)
-        n = np.linalg.norm(uij)
-        if n <= 0:
-            raise DegenerateTransform(f"stream ({i},{j}): vanishing receive vector")
-        uij = uij / n
+    for (i, j), uij in u_mmse.items():
         u[i][j] = uij
-        den = float(np.real(uij.conj() @ interf @ uij))
-        sinr_mac[i][j] = bf_mac.q[i][j] * abs(np.vdot(uij, g)) ** 2 / den
-        interf = interf + bf_mac.q[i][j] * np.outer(g, g.conj())
     # downlink powers from the SINR equalities, solved in reverse encoding
     # order (each equation only involves powers of later-encoded streams)
     p = [np.zeros(bf_mac.v[i].shape[0]) for i in range(K)]
@@ -180,7 +173,7 @@ def mac_to_bc_sinr(ch, bf_mac, A):
         interf_bc = ch.sigma2[i]
         for (k, l) in seq[pos + 1:]:
             interf_bc += p[k][l] * abs(np.vdot(vij, ch.H[i] @ u[k][l])) ** 2
-        target = sinr_mac[i][j]
+        target = sinr_mac[(i, j)]
         if target == 0.0:
             p[i][j] = 0.0
             continue

@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from bcmac import cli
+from bcmac import cli, orchestrator, scenario
 
 H1_CAP = [[1.0, 0.0], [0.2, 0.6]]
 H2_CAP = [[0.5, 0.0], [0.2, 1.0]]
@@ -67,3 +67,27 @@ def test_region_deterministic_and_hashed(tmp_path):
     assert runs[0] == runs[1]
     lines = runs[0]["wsr_region.csv"].decode("utf-8").splitlines()
     assert len(lines) == 1 + 3  # header and weights 0, 1/2, 1
+
+
+def test_heuristic_solves_each_weight_once_per_order(tmp_path, monkeypatch):
+    """Two solves per interior weight (both orders) and one per endpoint (the
+    weighted user alone); the rescaled rows meet constraints 2..L."""
+    cons = [{"type": "sum_power", "budget": 8.0}] + PER_ANTENNA
+    doc = _region_doc(heuristic=True, constraints=cons, sweep={"resolution": 4})
+    cfg = scenario.load_config(_write(tmp_path, doc))
+    solve, users = orchestrator.solve_wsr_multi, []
+
+    def counted(ch, *args, **kwargs):
+        users.append(ch.K)
+        return solve(ch, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "solve_wsr_multi", counted)
+    rows = scenario.run_heuristic_normalization(cfg)
+    assert len(rows) == 5
+    assert sorted(users) == [1, 1] + [2] * 6
+    table = scenario.region_csv(rows, 2, 3).splitlines()
+    header = table[0].split(",")
+    for line in table[1:]:
+        cells = dict(zip(header, line.split(",")))
+        for l in (2, 3):
+            assert float(cells[f"slack_{l}"]) >= -1e-12 * 5.0

@@ -15,7 +15,7 @@ from bcmac import (
     solve_sinr_balance_mac,
     solve_wsr_mac,
 )
-from bcmac import linalg, macsolver
+from bcmac import linalg, macsolver, model
 from bcmac.errors import InfeasibleTargets, InvalidInput, SingularConstraintMatrix
 from bcmac.model import CovarianceSet
 from bcmac.oracles import GridSpec, brute_sinr_balance, brute_wsr, finite_diff_gradient
@@ -92,7 +92,7 @@ def test_wsr_rejects_singular_noise(rng):
 def test_wsr_monotone_iterates(rng):
     """Armijo-accepted steps never decrease the objective."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
-    Ghat = macsolver._whitened(ch, np.eye(2), 1e-8)
+    Ghat = model.whitened_channels(ch, np.eye(2), 1e-8)[0]
     coeffs = macsolver._rate_coeffs(ch, [1.5, 1.0])
     Z = [np.zeros((2, 2), dtype=complex) for _ in range(2)]
     obj = macsolver._objective(ch, Ghat, coeffs, Z)
@@ -110,7 +110,7 @@ def test_gradient_matches_finite_differences(rng):
         K = int(rng.integers(1, 3))
         ch = ChannelSet(rand_channels(rng, K, 2, 2))
         A = rand_pd(rng, 2)
-        Ghat = macsolver._whitened(ch, A, 1e-8)
+        Ghat = model.whitened_channels(ch, A, 1e-8)[0]
         w = rng.uniform(0.5, 2.0, K)
         coeffs = macsolver._rate_coeffs(ch, w)
         Z = [rand_pd(rng, 2, 0.5) for _ in range(K)]
@@ -317,7 +317,7 @@ def _rank_one_mac_cov(rng, K, nr, total):
 def test_stacked_objective_and_gradient_match_per_block(rng):
     ch, A = _stack_instance(rng)
     G = _ref_whitened(ch, A)
-    Ghat = macsolver._whitened(ch, A, 1e-8)
+    Ghat = model.whitened_channels(ch, A, 1e-8)[0]
     np.testing.assert_allclose(Ghat, np.array(G), rtol=1e-12, atol=0)
     coeffs = macsolver._rate_coeffs(ch, STACK_W)
     for _ in range(3):

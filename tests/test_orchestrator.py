@@ -11,6 +11,7 @@ from bcmac import (
     constraint_value,
     solve_wsr_mac,
 )
+from bcmac import orchestrator
 from bcmac.errors import InvalidInput
 from bcmac.orchestrator import (
     AffineHalfspace,
@@ -285,3 +286,53 @@ def test_cutting_plane_huge_ball_matches_initial_cut():
     got = float(np.sum(bc_rates_dpc(ch, cov)))
     want = float(np.sum(bc_rates_dpc(ch, direct)))
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_boundary_point_on_ball():
+    ball = QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 10.0)
+    p = orchestrator._boundary_point(ball, [1.0, 1.0])
+    assert p == pytest.approx([np.sqrt(5.0)] * 2, rel=1e-15)
+    assert ball.phi(p) <= 0
+
+
+def test_boundary_point_rejects_ray_that_stays_inside():
+    """x_1 <= 1 never binds along (0, 1): the search must fail clearly
+    instead of returning a point after 200 doublings."""
+    half = AffineHalfspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 0.0], 1.0)
+    with pytest.raises(InvalidInput, match="never leaves"):
+        orchestrator._boundary_point(half, [0.0, 1.0])
+
+
+def _stub_multiplier_loop(feasible_from):
+    """The shared outer loop over two constraints with a stub solve: key and
+    value lam_1, feasible when lam_1 >= feasible_from, a subgradient pushing
+    lam_1 down.  Returns the loop's output and the (key, feasible) seen."""
+    cons = [LinearConstraint.per_antenna(2, 0, 5.0),
+            LinearConstraint.per_antenna(2, 1, 5.0)]
+    seen = []
+
+    def evaluate(lam, A, budget):
+        key = float(lam.values[0])
+        seen.append((key, key >= feasible_from))
+        return key, np.array([1.0, -1.0]), key, seen[-1][1], len(seen) - 1
+
+    out = orchestrator._multiplier_loop(cons, SolverSettings(max_iters=10), "min", evaluate)
+    return out, seen
+
+
+def test_multiplier_loop_prefers_feasible_evaluation():
+    (key, index, lam, trace), seen = _stub_multiplier_loop(0.3)
+    feasible = [k for k, ok in seen if ok]
+    assert feasible and key == min(feasible)
+    assert any(k < key for k, ok in seen if not ok)  # a lower infeasible key lost
+    assert trace.converged
+    assert trace.best_index == index and trace.iterations == len(seen)
+    assert lam.values[0] == key and trace.value[index] == key
+
+
+def test_multiplier_loop_without_feasible_keeps_best_of_all():
+    (key, index, lam, trace), seen = _stub_multiplier_loop(2.0)
+    assert not any(ok for _, ok in seen)
+    assert key == min(k for k, _ in seen)
+    assert not trace.converged
+    assert trace.best_index == index and seen[index][0] == key
