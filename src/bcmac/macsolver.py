@@ -230,10 +230,10 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     Decode order is fixed by the channel set (reverse of encoding order).
     Runs ``settings.restarts`` projected-gradient ascents from different
     initial points (``init``, an uplink CovarianceSet, replaces the default
-    first point to warm-start outer loops); the whitened problem is concave
-    for weights aligned with the order, so restarts must agree.  On hitting
-    the iteration budget the best iterate is returned with
-    ``converged=False``.
+    first point to warm-start outer loops).  The whitened problem is concave
+    for weights nonincreasing in encoding order, the order the front end
+    always passes, so restarts must agree.  On hitting the iteration budget
+    the best iterate is returned with ``converged=False``.
     """
     settings = settings or SolverSettings()
     if not (budget >= 0):
@@ -334,20 +334,17 @@ def _mmse_pass(ch, A, g, power):
 
 
 def _link_gains(ch, A, g, u):
-    """a_i = |u_i^H g_i|^2, b[i][k] = |u_i^H g_k|^2 for earlier-encoded k,
-    c_i = u_i^H A u_i."""
+    """b[i][k] = |u_i^H g_k|^2 for earlier-encoded k, c_i = u_i^H A u_i."""
     K = ch.K
-    a = np.zeros(K)
     c = np.zeros(K)
     b = np.zeros((K, K))
     for m in range(K):
         i = ch.encoding_order[m]
-        a[i] = abs(np.vdot(u[i], g[i])) ** 2
         c[i] = float(np.real(u[i].conj() @ A @ u[i]))
         for mm in range(m):
             k = ch.encoding_order[mm]
             b[i, k] = abs(np.vdot(u[i], g[k])) ** 2
-    return a, b, c
+    return b, c
 
 
 def _powers_for_ratio(ch, targets, a, b, c, alpha):
@@ -404,14 +401,19 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
     v = _single_stream_setup(ch)
     q = np.zeros(ch.K)
     alpha = 0.0
-    sig2 = np.array([ch.sigma2[i] for i in range(ch.K)])
+    a = np.zeros(ch.K)  # a_i = |u_i^H g_i|^2, recorded by the SIC pass
+
+    def current_power(i, gain, den):
+        a[i] = gain
+        return q[i]
+
     for it in range(settings.max_iters):
         g = _mac_links(ch, v)
-        u, _ = _mmse_pass(ch, A, g, lambda i, gain, den: q[i])
-        a, b, c = _link_gains(ch, A, g, u)
+        u, _ = _mmse_pass(ch, A, g, current_power)
+        b, c = _link_gains(ch, A, g, u)
 
         def total(al):
-            return float(sig2 @ _powers_for_ratio(ch, targets, a, b, c, al))
+            return float(ch.sigma2 @ _powers_for_ratio(ch, targets, a, b, c, al))
 
         new_alpha = linalg.bisect_edge(total, budget, max(alpha, 1.0), 1e-14,
                                        InfeasibleTargets("balance ratio diverged"),

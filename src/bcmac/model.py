@@ -79,9 +79,6 @@ class ChannelSet:
     def with_order(self, encoding_order):
         return ChannelSet(self.H, self.sigma2, encoding_order)
 
-    def reversed_order(self):
-        return self.with_order(tuple(reversed(self.encoding_order)))
-
 
 @dataclass(frozen=True)
 class LinearConstraint:

@@ -6,16 +6,16 @@ header row plus a JSON metadata sidecar carrying the echoed settings and a
 sha256 content hash of the CSV, so identical config + seed give byte-identical
 outputs.  Rates are bits/channel use in files, nats internally.
 
-A swept weight is solved once per encoding order: the region point returns
-its row with the channel set and downlink covariance it came from, and the
-heuristic normalization rescales that covariance.
+Both weighted-sum-rate objectives encode users in descending weight, the
+optimal order on the dual uplink, so a swept weight is solved once; there a
+config's ``encoding_order`` only orders equal weights (it binds for balancing).
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -149,19 +149,21 @@ def _parse_nonlinear(doc, nt):
     return ball, eps
 
 
-def _parse_settings(doc, key, default):
+SETTING_TYPES = {f.name: f.type for f in fields(SolverSettings)}
+OUTER_KEYS = ("tol", "max_iters")  # all the multiplier loop reads
+
+
+def _parse_settings(doc, key, default, names=tuple(SETTING_TYPES)):
     section = doc.get(key) or {}
     if not isinstance(section, dict):
         raise ConfigError(f"{key}: expected a mapping")
-    kwargs = {}
-    for name in ("tol", "max_iters", "armijo_beta", "armijo_c", "pd_floor",
-                 "restarts", "seed"):
-        if name in section:
-            cast = int if name in ("max_iters", "restarts", "seed") else float
-            kwargs[name] = cast(section[name])
+    for name in section:
+        if name not in names:
+            raise ConfigError(f"{key}: unknown setting '{name}' (accepted: {', '.join(names)})")
     try:
-        return replace(default, **kwargs)
-    except InvalidInput as exc:
+        return replace(default, **{name: SETTING_TYPES[name](value)
+                                   for name, value in section.items()})
+    except (InvalidInput, TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -226,7 +228,7 @@ def load_config(path):
         targets=targets,
         resolution=resolution,
         solver=solver,
-        outer=_parse_settings(doc, "outer", SolverSettings(max_iters=80)),
+        outer=_parse_settings(doc, "outer", SolverSettings(max_iters=80), OUTER_KEYS),
         seed=int(doc.get("seed", 0)),
         basename=basename,
         heuristic=heuristic,
@@ -246,41 +248,40 @@ def _point_seed(base, idx):
     return (int(base) * 100003 + 7919 * int(idx)) % (2 ** 31 - 1)
 
 
-def _user_rates(ch, users, variant, cov):
+def _weight_sorted(ch, w):
+    """``ch`` encoded in descending weight ``w``, ties in the configured order."""
+    return ch.with_order(sorted(ch.encoding_order, key=lambda i: -w[i]))
+
+
+def _user_rates(ch, users, solved, cov):
     """Rates of every user of ``ch`` (zero outside ``users``) for a downlink
-    covariance solved on ``variant``, the channel set of ``users``."""
+    covariance solved on ``solved``, the channel set of ``users``."""
     rates = np.zeros(ch.K)
-    rates[users] = model.bc_rates_dpc(variant, cov)
+    rates[users] = model.bc_rates_dpc(solved, cov)
     return rates
 
 
 def _region_point(cfg, t, idx):
-    """One swept weight: the row, and the channel set, its users and the
-    downlink covariance it was solved on.  A two-user endpoint is the
-    weighted user's capacity alone (the other rate zero); other weights keep
-    the better encoding order."""
+    """One swept weight, solved once: the row, and the channel set, its users
+    and the downlink covariance it was solved on.  A two-user endpoint is the
+    weighted user's capacity alone (the other rate zero); other weights are
+    solved in the weight-sorted order, equal weights in the configured one."""
     ch = cfg.channels
     inner = replace(cfg.solver, seed=_point_seed(cfg.seed, idx))
     w = np.array([t, 1.0 - t]) if ch.K == 2 else np.array([1.0])
     if ch.K == 2 and t in (0.0, 1.0):
         users = [0 if t == 1.0 else 1]
-        variants = [ChannelSet([ch.H[users[0]]], [ch.sigma2[users[0]]])]
+        solved = ChannelSet([ch.H[users[0]]], [ch.sigma2[users[0]]])
     else:
         users = list(range(ch.K))
-        variants = [ch] if ch.K == 1 else [ch, ch.reversed_order()]
-    best = None
-    for variant in variants:
-        cov, lam, tr = orchestrator.solve_wsr_multi(variant, cfg.constraints, w[users],
-                                                    cfg.outer, inner)
-        rates = _user_rates(ch, users, variant, cov)
-        wsr = float(w @ rates)
-        if best is None or wsr > best[0]:
-            label = _order_label(variant if len(users) == ch.K else ch)
-            row = RegionPoint(tuple(w), label, rates / LN2, lam.values,
-                              model.constraint_slacks(cov, cfg.constraints),
-                              tr.iterations, max(0.0, min(tr.value) - wsr))
-            best = (wsr, row, variant, users, cov)
-    return best[1:]
+        solved = _weight_sorted(ch, w)
+    cov, lam, tr = orchestrator.solve_wsr_multi(solved, cfg.constraints, w[users],
+                                                cfg.outer, inner)
+    rates = _user_rates(ch, users, solved, cov)
+    row = RegionPoint(tuple(w), _order_label(solved if len(users) == ch.K else ch),
+                      rates / LN2, lam.values, model.constraint_slacks(cov, cfg.constraints),
+                      tr.iterations, max(0.0, min(tr.value) - float(w @ rates)))
+    return row, solved, users, cov
 
 
 def sweep_weights(resolution):
@@ -302,11 +303,11 @@ def run_heuristic_normalization(cfg):
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
     for idx, t in enumerate(sweep_weights(cfg.resolution)):
-        point, variant, users, cov = _region_point(sub_cfg, t, idx)
+        point, solved, users, cov = _region_point(sub_cfg, t, idx)
         factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
                               for c in others])
         scaled = model.CovarianceSet(model.BC, [factor * Q for Q in cov.Q])
-        rates = _user_rates(cfg.channels, users, variant, scaled)
+        rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append(RegionPoint(point.weights, point.order, rates / LN2,
                                 np.full(len(cfg.constraints), np.nan),
                                 model.constraint_slacks(scaled, cfg.constraints), 0, np.nan))
@@ -362,10 +363,9 @@ def run_power_balance(cfg):
 
 def run_nonlinear(cfg):
     ball, eps = cfg.nonlinear
-    cov, state = orchestrator.solve_wsr_nonlinear(
-        cfg.channels, ball, cfg.weights, eps, cfg.outer,
+    return orchestrator.solve_wsr_nonlinear(
+        _weight_sorted(cfg.channels, cfg.weights), ball, cfg.weights, eps, cfg.outer,
         replace(cfg.solver, seed=cfg.seed))
-    return cov, state
 
 
 def scalar_result_csv(alpha, lam, slacks, iterations, label="alpha"):

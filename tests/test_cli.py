@@ -69,9 +69,13 @@ def test_region_deterministic_and_hashed(tmp_path):
     assert len(lines) == 1 + 3  # header and weights 0, 1/2, 1
 
 
-def test_heuristic_solves_each_weight_once_per_order(tmp_path, monkeypatch):
-    """Two solves per interior weight (both orders) and one per endpoint (the
-    weighted user alone); the rescaled rows meet constraints 2..L."""
+@pytest.mark.parametrize("run", [scenario.run_region, scenario.run_heuristic_normalization],
+                         ids=["run_region", "run_heuristic_normalization"])
+def test_sweep_solves_each_weight_once(tmp_path, monkeypatch, run):
+    """One solve per swept weight: an endpoint solves the weighted user alone,
+    an interior weight both users in the weight-sorted encoding order (ties
+    in the configured one).  Every row meets constraints 2..L, which the
+    heuristic rows are rescaled for."""
     cons = [{"type": "sum_power", "budget": 8.0}] + PER_ANTENNA
     doc = _region_doc(heuristic=True, constraints=cons, sweep={"resolution": 4})
     cfg = scenario.load_config(_write(tmp_path, doc))
@@ -82,12 +86,43 @@ def test_heuristic_solves_each_weight_once_per_order(tmp_path, monkeypatch):
         return solve(ch, *args, **kwargs)
 
     monkeypatch.setattr(orchestrator, "solve_wsr_multi", counted)
-    rows = scenario.run_heuristic_normalization(cfg)
+    rows = run(cfg)
     assert len(rows) == 5
-    assert sorted(users) == [1, 1] + [2] * 6
+    assert sorted(users) == [1, 1, 2, 2, 2]
     table = scenario.region_csv(rows, 2, 3).splitlines()
     header = table[0].split(",")
     for line in table[1:]:
         cells = dict(zip(header, line.split(",")))
+        if 0.0 < float(cells["w1"]) < 1.0:
+            assert cells["order"] == ("21" if float(cells["w1"]) < 0.5 else "12")
         for l in (2, 3):
             assert float(cells[f"slack_{l}"]) >= -1e-12 * 5.0
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_region_doc(solver={"tolerance": 1e-12}), "unknown setting 'tolerance'"),
+    (_region_doc(outer={"restarts": 3}), "unknown setting 'restarts'"),
+], ids=["unknown_solver_key", "outer_key_the_loop_ignores"])
+def test_inert_settings_are_config_errors(tmp_path, capsys, doc, message):
+    assert cli.main(_args("validate", _write(tmp_path, doc), "")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_nonlinear_encodes_in_weight_order(tmp_path):
+    """The default order and the weight-sorted order [2, 1] solve the same
+    problem, so their final cut-loop rates agree (about 1.79151 bits; the
+    default order alone stops near 1.76587, below an achievable rate)."""
+    ball = {"form": "quadratic_ball", "budget": 10.0,
+            "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}
+    final = []
+    for channels in ({"h": [H1_CAP, H2_CAP]},
+                     {"h": [H1_CAP, H2_CAP], "encoding_order": [2, 1]}):
+        doc = {"objective": "nonlinear_wsr", "channels": channels, "weights": [0.3, 0.7],
+               "nonlinear": ball, "seed": 3}
+        out = tmp_path / str(len(final))
+        assert cli.main(_args("nonlinear", _write(tmp_path, doc), str(out))) == 0
+        last = (out / "nonlinear_wsr.csv").read_text(encoding="utf-8").splitlines()[-1]
+        final.append(float(last.split(",")[2]))
+    assert final[0] == final[1]
+    assert final[0] == pytest.approx(1.79151, rel=1e-5)
