@@ -31,10 +31,5 @@ class InfeasibleTargets(BcMacError):
     """SINR targets cannot be met (power fixed point diverged)."""
 
 
-class MaxCutsExceeded(BcMacError):
-    """Cutting-plane loop hit its cut budget before reaching the boundary
-    tolerance."""
-
-
 class GridBudgetExceeded(BcMacError):
     """Requested brute-force grid exceeds the point budget."""

@@ -120,16 +120,16 @@ def assert_pd(M, floor=0.0, name="matrix"):
     return w, V
 
 
-def bisect_edge(f, level, hi, tol, unbounded, strict=False):
+def bisect_edge(f, level, hi, tol, unbounded):
     """Largest x >= 0 found with f(x) <= level, for f that stays at or below
     ``level`` from 0 up to one crossing.
 
-    Doubles ``hi`` while f(hi) <= level (f(hi) < level if ``strict``), then
-    bisects [0, hi], keeping f <= level at the low end, for at most 200
-    halvings or until hi - lo <= tol * max(hi, 1).  Raises the exception
-    ``unbounded`` once the bracket passes 1e30.
+    Doubles ``hi`` while f(hi) < level, then bisects [0, hi], keeping
+    f <= level at the low end, for at most 200 halvings or until
+    hi - lo <= tol * max(hi, 1).  Raises the exception ``unbounded`` once the
+    bracket passes 1e30.
     """
-    while f(hi) < level if strict else f(hi) <= level:
+    while f(hi) < level:
         hi *= 2.0
         if hi > 1e30:
             raise unbounded

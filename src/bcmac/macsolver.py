@@ -416,8 +416,7 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
             return float(ch.sigma2 @ _powers_for_ratio(ch, targets, a, b, c, al))
 
         new_alpha = linalg.bisect_edge(total, budget, max(alpha, 1.0), 1e-14,
-                                       InfeasibleTargets("balance ratio diverged"),
-                                       strict=True)
+                                       InfeasibleTargets("balance ratio diverged"))
         q = _powers_for_ratio(ch, targets, a, b, c, new_alpha)
         if it > 0 and abs(new_alpha - alpha) <= settings.tol * max(new_alpha, 1e-300):
             alpha = new_alpha

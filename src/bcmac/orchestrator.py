@@ -9,22 +9,28 @@ is tight at the optimal multipliers, so the outer loop is a projected
 subgradient descent (or ascent, for power balancing) over the unit simplex
 followed by a pairwise golden-section polish along simplex sections.
 
-Weighted sum rate, SINR balancing and power balancing share one routine for
-that loop (``_multiplier_loop``): it merges the constraints, records the
-trace, evaluates once when there is a single constraint, and keeps the
-evaluation of least key among the feasible ones, else among all.  Each solve
-supplies only its inner dual-uplink solve, transform, key and subgradient.
+A convex constraint phi(p) <= 0 on the trace values p_l = tr(Q A_l) merges
+the same way: at a normal c >= 0 the single constraint
+tr(Q sum_l c_l A_l) <= h(c), with h the support function of {phi <= 0},
+contains the feasible set, so its weighted sum rate bounds the optimum for
+every c and meets it at the optimal normal.  Linear constraints are the case
+h(c) = c . P.
 
-A convex nonlinear constraint on the trace values tr(Q A_l) is handled by
-accumulating supporting hyperplanes (tangent cuts) of its feasible region.
+Weighted sum rate (under linear or trace-space constraints), SINR balancing
+and power balancing share one routine for that loop (``_multiplier_loop``):
+it takes the merge step, records the trace, evaluates once when there is a
+single multiplier, and keeps the evaluation of least key among the feasible
+ones, else among all.  Each solve supplies only its inner dual-uplink solve,
+transform, key and subgradient.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import linalg, model, transforms
-from .errors import InvalidInput, MaxCutsExceeded
+from .errors import InvalidInput
 from .macsolver import (
     SolverSettings,
     budget_multiplier_wsr,
@@ -88,15 +94,23 @@ class OuterTrace:
 
 
 @dataclass
-class CuttingPlaneState:
-    """Accumulated tangent cuts, their tangency points in trace-value space,
-    and the per-cut objective/constraint traces."""
+class NonlinearResult:
+    """Certificate of a trace-space constraint solve: ``cuts`` holds the one
+    merged linear constraint at the kept normal ``lam``, which contains the
+    feasible set; ``trace`` is the multiplier loop's."""
 
-    cuts: list = field(default_factory=list)
-    points: list = field(default_factory=list)
-    f_values: list = field(default_factory=list)
-    rates: list = field(default_factory=list)
-    cov: object = None
+    cuts: list
+    lam: DualWeights
+    trace: OuterTrace
+
+
+def _merged_matrix(lam, mats):
+    """sum_l lam_l A_l, jittered positive definite."""
+    A = sum(l * M for l, M in zip(lam, mats))
+    w = np.linalg.eigvalsh(A)
+    if w[0] <= NOISE_JITTER:
+        A = A + NOISE_JITTER * np.eye(A.shape[0])
+    return linalg.hermitian_part(A)
 
 
 def combined_constraint(constraints, lam):
@@ -105,20 +119,16 @@ def combined_constraint(constraints, lam):
     lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
     if len(constraints) != lam.values.size:
         raise InvalidInput("multiplier count must match constraint count")
-    A = sum(l * c.A for l, c in zip(lam.values, constraints))
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= NOISE_JITTER:
-        A = A + NOISE_JITTER * np.eye(A.shape[0])
     budget = float(sum(l * c.P for l, c in zip(lam.values, constraints)))
-    return linalg.hermitian_part(A), budget
+    return _merged_matrix(lam.values, [c.A for c in constraints]), budget
 
 
 def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None,
                         merged=None):
     """Value and downlink covariance of the merged-constraint weighted sum
     rate bound at multipliers ``lam``; an upper bound on the multi-constraint
-    optimum for every ``lam``.  ``merged`` is the already computed
-    ``combined_constraint(constraints, lam)``."""
+    optimum for every ``lam``.  ``merged`` is the merged constraint
+    (A, budget) when already computed; ``constraints`` is then not read."""
     inner = inner or SolverSettings()
     A, budget = merged or combined_constraint(constraints, lam)
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
@@ -231,20 +241,21 @@ def _feasible(slacks, constraints):
     return np.min(slacks) >= -FEAS_TOL_FACTOR * max(c.P for c in constraints)
 
 
-def _multiplier_loop(constraints, outer, sense, evaluate):
-    """Outer loop over ``constraints``: ``evaluate(lam, A, budget)`` solves the
-    merged constraint (A, budget) at ``lam`` and returns (value, subgradient,
-    key, feasible, result).  Returns (key, result, multipliers, trace) of the
-    kept evaluation; ``trace.converged`` says whether it is feasible."""
+def _multiplier_loop(merge, L, outer, sense, evaluate):
+    """Outer loop over L multipliers: ``merge(lam) -> (A, budget)`` is the
+    merged single constraint at ``lam``, and ``evaluate(lam, A, budget)``
+    solves it and returns (value, subgradient, key, feasible, result).
+    Returns (key, result, multipliers, trace) of the kept evaluation;
+    ``trace.converged`` says whether it is feasible."""
     outer = outer or SolverSettings(max_iters=120)
-    if not constraints:
+    if L < 1:
         raise InvalidInput("need at least one constraint")
     trace = OuterTrace()
     best = {}  # "feasible" and "any": (key, result, lam, trace index)
 
     def run(lam_arr):
         lam = DualWeights(lam_arr)
-        A, budget = combined_constraint(constraints, lam)
+        A, budget = merge(lam)
         value, sub, key, feasible, result = evaluate(lam, A, budget)
         trace.record(lam.values, value, sub)
         entry = (key, result, lam, len(trace.value) - 1)
@@ -253,14 +264,32 @@ def _multiplier_loop(constraints, outer, sense, evaluate):
                 best[slot] = entry
         return value, sub
 
-    if len(constraints) == 1:
+    if L == 1:
         run(np.ones(1))
     else:
-        _outer_loop(run, len(constraints), outer, sense)
+        _outer_loop(run, L, outer, sense)
     chosen = best.get("feasible", best["any"])
     trace.converged = "feasible" in best
     trace.best_index = chosen[3]
     return chosen[0], chosen[1], chosen[2], trace
+
+
+def _wsr_evaluate(ch, weights, inner, check):
+    """``evaluate`` of a weighted-sum-rate multiplier loop: the merged
+    constraint's bound, warm-started from the previous evaluation, whose
+    subgradient and feasibility come from ``check(lam, merged, cov_bc, sol)``."""
+    inner = inner or SolverSettings()
+    warm = [None]  # uplink covariances of the previous evaluation
+
+    def evaluate(lam, A, budget):
+        inner_here = inner if warm[0] is None else replace(inner, restarts=1)
+        g, cov_bc, sol = eval_wsr_relaxation(ch, None, lam, weights, inner_here,
+                                             warm[0], (A, budget))
+        warm[0] = sol.cov
+        sub, feasible = check(lam, (A, budget), cov_bc, sol)
+        return g, sub, g, feasible, cov_bc
+
+    return evaluate
 
 
 def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
@@ -272,20 +301,15 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
     covariance that is feasible for every constraint, the multipliers, and
     the outer trace.
     """
-    inner = inner or SolverSettings()
     constraints = list(constraints)
-    warm = [None]  # uplink covariances of the previous evaluation
 
-    def evaluate(lam, A, budget):
-        inner_here = inner if warm[0] is None else replace(inner, restarts=1)
-        g, cov_bc, sol = eval_wsr_relaxation(ch, constraints, lam, weights, inner_here,
-                                             warm[0], (A, budget))
-        warm[0] = sol.cov
-        sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, (A, budget))
-        feasible = _feasible(model.constraint_slacks(cov_bc, constraints), constraints)
-        return g, sub, g, feasible, cov_bc
+    def check(lam, merged, cov_bc, sol):
+        sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, merged)
+        return sub, _feasible(model.constraint_slacks(cov_bc, constraints), constraints)
 
-    _, cov_bc, lam, trace = _multiplier_loop(constraints, outer, "min", evaluate)
+    _, cov_bc, lam, trace = _multiplier_loop(
+        partial(combined_constraint, constraints), len(constraints), outer, "min",
+        _wsr_evaluate(ch, weights, inner, check))
     return cov_bc, lam, trace
 
 
@@ -302,7 +326,8 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
         slacks = model.constraint_slacks(bf.bc_covariances(), constraints)
         return alpha, slacks, alpha, _feasible(slacks, constraints), bf
 
-    return _multiplier_loop(constraints, outer, "min", evaluate)
+    return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
+                            outer, "min", evaluate)
 
 
 def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -329,14 +354,19 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
         sub = np.array([u - bound * c.P for u, c in zip(used, constraints)]) / budget
         return bound, sub, achieved, True, bf
 
-    return _multiplier_loop(constraints, outer, "max", evaluate)
+    return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
+                            outer, "max", evaluate)
 
 
 class TraceSpaceConstraint:
-    """Convex constraint f(Q) = phi(tr(Q A_1), ..., tr(Q A_L)) <= 0 with
-    componentwise-nondecreasing phi on the nonnegative orthant, so tangent
-    hyperplanes have PSD combined matrices.  The origin must be strictly
-    feasible (phi(0) < 0)."""
+    """Convex constraint f(Q) = phi(p) <= 0 on the trace values
+    p_l = tr(Q A_l) (A_l PSD, so p >= 0), with phi nondecreasing on the
+    nonnegative orthant and the origin strictly feasible (phi(0) < 0).
+
+    At a normal c >= 0 its support function h(c) = sup{c . p : phi(p) <= 0,
+    p >= 0} is attained at ``support_point(c)``, and ``merged(c)`` is the
+    single linear constraint tr(Q sum_l c_l A_l) <= h(c), which every
+    feasible Q meets."""
 
     def __init__(self, mats):
         self.mats = [linalg.check_hermitian(A, name="constraint matrix") for A in mats]
@@ -344,8 +374,15 @@ class TraceSpaceConstraint:
     def phi(self, p):
         raise NotImplementedError
 
-    def grad(self, p):
+    def support_point(self, c):
         raise NotImplementedError
+
+    def merged(self, lam):
+        """Noise matrix sum_l c_l A_l (jittered PD, as in
+        ``combined_constraint``) and budget h(c) at the normal ``lam``, a
+        ``DualWeights``."""
+        c = lam.values
+        return _merged_matrix(c, self.mats), float(c @ self.support_point(c))
 
     def traces(self, cov_bc):
         tot = cov_bc.total()
@@ -367,12 +404,13 @@ class QuadraticBall(TraceSpaceConstraint):
     def phi(self, p):
         return float(np.sum(np.asarray(p) ** 2) - self.radius_sq)
 
-    def grad(self, p):
-        return 2.0 * np.asarray(p, dtype=float)
+    def support_point(self, c):
+        c = np.asarray(c, dtype=float)
+        return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
 
 
 class AffineHalfspace(TraceSpaceConstraint):
-    """c . (tr(Q A_1), ...) <= offset, the already-linear degenerate case."""
+    """a . (tr(Q A_1), ...) <= offset, the already-linear degenerate case."""
 
     def __init__(self, mats, coeffs, offset):
         super().__init__(mats)
@@ -384,82 +422,36 @@ class AffineHalfspace(TraceSpaceConstraint):
     def phi(self, p):
         return float(self.coeffs @ np.asarray(p) - self.offset)
 
-    def grad(self, p):
-        return self.coeffs.copy()
+    def support_point(self, c):
+        """The vertex (offset / a_k) e_k at k = argmax_l c_l / a_l."""
+        c = np.asarray(c, dtype=float)
+        if np.any((c > 0) & (self.coeffs == 0)):
+            raise InvalidInput("a trace value with zero coefficient is unbounded on the halfspace")
+        k = int(np.argmax(np.divide(c, self.coeffs, out=np.zeros_like(c),
+                                    where=self.coeffs > 0)))
+        return self.offset / self.coeffs[k] * np.eye(c.size)[k]
 
 
-def _boundary_point(f, target, anchor=None):
-    """Closest-direction boundary point of {phi <= 0}: bisection along the
-    ray from a strictly feasible anchor (default origin) toward ``target``
-    in trace-value space.  Raises InvalidInput when the ray never leaves
-    the region."""
-    L = len(f.mats)
-    anchor = np.zeros(L) if anchor is None else np.asarray(anchor, dtype=float)
-    if f.phi(anchor) >= 0:
-        raise InvalidInput("anchor must be strictly inside the feasible region")
-    d = np.asarray(target, dtype=float) - anchor
-    s = linalg.bisect_edge(lambda x: f.phi(anchor + x * d), 0.0, 1.0, 0.0, InvalidInput(
-        f"the ray toward {d} never leaves the constraint region"))
-    return anchor + s * d
+def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
+    """Weighted sum rate maximization under a convex trace-space constraint
+    f(Q) <= 0.
 
-
-def _tangent_cut(f, point):
-    """Supporting hyperplane of {phi <= 0} at a boundary point, normalized."""
-    c = np.asarray(f.grad(point), dtype=float)
-    c = np.maximum(c, 0.0)
-    norm = np.linalg.norm(c)
-    if norm <= 0:
-        raise InvalidInput("vanishing constraint gradient at the boundary")
-    c = c / norm
-    A = sum(cl * Al for cl, Al in zip(c, f.mats))
-    budget = float(c @ point)
-    return model.LinearConstraint(A, budget), c
-
-
-def _dedup_cuts(cuts, normals, new_cut, new_normal, angle_tol=1e-4):
-    """Replace an existing cut whose normal is within angle_tol radians."""
-    for idx, nrm in enumerate(normals):
-        cosang = float(np.clip(nrm @ new_normal, -1.0, 1.0))
-        if np.arccos(cosang) < angle_tol:
-            cuts[idx] = new_cut
-            normals[idx] = new_normal
-            return
-    cuts.append(new_cut)
-    normals.append(new_normal)
-
-
-def solve_wsr_nonlinear(ch, f, weights, eps, outer=None, inner=None, max_cuts=40):
-    """Weighted sum rate maximization under a convex nonlinear constraint
-    f(Q) <= 0 on the trace values, by accumulating tangent cuts.
-
-    Each round solves the multi-cut linear problem (an outer relaxation, so
-    the rate sequence is nonincreasing and bounds the optimum from above),
-    stops once f(Q) <= eps, and otherwise adds the tangent hyperplane at the
-    closest boundary point along the ray toward the iterate.
+    The multiplier loop minimizes, over normals c on the simplex, the bound
+    of the merged constraint ``f.merged(c)``; its subgradient is
+    mu * (support_point(c) - p(Q)) at the inner solution.  An evaluation is
+    feasible when phi(p) <= FEAS_TOL_FACTOR * (-phi(0)).  Returns the
+    downlink covariance of the kept evaluation and a ``NonlinearResult``.
     """
-    outer = outer or SolverSettings(max_iters=120)
-    inner = inner or SolverSettings()
     if not isinstance(f, TraceSpaceConstraint):
         raise InvalidInput("constraint must expose trace-space structure")
     L = len(f.mats)
-    state = CuttingPlaneState()
-    normals = []
-    start = _boundary_point(f, np.ones(L))
-    cut, nrm = _tangent_cut(f, start)
-    _dedup_cuts(state.cuts, normals, cut, nrm)
-    state.points.append(start)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    for _ in range(max_cuts):
-        cov_bc, lam, tr = solve_wsr_multi(ch, state.cuts, weights, outer, inner)
+    tol = -FEAS_TOL_FACTOR * f.phi(np.zeros(L))
+
+    def check(lam, merged, cov_bc, sol):
         p = f.traces(cov_bc)
-        fval = f.phi(p)
-        state.cov = cov_bc
-        state.f_values.append(float(fval))
-        state.rates.append(float(w @ model.bc_rates_dpc(ch, cov_bc)))
-        if fval <= eps:
-            return cov_bc, state
-        boundary = _boundary_point(f, p)
-        cut, nrm = _tangent_cut(f, boundary)
-        _dedup_cuts(state.cuts, normals, cut, nrm)
-        state.points.append(boundary)
-    raise MaxCutsExceeded(f"no convergence within {max_cuts} cuts")
+        mu = budget_multiplier_wsr(ch, *merged, weights, sol.cov)
+        return mu * (f.support_point(lam.values) - p), f.phi(p) <= tol
+
+    _, cov_bc, lam, trace = _multiplier_loop(f.merged, L, outer, "min",
+                                             _wsr_evaluate(ch, weights, inner, check))
+    return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

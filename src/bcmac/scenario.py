@@ -4,7 +4,13 @@ Configs are single YAML documents (key/value with nested lists; complex
 matrix entries written as [re, im] pairs).  Results are CSV files with a
 header row plus a JSON metadata sidecar carrying the echoed settings and a
 sha256 content hash of the CSV, so identical config + seed give byte-identical
-outputs.  Rates are bits/channel use in files, nats internally.
+outputs.  Rates are bits/channel use in files, nats internally.  A config key
+the program does not read is an error; ``workers`` is still accepted and does
+nothing.
+
+A ``nonlinear_wsr`` run writes one row: the weighted sum rate and phi of the
+emitted covariance, the kept normal of the merged constraint (whose support
+function value is its budget) and the number of evaluations.
 
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
@@ -81,6 +87,26 @@ def _parse_matrix(rows, where):
     return np.array(mat, dtype=np.complex128)
 
 
+TOP_KEYS = ("objective", "channels", "constraints", "nonlinear", "weights", "targets",
+            "sweep", "output", "solver", "outer", "seed", "heuristic",
+            "workers")  # workers: accepted, does nothing
+
+
+def _check_keys(mapping, allowed, where, what="key"):
+    for name in mapping:
+        if name not in allowed:
+            raise ConfigError(f"{where}: unknown {what} '{name}' (accepted: {', '.join(allowed)})")
+
+
+def _section(doc, key, allowed, what="key"):
+    """The mapping under ``key`` (empty when absent), every key in ``allowed``."""
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected a mapping")
+    _check_keys(section, allowed, key, what)
+    return section
+
+
 def _parse_channels(doc):
     section = doc.get("channels")
     if not isinstance(section, dict) or "h" not in section:
@@ -126,27 +152,23 @@ def _parse_constraints(doc, nt):
 
 
 def _parse_nonlinear(doc, nt):
-    section = doc.get("nonlinear")
-    if section is None:
+    if doc.get("nonlinear") is None:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("nonlinear: expected a mapping")
+    section = _section(doc, "nonlinear", ("form", "a", "budget"))
     form = section.get("form")
     if form != "quadratic_ball":
         raise ConfigError(f"nonlinear.form '{form}' is not supported")
     mats = [_parse_matrix(m, f"nonlinear.a[{i}]") for i, m in enumerate(section.get("a") or [])]
-    if not mats:
-        raise ConfigError("nonlinear.a: need at least one matrix")
+    if not mats or any(m.shape != (nt, nt) for m in mats):
+        raise ConfigError(f"nonlinear.a: need one or more {nt}x{nt} matrices")
     try:
         budget = float(section["budget"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("nonlinear.budget is required")
-    eps = float(section.get("eps", 1e-3 * budget))
     try:
-        ball = orchestrator.QuadraticBall(mats, budget)
+        return orchestrator.QuadraticBall(mats, budget)
     except InvalidInput as exc:
         raise ConfigError(f"nonlinear: {exc}") from exc
-    return ball, eps
 
 
 SETTING_TYPES = {f.name: f.type for f in fields(SolverSettings)}
@@ -154,12 +176,7 @@ OUTER_KEYS = ("tol", "max_iters")  # all the multiplier loop reads
 
 
 def _parse_settings(doc, key, default, names=tuple(SETTING_TYPES)):
-    section = doc.get(key) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key}: expected a mapping")
-    for name in section:
-        if name not in names:
-            raise ConfigError(f"{key}: unknown setting '{name}' (accepted: {', '.join(names)})")
+    section = _section(doc, key, names, "setting")
     try:
         return replace(default, **{name: SETTING_TYPES[name](value)
                                    for name, value in section.items()})
@@ -173,6 +190,7 @@ def load_config(path):
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    _check_keys(doc, TOP_KEYS, "config")
     objective = doc.get("objective")
     if objective not in OBJECTIVES:
         raise ConfigError(f"objective must be one of {OBJECTIVES}")
@@ -203,12 +221,10 @@ def load_config(path):
         raise ConfigError(f"objective {objective} requires 'targets'")
     if objective == "nonlinear_wsr" and weights is None:
         raise ConfigError("nonlinear_wsr requires 'weights'")
-    sweep = doc.get("sweep") or {}
-    resolution = int(sweep.get("resolution", 20))
+    resolution = int(_section(doc, "sweep", ("resolution",)).get("resolution", 20))
     if resolution < 1:
         raise ConfigError("sweep.resolution must be >= 1")
-    output = doc.get("output") or {}
-    basename = str(output.get("basename", objective))
+    basename = str(_section(doc, "output", ("basename",)).get("basename", objective))
     solver = _parse_settings(doc, "solver", SolverSettings())
     heuristic = bool(doc.get("heuristic", False))
     if heuristic and objective == "wsr_region":
@@ -362,26 +378,22 @@ def run_power_balance(cfg):
 
 
 def run_nonlinear(cfg):
-    ball, eps = cfg.nonlinear
-    return orchestrator.solve_wsr_nonlinear(
-        _weight_sorted(cfg.channels, cfg.weights), ball, cfg.weights, eps, cfg.outer,
-        replace(cfg.solver, seed=cfg.seed))
+    """Weighted sum rate (nats) and phi of the emitted covariance, the kept
+    normal and the multiplier-loop trace."""
+    ch = _weight_sorted(cfg.channels, cfg.weights)
+    cov, result = orchestrator.solve_wsr_nonlinear(ch, cfg.nonlinear, cfg.weights, cfg.outer,
+                                                   replace(cfg.solver, seed=cfg.seed))
+    wsr = float(cfg.weights @ model.bc_rates_dpc(ch, cov))
+    return wsr, cfg.nonlinear.value(cov), result.lam.values, result.trace
 
 
-def scalar_result_csv(alpha, lam, slacks, iterations, label="alpha"):
-    header = [label] + [f"lambda_{l+1}" for l in range(lam.size)] \
+def scalar_result_csv(lead, lam, slacks, iterations):
+    """One row: the ``lead`` columns (name: value), lambda_l, slack_l, iters."""
+    header = list(lead) + [f"lambda_{l+1}" for l in range(lam.size)] \
         + [f"slack_{l+1}" for l in range(slacks.size)] + ["iters"]
-    cells = [_fmt(alpha)] + [_fmt(x) for x in lam] + [_fmt(x) for x in slacks] \
-        + [str(int(iterations))]
+    cells = [_fmt(x) for x in lead.values()] + [_fmt(x) for x in lam] \
+        + [_fmt(x) for x in slacks] + [str(int(iterations))]
     return ",".join(header) + "\n" + ",".join(cells) + "\n"
-
-
-def cuts_csv(state):
-    header = ["cut", "f_value", "wsr_bits"]
-    lines = [",".join(header)]
-    for i, (f, r) in enumerate(zip(state.f_values, state.rates)):
-        lines.append(",".join([str(i + 1), _fmt(f), _fmt(r / LN2)]))
-    return "\n".join(lines) + "\n"
 
 
 def write_outputs(out_dir, basename, files, cfg, partial=False):
@@ -425,15 +437,16 @@ def run_scenario(cfg, out_dir):
                                                  len(cfg.constraints))
     elif cfg.objective == "sinr_balance":
         alpha, lam, slacks, trace = run_balance(cfg)
-        files[".csv"] = scalar_result_csv(alpha, lam, slacks, trace.iterations)
+        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace.iterations)
         files["_trace.csv"] = trace_csv(trace, "alpha")
     elif cfg.objective == "power_balance":
         alpha, lam, slacks, trace = run_power_balance(cfg)
-        files[".csv"] = scalar_result_csv(alpha, lam, slacks, trace.iterations)
+        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace.iterations)
         files["_trace.csv"] = trace_csv(trace, "bound")
     elif cfg.objective == "nonlinear_wsr":
-        cov, state = run_nonlinear(cfg)
-        files[".csv"] = cuts_csv(state)
+        wsr, f_value, lam, trace = run_nonlinear(cfg)
+        files[".csv"] = scalar_result_csv({"wsr_bits": wsr / LN2, "f_value": f_value}, lam,
+                                          np.zeros(0), trace.iterations)
     else:  # pragma: no cover - load_config guards this
         raise ConfigError(f"unknown objective {cfg.objective}")
     return write_outputs(out_dir, cfg.basename, files, cfg)

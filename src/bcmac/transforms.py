@@ -59,8 +59,9 @@ def _svd_phase_fixed(G):
 
 
 def _roots(M):
-    """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition."""
-    r, V = linalg.pd_roots(M, floor=1e-14)
+    """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
+    of its Hermitian part (M is a sum of products, Hermitian up to roundoff)."""
+    r, V = linalg.pd_roots(linalg.hermitian_part(M), floor=1e-14)
     return (V * r) @ V.conj().T, (V / r) @ V.conj().T
 
 

@@ -2,16 +2,20 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 import yaml
 
-from bcmac import cli, orchestrator, scenario
+from bcmac import cli, model, orchestrator, scenario
 
 H1_CAP = [[1.0, 0.0], [0.2, 0.6]]
 H2_CAP = [[0.5, 0.0], [0.2, 1.0]]
 H3 = [[0.3, 0.1], [0.0, 0.8]]
 PER_ANTENNA = [{"type": "per_antenna", "antenna": a, "budget": 5.0} for a in (1, 2)]
+BALL = {"form": "quadratic_ball", "budget": 10.0,
+        "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}
 
 
 def _region_doc(**extra):
@@ -35,7 +39,9 @@ def _args(command, config, out):
 @pytest.mark.parametrize("doc, message", [
     (_region_doc(channels={"h": [H1_CAP, H2_CAP, H3]}), "one or two users"),
     (_region_doc(heuristic=True), "not positive definite"),
-], ids=["three_users", "heuristic_singular_first"])
+    (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
+                 nonlinear=dict(BALL, a=[[[1.0]]])), "need one or more 2x2 matrices"),
+], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2
@@ -109,20 +115,53 @@ def test_inert_settings_are_config_errors(tmp_path, capsys, doc, message):
     assert "config error" in err and message in err
 
 
-def test_nonlinear_encodes_in_weight_order(tmp_path):
+@pytest.mark.parametrize("doc, message", [
+    (_region_doc(sweep={"resolutoin": 3}), "sweep: unknown key 'resolutoin'"),
+    (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
+                 nonlinear=dict(BALL, eps=0.01)), "nonlinear: unknown key 'eps'"),
+    (_region_doc(output={"basenme": "x"}), "output: unknown key 'basenme'"),
+    (_region_doc(resolution=3), "config: unknown key 'resolution'"),
+], ids=["sweep_typo", "nonlinear_eps", "output_typo", "top_level"])
+def test_unknown_keys_are_config_errors(tmp_path, capsys, doc, message):
+    assert cli.main(_args("validate", _write(tmp_path, doc), "")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_workers_is_accepted_and_ignored(tmp_path):
+    assert cli.main(_args("validate", _write(tmp_path, _region_doc(workers=4)), "")) == 0
+
+
+def test_nonlinear_encodes_in_weight_order(tmp_path, monkeypatch):
     """The default order and the weight-sorted order [2, 1] solve the same
-    problem, so their final cut-loop rates agree (about 1.79151 bits; the
-    default order alone stops near 1.76587, below an achievable rate)."""
-    ball = {"form": "quadratic_ball", "budget": 10.0,
-            "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}
-    final = []
+    problem and write the same one-row result, whose rate lies between the
+    rate scaled into the ball (achievable) and the least merged-constraint
+    bound."""
+    w = np.array([0.3, 0.7])
+    solve, solved = orchestrator.solve_wsr_nonlinear, []
+
+    def kept(ch, f, *args, **kwargs):
+        solved.append((ch, f) + solve(ch, f, *args, **kwargs))
+        return solved[-1][2:]
+
+    monkeypatch.setattr(orchestrator, "solve_wsr_nonlinear", kept)
+    rows = []
     for channels in ({"h": [H1_CAP, H2_CAP]},
                      {"h": [H1_CAP, H2_CAP], "encoding_order": [2, 1]}):
-        doc = {"objective": "nonlinear_wsr", "channels": channels, "weights": [0.3, 0.7],
-               "nonlinear": ball, "seed": 3}
-        out = tmp_path / str(len(final))
+        doc = {"objective": "nonlinear_wsr", "channels": channels, "weights": w.tolist(),
+               "nonlinear": BALL, "seed": 3}
+        out = tmp_path / str(len(rows))
         assert cli.main(_args("nonlinear", _write(tmp_path, doc), str(out))) == 0
-        last = (out / "nonlinear_wsr.csv").read_text(encoding="utf-8").splitlines()[-1]
-        final.append(float(last.split(",")[2]))
-    assert final[0] == final[1]
-    assert final[0] == pytest.approx(1.79151, rel=1e-5)
+        lines = (out / "nonlinear_wsr.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        rows.append(dict(zip(lines[0].split(","), map(float, lines[1].split(",")))))
+    assert rows[0] == rows[1]
+    emitted = rows[0]["wsr_bits"]
+    assert emitted == pytest.approx(1.7911232911, rel=1e-8)
+    assert rows[0]["f_value"] <= 1e-9 * 10.0
+    ch, f, cov, result = solved[0]
+    factor = min(1.0, np.sqrt(10.0) / np.linalg.norm(f.traces(cov)))
+    scaled = model.CovarianceSet("bc", [factor * Q for Q in cov.Q])
+    achievable = float(w @ model.bc_rates_dpc(ch, scaled)) / math.log(2.0)
+    bound = min(result.trace.value) / math.log(2.0)
+    assert achievable - 1e-12 <= emitted <= bound + 1e-12

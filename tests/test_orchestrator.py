@@ -1,8 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcmac import (
     ChannelSet,
+    CovarianceSet,
     LinearConstraint,
     SinrTargets,
     SolverSettings,
@@ -27,7 +31,7 @@ from bcmac.orchestrator import (
 )
 from bcmac.oracles import GridSpec, brute_power_min, brute_sinr_balance
 
-from conftest import rand_channels, rand_pd
+from conftest import rand_channels, rand_pd, rand_psd
 
 INNER = SolverSettings(tol=1e-8)
 OUTER = SolverSettings(max_iters=60, tol=1e-8)
@@ -242,65 +246,108 @@ def test_power_balance_vs_oracle(rng):
             assert s[i][0] >= gam.gamma[i] - 1e-6
 
 
-def test_cutting_plane_linear_terminates_first_cut():
+def _wsr(ch, cov, w):
+    return float(np.asarray(w, dtype=float) @ bc_rates_dpc(ch, cov))
+
+
+def test_support_points():
+    mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    ball = QuadraticBall(mats, 25.0)
+    assert ball.support_point([3.0, 4.0]) == pytest.approx([3.0, 4.0], rel=1e-15)
+    half = AffineHalfspace(mats, [2.0, 1.0], 4.0)
+    assert half.support_point([0.3, 0.7]) == pytest.approx([0.0, 4.0])  # 0.7/1 > 0.3/2
+    assert half.support_point([0.9, 0.1]) == pytest.approx([2.0, 0.0])
+    A, budget = half.merged(DualWeights([0.9, 0.1]))
+    assert budget == pytest.approx(0.9 * 2.0, rel=1e-6)
+    assert np.allclose(A, np.diag([0.9, 0.1]), atol=1e-6)
+
+
+def test_nonlinear_halfspace_matches_linear_solve():
+    """A one-matrix halfspace is the linear constraint itself: one evaluation
+    of the same merged constraint as the direct sum-power solve."""
     ch = ChannelSet([H1_CAP, H2_CAP])
     lin = AffineHalfspace([np.eye(2)], [1.0], 10.0)
-    cov, state = solve_wsr_nonlinear(ch, lin, [1, 1], eps=1e-6,
-                                     outer=OUTER, inner=INNER)
-    assert len(state.cuts) == 1
-    assert abs(state.f_values[-1]) <= 1e-6
+    cov, result = solve_wsr_nonlinear(ch, lin, [1, 1], outer=OUTER, inner=INNER)
     direct, _, _ = solve_wsr_multi(ch, [LinearConstraint.sum_power(2, 10.0)],
                                    [1, 1], OUTER, INNER)
-    assert np.sum(bc_rates_dpc(ch, cov)) == pytest.approx(
-        float(np.sum(bc_rates_dpc(ch, direct))), abs=1e-6)
+    assert _wsr(ch, cov, [1, 1]) == pytest.approx(3.5979382530928725, rel=1e-12)
+    assert _wsr(ch, cov, [1, 1]) == _wsr(ch, direct, [1, 1])
+    assert result.trace.iterations == 1 and len(result.cuts) == 1
+    assert np.allclose(result.cuts[0].A, np.eye(2)) and result.cuts[0].P == 10.0
 
 
-def test_cutting_plane_quadratic_ball():
+def test_nonlinear_quadratic_ball_certified():
+    """The emitted rate sits between the rate scaled into the ball (achievable)
+    and the least merged-constraint bound, and the merged cut it returns
+    holds on the whole ball."""
     H1 = [[2.0, 0.0], [0.5, 0.6]]
     H2 = [[0.3, 0.2], [0.0, 1.5]]
     ch = ChannelSet([H1, H2])
+    w = [2.0, 1.0]
     ball = QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 100.0)
-    cov, state = solve_wsr_nonlinear(ch, ball, [2.0, 1.0], eps=0.01,
-                                     outer=OUTER, inner=INNER)
-    assert len(state.cuts) <= 30
-    assert state.f_values[-1] <= 0.01
-    assert np.all(np.diff(state.rates) <= 1e-6)
-    # every stored cut supports the feasible region
-    for cut in state.cuts:
-        for t1 in np.linspace(0, 10, 31):
-            for t2 in np.linspace(0, np.sqrt(max(0.0, 100 - t1 ** 2)), 7):
-                Q = [np.diag([t1 / 2, t2 / 2]).astype(complex)] * 2
-                from bcmac.model import CovarianceSet
+    cov, result = solve_wsr_nonlinear(ch, ball, w, outer=OUTER, inner=INNER)
+    assert result.trace.converged
+    assert ball.value(cov) <= 1e-8 * 100.0
+    p = ball.traces(cov)
+    factor = min(1.0, 10.0 / np.linalg.norm(p))
+    achievable = _wsr(ch, CovarianceSet("bc", [factor * Q for Q in cov.Q]), w)
+    emitted = _wsr(ch, cov, w)
+    bound = min(result.trace.value)
+    assert achievable - 1e-8 <= emitted <= bound + 1e-8
+    assert bound - achievable <= 1e-8
+    (cut,) = result.cuts
+    for t1 in np.linspace(0, 10, 31):
+        for t2 in np.linspace(0, np.sqrt(max(0.0, 100 - t1 ** 2)), 7):
+            Q = [np.diag([t1 / 2, t2 / 2]).astype(complex)] * 2
+            assert constraint_value(CovarianceSet("bc", Q), cut) <= cut.P * (1 + 1e-12)
 
-                val = constraint_value(CovarianceSet("bc", Q), cut)
-                assert val <= cut.P + 1e-9
 
-
-def test_cutting_plane_huge_ball_matches_initial_cut():
+def test_nonlinear_zero_coefficient_halfspace_rejected():
+    """x_1 <= 1 leaves x_2 unbounded: every normal with c_2 > 0 has no
+    finite support value."""
     ch = ChannelSet([H1_CAP, H2_CAP])
-    ball = QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 1e6)
-    cov, state = solve_wsr_nonlinear(ch, ball, [1, 1], eps=1e3,
-                                     outer=OUTER, inner=INNER)
-    assert len(state.cuts) == 1  # loose ball: first tangent already inside eps
-    direct, _, _ = solve_wsr_multi(ch, [state.cuts[0]], [1, 1], OUTER, INNER)
-    got = float(np.sum(bc_rates_dpc(ch, cov)))
-    want = float(np.sum(bc_rates_dpc(ch, direct)))
-    assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_boundary_point_on_ball():
-    ball = QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 10.0)
-    p = orchestrator._boundary_point(ball, [1.0, 1.0])
-    assert p == pytest.approx([np.sqrt(5.0)] * 2, rel=1e-15)
-    assert ball.phi(p) <= 0
-
-
-def test_boundary_point_rejects_ray_that_stays_inside():
-    """x_1 <= 1 never binds along (0, 1): the search must fail clearly
-    instead of returning a point after 200 doublings."""
     half = AffineHalfspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 0.0], 1.0)
-    with pytest.raises(InvalidInput, match="never leaves"):
-        orchestrator._boundary_point(half, [0.0, 1.0])
+    with pytest.raises(InvalidInput, match="unbounded"):
+        solve_wsr_nonlinear(ch, half, [1, 1], outer=OUTER, inner=INNER)
+
+
+SIMPLEX_NORMAL = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=SIMPLEX_NORMAL, shape=st.sampled_from(["ball", "half"]))
+def test_merged_bound_dominates_feasible_rates(seed, t, shape):
+    """For every normal c, the merged constraint's value V(c) is at least the
+    weighted sum rate of any feasible downlink covariance."""
+    rng = np.random.default_rng(seed)
+    ch = ChannelSet(rand_channels(rng, 2, 2, 2))
+    w = np.sort(rng.uniform(0.1, 1.0, 2))[::-1]  # nonincreasing along the order
+    mats = [rand_psd(rng, 2) for _ in range(2)]
+    if shape == "ball":
+        f = QuadraticBall(mats, 4.0)
+    else:
+        f = AffineHalfspace(mats, rng.uniform(0.5, 2.0, 2), 2.0)
+    Q = [rand_psd(rng, 2) for _ in range(2)]
+    p = f.traces(CovarianceSet("bc", Q))
+    room = 2.0 / np.linalg.norm(p) if shape == "ball" else f.offset / (f.coeffs @ p)
+    cov = CovarianceSet("bc", [rng.uniform(0.2, 1.0) * room * X for X in Q])
+    assert f.value(cov) <= 1e-12
+    lam = DualWeights([t, 1.0 - t])
+    bound, _, _ = eval_wsr_relaxation(ch, None, lam, w, INNER, merged=f.merged(lam))
+    assert bound >= _wsr(ch, cov, w) - 1e-9
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_four_users_four_antenna_constraints_finish(seed):
+    """K=4 under four per-antenna constraints: the capacity transform's
+    cumulative matrices are Hermitian only up to roundoff, which used to stop
+    the loop with "not Hermitian"."""
+    ch = ChannelSet(rand_channels(np.random.default_rng(seed), 4, 2, 4))
+    cons = [LinearConstraint.per_antenna(4, a, 2.5) for a in range(4)]
+    cov, lam, trace = solve_wsr_multi(ch, cons, np.ones(4))
+    assert trace.iterations > 100
+    assert np.all(np.isfinite(bc_rates_dpc(ch, cov)))
+    assert _wsr(ch, cov, np.ones(4)) <= min(trace.value) + 1e-6
 
 
 def _stub_multiplier_loop(feasible_from):
@@ -316,7 +363,8 @@ def _stub_multiplier_loop(feasible_from):
         seen.append((key, key >= feasible_from))
         return key, np.array([1.0, -1.0]), key, seen[-1][1], len(seen) - 1
 
-    out = orchestrator._multiplier_loop(cons, SolverSettings(max_iters=10), "min", evaluate)
+    out = orchestrator._multiplier_loop(partial(combined_constraint, cons), len(cons),
+                                        SolverSettings(max_iters=10), "min", evaluate)
     return out, seen
 
 
