@@ -1,9 +1,14 @@
 """Dense complex Hermitian primitives used by every solver module, and the
 one 1-D bracketing search (:func:`bisect_edge`).
 
-Matrices are plain ``numpy`` arrays in ``complex128``.  A "Hermitian" argument
-means conjugate symmetry up to roundoff (``norm(M - M^H) <= 1e-12 * norm(M)``);
-helpers re-symmetrize internally so downstream eigendecompositions are stable.
+Matrices are plain ``numpy`` arrays in ``complex128``.  Validation happens
+where input enters the library: :func:`check_hermitian` checks conjugate
+symmetry (``max|M - M^H| <= 1e-12 max|M|``) of caller-supplied matrices
+(constraint matrices, covariances, the noise passed to the public solvers
+and rate functions).  The decomposition helpers (:func:`pd_roots`,
+:func:`inv_sqrt`, :func:`logdet_psd`, :func:`assert_pd`) do not check: they
+take the Hermitian part of their argument, which the library's own sums and
+products only meet up to roundoff, and call ``eigh`` on it.
 All functions are pure and safe to call concurrently.
 """
 
@@ -29,9 +34,10 @@ def as_matrix(M, name="matrix"):
 
 
 def hermitian_part(M):
-    """Nearest Hermitian matrix, (M + M^H) / 2."""
-    A = as_matrix(M)
-    return 0.5 * (A + A.conj().T)
+    """Nearest Hermitian matrix, (M + M^H) / 2, of a matrix or of every block
+    of a stack (..., n, n)."""
+    A = np.asarray(M, dtype=np.complex128)
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def check_hermitian(M, tol=HERMITIAN_TOL, name="matrix"):
@@ -42,32 +48,7 @@ def check_hermitian(M, tol=HERMITIAN_TOL, name="matrix"):
     scale = np.max(np.abs(A))
     if scale > 0 and np.max(np.abs(A - A.conj().T)) > tol * scale:
         raise InvalidInput(f"{name} is not Hermitian within {tol:g} relative")
-    return 0.5 * (A + A.conj().T)
-
-
-def eig_hermitian(M):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    M = V diag(w) V^H.
-    """
-    A = check_hermitian(M)
-    w, V = np.linalg.eigh(A)
-    return w, V
-
-
-def sqrt_psd(M, clamp_tol=CLAMP_TOL):
-    """Hermitian principal square root of a PSD matrix.
-
-    Eigenvalues in [-clamp_tol * scale, 0) are treated as roundoff and
-    clamped to zero; anything more negative raises NotPositiveDefinite.
-    """
-    w, V = eig_hermitian(M)
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -clamp_tol * scale:
-        raise NotPositiveDefinite(f"matrix has eigenvalue {w[0]:g} < 0")
-    w = np.maximum(w, 0.0)
-    return (V * np.sqrt(w)) @ V.conj().T
+    return hermitian_part(A)
 
 
 def pd_roots(M, floor):
@@ -78,7 +59,7 @@ def pd_roots(M, floor):
     Raises SingularConstraintMatrix when any eigenvalue is <= floor, which is
     how a non-positive-definite constraint matrix surfaces to callers.
     """
-    w, V = eig_hermitian(M)
+    w, V = np.linalg.eigh(hermitian_part(M))
     if w[0] <= floor:
         raise SingularConstraintMatrix(
             f"eigenvalue {w[0]:g} <= floor {floor:g}; matrix not invertible"
@@ -92,18 +73,9 @@ def inv_sqrt(M, floor=PD_FLOOR):
     return (V / r) @ V.conj().T
 
 
-def project_psd(M):
-    """Nearest (Frobenius) PSD matrix: eigenvalues clipped at zero."""
-    w, V = eig_hermitian(M)
-    if w[0] >= 0:
-        return 0.5 * (M + M.conj().T)
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.conj().T
-
-
 def logdet_psd(M):
     """log-determinant (nats) of a positive definite Hermitian matrix."""
-    w, _ = eig_hermitian(M)
+    w = np.linalg.eigh(hermitian_part(M))[0]
     if w[0] <= 0:
         raise NotPositiveDefinite(f"matrix has eigenvalue {w[0]:g} <= 0")
     return float(np.sum(np.log(w)))
@@ -111,7 +83,7 @@ def logdet_psd(M):
 
 def assert_pd(M, floor=0.0, name="matrix"):
     """Validate positive definiteness (eigenvalues strictly above floor)."""
-    w, V = eig_hermitian(M)
+    w, V = np.linalg.eigh(hermitian_part(M))
     scale = max(1.0, abs(float(w[-1])))
     if w[0] <= floor * scale:
         raise SingularConstraintMatrix(

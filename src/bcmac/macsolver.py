@@ -65,11 +65,6 @@ def _lsum(x):
     return float(np.cumsum(x)[-1])
 
 
-def _scaled(ch, cov):
-    """Whitened-budget covariances sigma_i^2 Q_i of an uplink set, stacked."""
-    return np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
-
-
 def _rate_coeffs(ch, weights):
     """Coefficients c_m of the telescoped objective
     sum_i w_i r_i = sum_m c_m logdet(Phi_m) over encoding positions."""
@@ -104,7 +99,7 @@ def _gradient(ch, Ghat, coeffs, Z, mats=None):
     terms = coeffs[:, None, None] * np.linalg.inv(mats)
     suffix = np.cumsum(terms[::-1], axis=0)[::-1]
     g = Ghat @ suffix[np.argsort(ch.encoding_order)] @ _ctrans(Ghat)
-    return 0.5 * (g + _ctrans(g))
+    return linalg.hermitian_part(g)
 
 
 def _project_blocks(mats, budget):
@@ -114,7 +109,7 @@ def _project_blocks(mats, budget):
     M = np.asarray(mats, dtype=np.complex128)
     if not np.all(np.isfinite(M)):
         raise InvalidInput("covariance blocks have non-finite entries")
-    eigs, V = np.linalg.eigh(0.5 * (M + _ctrans(M)))
+    eigs, V = np.linalg.eigh(linalg.hermitian_part(M))
     lam = eigs.ravel()
     clipped = np.maximum(lam, 0.0)
     if clipped.sum() > budget:
@@ -185,7 +180,7 @@ def _ls_multiplier(Z, grads, budget, rank_tol=1e-9):
     optimal value to the budget at an exact optimum).  Also returns the
     (K, n) range masks and the gradients B_i = V_i^H G_i V_i in the
     eigenbases of the Z_i."""
-    w, V = np.linalg.eigh(0.5 * (Z + _ctrans(Z)))
+    w, V = np.linalg.eigh(linalg.hermitian_part(Z))
     mask = w > rank_tol * np.maximum(1.0, w[:, -1:])
     B = _ctrans(V) @ grads @ V
     rank_sum = int(mask.sum())
@@ -217,7 +212,7 @@ def _kkt_from_state(Z, grads, budget, rank_tol=1e-9):
     res_sq = np.sum(sq * rr, axis=(1, 2)) + 2.0 * np.sum(sq * rn, axis=(1, 2))
     has_null = ~mask.all(axis=1)
     if has_null.any():
-        w = np.linalg.eigvalsh(np.where(nn, 0.5 * (R + _ctrans(R)), 0.0)[has_null])
+        w = np.linalg.eigvalsh(np.where(nn, linalg.hermitian_part(R), 0.0)[has_null])
         res_sq[has_null] += np.sum(np.maximum(w, 0.0) ** 2, axis=1)
     return float(np.sqrt(res_sq.max()))
 
@@ -238,6 +233,7 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     settings = settings or SolverSettings()
     if not (budget >= 0):
         raise InvalidInput("budget must be nonnegative")
+    noise = linalg.check_hermitian(noise, name="noise")
     Ghat = model.whitened_channels(ch, noise, settings.pd_floor)[0]
     coeffs = _rate_coeffs(ch, weights)
     K, nr = ch.K, ch.nr
@@ -246,7 +242,7 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
         return MacSolution(cov, 0.0, 0, 0.0, True)
     rng = np.random.default_rng(settings.seed)
     if init is not None:
-        inits = [_scaled(ch, init)]
+        inits = [ch.sigma2[:, None, None] * init.Q]
     else:
         eye = np.eye(nr, dtype=np.complex128)
         inits = [budget / (K * nr) * np.broadcast_to(eye, (K, nr, nr))]
@@ -266,13 +262,13 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
             best = (Z, obj, kkt, ok)
     Z, obj, kkt, ok = best
     agree = max(objs) - min(objs) <= KKT_TOL_FACTOR * settings.tol * max(1.0, abs(obj))
-    cov = model.CovarianceSet(model.MAC, [Z[i] / ch.sigma2[i] for i in range(K)])
+    cov = model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
     return MacSolution(cov, obj, total_iters, kkt, bool(ok and agree))
 
 
 def _state_at(ch, noise, weights, cov, pd_floor):
     """Stacked whitened covariances of ``cov`` and the gradient there."""
-    Z = _scaled(ch, cov)
+    Z = ch.sigma2[:, None, None] * cov.Q
     Ghat = model.whitened_channels(ch, noise, pd_floor)[0]
     grads = _gradient(ch, Ghat, _rate_coeffs(ch, weights), Z)
     return Z, grads
@@ -372,7 +368,7 @@ def _downlink_receiver_update(ch, A, u, v, q):
     """
     from . import transforms
 
-    bf_bc = transforms.mac_to_bc_sinr(ch, _single_stream(ch, u, v, q), A)
+    bf_bc = transforms.sinr_to_bc(ch, _single_stream(ch, u, v, q), A)
     p = [bf_bc.p[i][0] for i in range(ch.K)]
     beams = [bf_bc.u[i][0] for i in range(ch.K)]
     vnew = model.bc_mmse_receivers(ch, beams, p)

@@ -110,45 +110,61 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class CovarianceSet:
-    """Per-user transmit covariances, downlink (Nt x Nt) or uplink (Nr x Nr).
+    """Per-user transmit covariances, downlink (Nt x Nt) or uplink (Nr x Nr),
+    held as one stacked (K, n, n) array ``Q``.
 
-    Matrices are validated Hermitian and PSD; roundoff-negative eigenvalues
-    (above -1e-9 relative) are clamped to zero, anything worse raises.
+    Covariances a caller passes in are validated here: each block must be
+    Hermitian and PSD; roundoff-negative eigenvalues (above -1e-9 relative)
+    are clamped to zero, anything worse raises.  Covariances the library
+    builds itself (solver outputs, both transforms, beamformer covariances,
+    rescaled points) are PSD by construction and go through :meth:`built`,
+    which only takes the Hermitian part.
     """
 
     side: str
-    Q: tuple
+    Q: np.ndarray
 
     def __init__(self, side, Q):
-        if side not in (BC, MAC):
-            raise InvalidInput(f"side must be '{BC}' or '{MAC}'")
-        mats = []
-        for i, Qi in enumerate(Q):
-            M = linalg.check_hermitian(Qi, name=f"Q[{i}]")
-            w, V = np.linalg.eigh(M)
-            scale = max(1.0, float(w[-1]))
-            if w[0] < -linalg.CLAMP_TOL * scale:
-                raise InvalidInput(
-                    f"Q[{i}] has eigenvalue {w[0]:g}, below clamp tolerance"
-                )
-            if w[0] < 0:
-                M = (V * np.maximum(w, 0.0)) @ V.conj().T
-            mats.append(M)
+        mats = [linalg.check_hermitian(Qi, name=f"Q[{i}]") for i, Qi in enumerate(Q)]
         if not mats:
             raise InvalidInput("need at least one covariance")
+        if any(M.shape != mats[0].shape for M in mats):
+            raise InvalidInput("all covariances must share one shape")
+        Q = np.array(mats)
+        w, V = np.linalg.eigh(Q)
+        low = w[:, 0] < -linalg.CLAMP_TOL * np.maximum(1.0, w[:, -1])
+        if low.any():
+            i = int(np.argmax(low))
+            raise InvalidInput(f"Q[{i}] has eigenvalue {w[i, 0]:g}, below clamp tolerance")
+        neg = w[:, 0] < 0
+        Q[neg] = (V[neg] * np.maximum(w[neg], 0.0)[:, None, :]) @ V[neg].conj().swapaxes(1, 2)
+        self._set(side, Q)
+
+    def _set(self, side, Q):
+        if side not in (BC, MAC):
+            raise InvalidInput(f"side must be '{BC}' or '{MAC}'")
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "Q", tuple(mats))
+        object.__setattr__(self, "Q", Q)
+
+    @classmethod
+    def built(cls, side, Q):
+        """A set of covariances the library computed, stacked (K, n, n):
+        PSD by construction, so only the Hermitian part is taken."""
+        cov = object.__new__(cls)
+        cov._set(side, linalg.hermitian_part(Q))
+        return cov
 
     @property
     def K(self):
         return len(self.Q)
 
     def total(self):
-        return sum(self.Q[1:], start=self.Q[0].copy()) if self.K > 1 else self.Q[0]
+        """Sum of the blocks, added in user order."""
+        return sum(self.Q[1:], start=self.Q[0].copy())
 
     @staticmethod
     def zeros(side, K, dim):
-        return CovarianceSet(side, [np.zeros((dim, dim))] * K)
+        return CovarianceSet.built(side, np.zeros((K, dim, dim)))
 
 
 @dataclass(frozen=True)
@@ -217,15 +233,13 @@ class BeamformingSolution:
         """Q_i = sum_j p_ij u_ij u_ij^H (downlink side)."""
         if self.p is None:
             raise InvalidInput("downlink powers not set")
-        out = []
+        nt = self.u[0].shape[1]
+        out = np.zeros((self.K, nt, nt), dtype=np.complex128)
         for i in range(self.K):
-            nt = self.u[i].shape[1]
-            Qi = np.zeros((nt, nt), dtype=np.complex128)
             for j in range(self.u[i].shape[0]):
                 uj = self.u[i][j]
-                Qi += self.p[i][j] * np.outer(uj, uj.conj())
-            out.append(Qi)
-        return CovarianceSet(BC, out)
+                out[i] += self.p[i][j] * np.outer(uj, uj.conj())
+        return CovarianceSet.built(BC, out)
 
 
 def mac_eigenbeams(cov, drop_tol=1e-12):
@@ -253,7 +267,7 @@ def mac_eigenbeams(cov, drop_tol=1e-12):
 def _check_bc_dims(ch, cov):
     if cov.side != BC:
         raise InvalidInput("expected downlink covariances")
-    if cov.K != ch.K or any(Q.shape != (ch.nt, ch.nt) for Q in cov.Q):
+    if cov.Q.shape != (ch.K, ch.nt, ch.nt):
         raise InvalidInput("covariance dimensions do not match the channel set")
 
 
@@ -287,7 +301,7 @@ def mac_rates(ch, cov, noise):
     so the user at encoding position m is interfered by positions < m."""
     if cov.side != MAC:
         raise InvalidInput("expected uplink covariances")
-    if cov.K != ch.K or any(Q.shape != (ch.nr, ch.nr) for Q in cov.Q):
+    if cov.Q.shape != (ch.K, ch.nr, ch.nr):
         raise InvalidInput("covariance dimensions do not match the channel set")
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")

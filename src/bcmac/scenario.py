@@ -322,7 +322,7 @@ def run_heuristic_normalization(cfg):
         point, solved, users, cov = _region_point(sub_cfg, t, idx)
         factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
                               for c in others])
-        scaled = model.CovarianceSet(model.BC, [factor * Q for Q in cov.Q])
+        scaled = model.CovarianceSet.built(model.BC, factor * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append(RegionPoint(point.weights, point.order, rates / LN2,
                                 np.full(len(cfg.constraints), np.nan),

@@ -61,7 +61,7 @@ def _svd_phase_fixed(G):
 def _roots(M):
     """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
     of its Hermitian part (M is a sum of products, Hermitian up to roundoff)."""
-    r, V = linalg.pd_roots(linalg.hermitian_part(M), floor=1e-14)
+    r, V = linalg.pd_roots(M, floor=1e-14)
     return (V * r) @ V.conj().T, (V / r) @ V.conj().T
 
 
@@ -107,19 +107,17 @@ def mac_to_bc_capacity(ch, cov_mac, A):
         raise InvalidInput("expected uplink covariances matching the channel set")
     Hhat, W = model.whitened_channels(ch, A)
     order = ch.encoding_order
-    K = ch.K
     # absorb the per-user noise weights so the budget is a plain trace
-    Z = [ch.sigma2[i] * cov_mac.Q[i] for i in range(K)]
+    Z = ch.sigma2[:, None, None] * cov_mac.Q
     # Phis[pos] = I + sum of the uplink terms of the users encoded before pos
     Phis = [np.eye(ch.nt, dtype=np.complex128)]
     for j in order[:-1]:
         Phis.append(Phis[-1] + Hhat[j].conj().T @ Z[j] @ Hhat[j])
-    Qw = [None] * K  # whitened downlink covariances
-    for pos in range(K - 1, -1, -1):
+    Qw = np.zeros((ch.K, ch.nt, ch.nt), dtype=np.complex128)  # whitened downlink
+    for pos in range(ch.K - 1, -1, -1):
         i = order[pos]
         Qw[i] = _flip(Phis[pos], _omega(ch, Hhat, Qw, pos), Hhat[i], Z[i], to_bc=True)
-    Q_bc = [linalg.hermitian_part(W @ Qw[i] @ W) for i in range(K)]
-    return model.CovarianceSet(model.BC, Q_bc)
+    return model.CovarianceSet.built(model.BC, W @ Qw @ W)
 
 
 def bc_to_mac_capacity(ch, cov_bc, A):
@@ -127,19 +125,16 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     if cov_bc.side != model.BC or cov_bc.K != ch.K:
         raise InvalidInput("expected downlink covariances matching the channel set")
-    Hhat, _ = model.whitened_channels(ch, A)
-    As = linalg.sqrt_psd(A)
-    order = ch.encoding_order
-    K = ch.K
-    Qw = [linalg.hermitian_part(As @ cov_bc.Q[i] @ As) for i in range(K)]
-    Z = [None] * K
+    r, V = linalg.pd_roots(A, linalg.PD_FLOOR)  # A^{1/2} and A^{-1/2}, one eigh
+    As, W = (V * r) @ V.conj().T, (V / r) @ V.conj().T
+    Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
+    Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
+    Z = np.zeros((ch.K, ch.nr, ch.nr), dtype=np.complex128)
     Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
-    for pos in range(K):
-        i = order[pos]
+    for pos, i in enumerate(ch.encoding_order):
         Z[i] = _flip(Phi, _omega(ch, Hhat, Qw, pos), Hhat[i], Qw[i], to_bc=False)
         Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
-    Q_mac = [Z[i] / ch.sigma2[i] for i in range(K)]
-    return model.CovarianceSet(model.MAC, Q_mac)
+    return model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
 
 
 def mac_to_bc_sinr(ch, bf_mac, A):
@@ -153,6 +148,12 @@ def mac_to_bc_sinr(ch, bf_mac, A):
     """
     A = linalg.check_hermitian(A, name="A")
     linalg.assert_pd(A, floor=0.0, name="constraint matrix")
+    return sinr_to_bc(ch, bf_mac, A)
+
+
+def sinr_to_bc(ch, bf_mac, A):
+    """The transformation of :func:`mac_to_bc_sinr` without validating
+    ``A``, for solver loops that validated it once on entry."""
     if bf_mac.q is None:
         raise InvalidInput("uplink powers required")
     K = ch.K

@@ -13,41 +13,43 @@ def rand_hermitian(rng, n, scale=1.0):
 
 
 def test_eig_identity():
-    w, V = linalg.eig_hermitian(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
+    r, V = linalg.pd_roots(np.eye(2), floor=0.0)
+    assert np.allclose(r, [1.0, 1.0])
     assert np.allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_eig_diagonal_sorted():
-    w, _ = linalg.eig_hermitian(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [1.0, 3.0])
+    r, _ = linalg.pd_roots(np.diag([3.0, 1.0]), floor=0.0)
+    assert np.allclose(r ** 2, [1.0, 3.0])
 
 
 def test_eig_reconstruction(rng):
-    M = rand_hermitian(rng, 4)
-    w, V = linalg.eig_hermitian(M)
-    assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - M) < 1e-10 * np.linalg.norm(M)
+    M = rand_psd(rng, 4) + 0.1 * np.eye(4)
+    r, V = linalg.pd_roots(M, floor=0.0)
+    assert np.linalg.norm(V @ np.diag(r ** 2) @ V.conj().T - M) < 1e-10 * np.linalg.norm(M)
 
 
 def test_eig_roundtrip_property(rng):
-    # many dims, scaled tolerance
+    # many dims, scaled tolerance; pd_roots decomposes the Hermitian part
     for _ in range(1000):
         n = int(rng.integers(1, 9))
-        M = rand_hermitian(rng, n, scale=float(rng.uniform(0.1, 10)))
-        w, V = linalg.eig_hermitian(M)
-        resid = np.linalg.norm(V @ np.diag(w) @ V.conj().T - M)
+        scale = float(rng.uniform(0.1, 10))
+        M = rand_hermitian(rng, n, scale)
+        M = M + (1.0 - np.linalg.eigvalsh(M)[0]) * np.eye(n)
+        r, V = linalg.pd_roots(M + 1e-13 * scale * rand_complex(rng, (n, n)), floor=0.0)
+        resid = np.linalg.norm(V @ np.diag(r ** 2) @ V.conj().T - M)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(M))
         assert np.linalg.norm(V @ V.conj().T - np.eye(n)) <= 1e-10 * n
 
 
 def test_eig_rejects_nonfinite():
     with pytest.raises(InvalidInput):
-        linalg.eig_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
+        linalg.check_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
 
 
 def test_eig_rejects_nonhermitian():
     with pytest.raises(InvalidInput):
-        linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_inv_sqrt_identity():
@@ -72,32 +74,6 @@ def test_inv_sqrt_floor():
     # explicit floor override admits it
     N = linalg.inv_sqrt(np.diag([1.0, 1e-9]), floor=1e-12)
     assert np.isfinite(N).all()
-
-
-def test_project_psd_fixed_point(rng):
-    M = rand_psd(rng, 3)
-    assert np.allclose(linalg.project_psd(M), M, atol=1e-12)
-
-
-def test_project_psd_clips():
-    P = linalg.project_psd(np.diag([1.0, -0.5]))
-    assert np.allclose(P, np.diag([1.0, 0.0]))
-
-
-def test_project_psd_indefinite(rng):
-    for _ in range(50):
-        M = rand_hermitian(rng, 4)
-        P = linalg.project_psd(M)
-        assert np.linalg.eigvalsh(P)[0] >= -1e-12
-
-
-def test_project_psd_idempotent_nonexpansive(rng):
-    for _ in range(100):
-        M = rand_hermitian(rng, 3)
-        N = rand_hermitian(rng, 3)
-        PM, PN = linalg.project_psd(M), linalg.project_psd(N)
-        assert np.allclose(linalg.project_psd(PM), PM, atol=1e-12)
-        assert np.linalg.norm(PM - PN) <= np.linalg.norm(M - N) + 1e-12
 
 
 def _lu_logdet(M):
@@ -132,11 +108,3 @@ def test_logdet_vs_lu_oracle(rng):
 def test_logdet_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         linalg.logdet_psd(np.diag([1.0, 0.0]))
-
-
-def test_sqrt_psd(rng):
-    M = rand_psd(rng, 3)
-    S = linalg.sqrt_psd(M)
-    assert np.allclose(S @ S, M, atol=1e-10)
-    with pytest.raises(NotPositiveDefinite):
-        linalg.sqrt_psd(np.diag([1.0, -1e-3]))

@@ -222,6 +222,19 @@ def test_power_min_infeasible_zero_channel():
         solve_power_min_mac(ch, np.eye(2), SinrTargets([1.0]))
 
 
+@pytest.mark.parametrize("noise, error", [
+    ([[1.0, 0.5], [0.0, 1.0]], InvalidInput),  # not Hermitian
+    (np.diag([1.0, 0.0]), SingularConstraintMatrix),
+])
+def test_beamforming_solvers_validate_noise(noise, error):
+    ch = ChannelSet([[[1.0, 0.0]], [[0.0, 2.0]]])
+    gam = SinrTargets([1.0, 1.0])
+    with pytest.raises(error):
+        solve_sinr_balance_mac(ch, noise, 3.0, gam)
+    with pytest.raises(error):
+        solve_power_min_mac(ch, noise, gam)
+
+
 def test_settings_validation():
     with pytest.raises(InvalidInput):
         SolverSettings(tol=0.0)

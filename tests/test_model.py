@@ -33,6 +33,28 @@ H1 = np.array([[1.0, 0.0], [0.2, 0.6]])
 H2 = np.array([[0.5, 0.0], [0.2, 1.0]])
 
 
+def test_covariance_set_validates_caller_input():
+    with pytest.raises(InvalidInput, match="Hermitian"):
+        CovarianceSet("bc", [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])
+    # below -CLAMP_TOL times the block's scale max(1, largest eigenvalue)
+    with pytest.raises(InvalidInput, match=r"Q\[0\] has eigenvalue"):
+        CovarianceSet("bc", [np.diag([4.0, -5e-9])])
+    cov = CovarianceSet("bc", [np.diag([4.0, -1e-12]), np.eye(2)])
+    assert np.linalg.eigvalsh(cov.Q[0])[0] == 0.0
+    assert cov.Q.shape == (2, 2, 2)
+    with pytest.raises(InvalidInput, match="side"):
+        CovarianceSet("up", [np.eye(2)])
+
+
+def test_covariance_set_built_takes_hermitian_part():
+    # library-built blocks are not eigen-checked: a roundoff-negative
+    # eigenvalue below the clamp tolerance is kept as it is
+    X = np.diag([1e6, -0.01]) + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    cov = CovarianceSet.built("bc", X[None])
+    assert np.array_equal(cov.Q[0], 0.5 * (X + X.conj().T))
+    assert np.linalg.eigvalsh(cov.Q[0])[0] < 0
+
+
 def test_channelset_validation():
     with pytest.raises(InvalidInput):
         ChannelSet([np.ones((2, 2)), np.ones((1, 2))])

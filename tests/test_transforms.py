@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcmac import (
     BeamformingSolution,
@@ -16,7 +18,8 @@ from bcmac import (
     verify_sinr_transform,
 )
 from bcmac import model
-from bcmac.errors import SingularConstraintMatrix
+from bcmac.errors import InvalidInput, SingularConstraintMatrix
+from bcmac.orchestrator import combined_constraint
 
 from conftest import (
     rand_channels,
@@ -116,6 +119,32 @@ def test_bc_to_mac_roundtrip(rng):
         assert np.allclose(bc_rates_dpc(ch, cov_bc2), r_in, atol=1e-6)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 3), nr=st.integers(1, 3),
+       nt=st.integers(1, 4), exponents=st.lists(st.floats(-8.0, 0.0), min_size=4, max_size=4))
+def test_capacity_round_trip_under_ill_conditioned_merge(seed, K, nr, nt, exponents):
+    """Both capacity transforms keep the rates, and mac_to_bc_capacity the
+    budget, when A is a per-antenna merge whose multipliers reach
+    LAMBDA_FLOOR (condition number up to about 1e7, as in the multiplier
+    loop); the tolerances scale with the condition number."""
+    rng = np.random.default_rng(seed)
+    ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
+                    tuple(rng.permutation(K)))
+    A, _ = combined_constraint([LinearConstraint.per_antenna(nt, a, 1.0) for a in range(nt)],
+                               10.0 ** np.array(exponents[:nt]))
+    w = np.linalg.eigvalsh(A)
+    tol = 1e-13 * w[-1] / w[0]
+    cov_mac = random_mac_cov(rng, K, nr, float(rng.uniform(0.5, 4.0)))
+    r_mac = mac_rates(ch, cov_mac, A)
+    scale = max(1.0, float(np.sum(r_mac)))
+    cov_bc = mac_to_bc_capacity(ch, cov_mac, A)
+    assert np.max(np.abs(bc_rates_dpc(ch, cov_bc) - r_mac)) <= tol * scale
+    budget = sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(K))
+    assert constraint_value(cov_bc, LinearConstraint(A, budget)) <= budget * (1.0 + tol)
+    back = bc_to_mac_capacity(ch, cov_bc, A)
+    assert np.max(np.abs(mac_rates(ch, back, A) - r_mac)) <= tol * scale
+
+
 def test_capacity_transform_rejects_singular_A(rng):
     ch = _random_instance(rng, K=2, nt=2, nr=2)
     cov = random_mac_cov(rng, 2, 2, 1.0)
@@ -152,6 +181,17 @@ def test_sinr_transform_single_user_identity(rng):
     mf = (h.conj().T @ np.ones(1)).ravel()
     mf /= np.linalg.norm(mf)
     assert abs(abs(np.vdot(mf, bf.u[0][0])) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("A, error", [
+    ([[1.0, 0.5], [0.0, 1.0]], InvalidInput),  # not Hermitian
+    (np.diag([1.0, 0.0]), SingularConstraintMatrix),
+])
+def test_sinr_transform_validates_A(A, error):
+    ch = ChannelSet([[[1.0, 0.5]]])
+    bf_mac = BeamformingSolution(u=[[[1.0, 0.0]]], v=[[[1.0]]], q=[[1.0]])
+    with pytest.raises(error):
+        mac_to_bc_sinr(ch, bf_mac, A)
 
 
 def test_sinr_transform_zero_powers(rng):
