@@ -29,7 +29,6 @@ from .model import (
 from .macsolver import (
     MacSolution,
     SolverSettings,
-    kkt_residual_wsr,
     solve_power_min_mac,
     solve_sinr_balance_mac,
     solve_wsr_mac,

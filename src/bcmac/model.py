@@ -29,7 +29,7 @@ def _as_order(order, K):
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """A broadcast-channel instance.
 
@@ -80,7 +80,7 @@ class ChannelSet:
         return ChannelSet(self.H, self.sigma2, encoding_order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearConstraint:
     """Transmit covariance constraint tr(Q A) <= P with A PSD and P > 0."""
 
@@ -108,7 +108,7 @@ class LinearConstraint:
         return LinearConstraint(A, budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceSet:
     """Per-user transmit covariances, downlink (Nt x Nt) or uplink (Nr x Nr),
     held as one stacked (K, n, n) array ``Q``.
@@ -167,7 +167,7 @@ class CovarianceSet:
         return CovarianceSet.built(side, np.zeros((K, dim, dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinrTargets:
     """Per-user positive SINR targets (linear ratios)."""
 
@@ -427,6 +427,12 @@ def constraint_value(cov, c):
 def constraint_slacks(cov, constraints):
     """P_l - tr((sum_i Q_i) A_l) for every constraint."""
     return np.array([c.P - constraint_value(cov, c) for c in constraints])
+
+
+def feasible_scale(cov, constraints):
+    """min(1, P_l / tr((sum_i Q_i) A_l)) over the constraints: the largest
+    factor at most 1 by which ``cov`` meets every one of them."""
+    return min([1.0] + [c.P / max(constraint_value(cov, c), 1e-300) for c in constraints])
 
 
 def bc_mmse_receivers(ch, u, p):

@@ -1,13 +1,13 @@
-"""Outer loops reducing multi-constraint and nonlinear-constraint downlink
-problems to sequences of single-constraint dual-uplink solves.
+"""Certified multiplier search reducing multi-constraint and
+nonlinear-constraint downlink problems to single-constraint dual-uplink
+solves.
 
 Multiple linear constraints tr(Q A_l) <= P_l are merged into the single
 constraint sum_l lam_l tr(Q A_l) <= sum_l lam_l P_l.  For any nonnegative
 multipliers the merged problem bounds the original (its feasible set is
 larger), the bound is convex and scale-invariant in the multipliers, and it
-is tight at the optimal multipliers, so the outer loop is a projected
-subgradient descent (or ascent, for power balancing) over the unit simplex
-followed by a pairwise golden-section polish along simplex sections.
+is tight at the optimal multipliers, so the search minimizes it over the
+unit simplex (power balancing maximizes a lower bound instead).
 
 A convex constraint phi(p) <= 0 on the trace values p_l = tr(Q A_l) merges
 the same way: at a normal c >= 0 the single constraint
@@ -17,11 +17,34 @@ every c and meets it at the optimal normal.  Linear constraints are the case
 h(c) = c . P.
 
 Weighted sum rate (under linear or trace-space constraints), SINR balancing
-and power balancing share one routine for that loop (``_multiplier_loop``):
-it takes the merge step, records the trace, evaluates once when there is a
-single multiplier, and keeps the evaluation of least key among the feasible
-ones, else among all.  Each solve supplies only its inner dual-uplink solve,
-transform, key and subgradient.
+and power balancing share one search (``_multiplier_loop``).  Each
+evaluation solves the merged problem and returns a bound on the optimum (for
+a weighted sum rate the inner objective plus its Frank-Wolfe gap, so the
+bound holds however inexact the solve) and a subgradient, whose direction
+cuts the simplex through the evaluated multipliers: the optimum lies on the
+side the bound decreases (increases, for power balancing).  Over two
+multipliers lam = (x, 1 - x) the search bisects on the sign of the slope
+sub_1 - sub_2 along x; over three or more it takes the centre of the largest
+ball the cuts leave room for, with its centre on the simplex (Elzinga and
+Moore's central cutting planes, 1975, one LP on scipy's HiGHS, imported on
+that branch only); between two cuts on a line that centre is the bisection's
+midpoint.  The cuts use only directions, so they hold for the quasi-convex
+bounds of balancing too.
+
+Either way the search names the evaluations that locate the optimum, with
+weights under which their subgradients cancel along the simplex: the last
+evaluation on each side of the bisection bracket, or the LP's dual weights
+on its cuts.  Each caller builds its point from them and repairs it last.
+A weighted sum rate time-shares their covariances and scales the result
+into every constraint (min(1, P_l / tr(Q A_l)), or the ball's radius over
+|p|); balancing, whose beamformers cannot be time-shared, emits the best of
+those evaluations, SINR balancing after scaling its powers into every
+constraint, power balancing as it is (achievable).  The certified gap is the
+relative distance from the best bound to the value of that repaired point,
+and ``trace.converged`` says whether it is at most ``outer.tol``.  The
+central search stops there; bisection goes on until its bracket collapses to
+rounding.  Both stop when their next multipliers repeat evaluated ones or
+after ``outer.max_iters`` evaluations.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +56,6 @@ from . import linalg, model, transforms
 from .errors import InvalidInput
 from .macsolver import (
     SolverSettings,
-    budget_multiplier_wsr,
     solve_power_min_mac,
     solve_sinr_balance_mac,
     solve_wsr_mac,
@@ -41,13 +63,9 @@ from .macsolver import (
 
 LAMBDA_FLOOR = 1e-7
 NOISE_JITTER = 1e-9
-FEAS_TOL_FACTOR = 1e-5
-STALL_WINDOW = 25
-FIRST_STEP_CAP = 0.2
-GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualWeights:
     """Nonnegative multipliers over constraints, normalized to the unit
     simplex with a small floor keeping every entry strictly positive."""
@@ -70,14 +88,17 @@ class DualWeights:
 
 @dataclass
 class OuterTrace:
-    """Per-evaluation records of the outer loop (subgradient phase and
-    polish evaluations alike)."""
+    """Per-evaluation records of the multiplier search: multipliers, bound
+    on the optimum and subgradient; the index of the best bound, the
+    certified relative gap from it to the emitted point's value, and whether
+    that gap is within tolerance."""
 
     lam: list = field(default_factory=list)
     value: list = field(default_factory=list)
     subgrad: list = field(default_factory=list)
     converged: bool = False
     best_index: int = -1
+    gap: float = np.inf
 
     def record(self, lam, value, subgrad):
         self.lam.append(np.array(lam))
@@ -96,8 +117,8 @@ class OuterTrace:
 @dataclass
 class NonlinearResult:
     """Certificate of a trace-space constraint solve: ``cuts`` holds the one
-    merged linear constraint at the kept normal ``lam``, which contains the
-    feasible set; ``trace`` is the multiplier loop's."""
+    merged linear constraint at the normal ``lam`` of the best bound, which
+    contains the feasible set; ``trace`` is the multiplier search's."""
 
     cuts: list
     lam: DualWeights
@@ -126,208 +147,183 @@ def combined_constraint(constraints, lam):
 def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None,
                         merged=None):
     """Value and downlink covariance of the merged-constraint weighted sum
-    rate bound at multipliers ``lam``; an upper bound on the multi-constraint
-    optimum for every ``lam``.  ``merged`` is the merged constraint
-    (A, budget) when already computed; ``constraints`` is then not read."""
-    inner = inner or SolverSettings()
+    rate at multipliers ``lam``, and the inner solution, whose objective plus
+    gap bounds the multi-constraint optimum for every ``lam``.  ``merged`` is
+    the merged constraint (A, budget) when already computed; ``constraints``
+    is then not read.  A is whitened once, by the solve, for the transform
+    too."""
     A, budget = merged or combined_constraint(constraints, lam)
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
-    cov_bc = transforms.mac_to_bc_capacity(ch, sol.cov, A)
+    cov_bc = transforms.mac_to_bc_capacity(ch, sol.cov, A, sol.whitened)
     return sol.objective, cov_bc, sol
 
 
-def wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, merged=None):
-    """Subgradient of the merged-constraint bound at ``lam``.
-
-    The bound's sensitivity to multiplier l is mu * (P_l - tr(Q A_l)) where
-    mu is the merged budget constraint's own multiplier (the value's
-    sensitivity to the budget); without the mu factor the direction is the
-    same but the subgradient inequality fails.
-    """
-    A, budget = merged or combined_constraint(constraints, lam)
-    mu = budget_multiplier_wsr(ch, A, budget, weights, sol.cov)
-    return mu * model.constraint_slacks(cov_bc, constraints)
-
-
-def _project_simplex(x):
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    srt = np.sort(x)[::-1]
-    csum = np.cumsum(srt) - 1.0
-    ks = np.arange(1, x.size + 1)
-    cond = srt - csum / ks > 0
-    rho = np.nonzero(cond)[0][-1]
-    theta = csum[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
+def _bisect(trace, sign):
+    """Two multipliers lam = (x, 1 - x): the slope sign * (sub_1 - sub_2)
+    of the searched bound along x says on which side of each evaluation the
+    optimum lies.  Returns the midpoint of the bracket and the bracket's two
+    ends (the last evaluation on each side) weighted so that their slopes
+    cancel, or the one end there is."""
+    x = np.array([lam[0] for lam in trace.lam])
+    slope = sign * np.array([s[0] - s[1] for s in trace.subgrad])
+    left, right = np.nonzero(slope <= 0)[0], np.nonzero(slope > 0)[0]
+    lo = left[np.argmax(x[left])] if left.size else None
+    hi = right[np.argmin(x[right])] if right.size else None
+    x_lo = 0.0 if lo is None else x[lo]
+    x_hi = 1.0 if hi is None else x[hi]
+    nxt = np.array([0.5 * (x_lo + x_hi), 1.0 - 0.5 * (x_lo + x_hi)])
+    if lo is None or hi is None:
+        return nxt, {hi if lo is None else lo: 1.0}
+    theta = slope[hi] / (slope[hi] - slope[lo])
+    return nxt, {lo: theta, hi: 1.0 - theta}
 
 
-def _pair_sections(L):
-    return [(d1, d2) for d1 in range(L) for d2 in range(d1 + 1, L)]
+def _center(trace, sign):
+    """Three or more multipliers: the point of the simplex deepest inside
+    every evaluation's cut sign * sub_k . (lam - lam_k) <= 0, the centre of
+    the largest ball the cuts leave room for (Elzinga and Moore's central
+    cutting planes, 1975), one LP.  The cuts use only the subgradients'
+    directions, so they stay valid for the quasi-convex bounds of
+    balancing; between two cuts on a line the centre is their midpoint,
+    the bisection's step.  Returns the centre and the LP's dual weights on
+    the cuts, scaled so that the weighted subgradients cancel along the
+    simplex."""
+    from scipy.optimize import linprog  # scipy only loads for L >= 3
+
+    lam = np.array(trace.lam)
+    g = sign * np.array(trace.subgrad)
+    g -= g.mean(axis=1, keepdims=True)  # within the simplex's plane
+    norm = np.linalg.norm(g, axis=1)
+    keep = norm > 0
+    u = g[keep] / norm[keep, None]
+    n, L = lam.shape
+    # variables (lam, r), maximize r: every cut at distance at least r from
+    # lam, which stays on the simplex; unit rows and tight tolerances, since
+    # the balancing outputs move with lam at first order
+    res = linprog(np.append(np.zeros(L), -1.0), A_ub=np.hstack([u, np.ones((len(u), 1))]),
+                  b_ub=np.sum(u * lam[keep], axis=1),
+                  A_eq=np.append(np.ones(L), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * L + [(None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        return None, {n - 1: 1.0}
+    theta = np.zeros(n)
+    theta[keep] = np.maximum(-res.ineqlin.marginals, 0.0) / norm[keep]
+    if theta.sum() <= 0:
+        return res.x[:L], {n - 1: 1.0}
+    return res.x[:L], {k: t / theta.sum() for k, t in enumerate(theta) if t > 0}
 
 
-def _polish_simplex(evaluate, lam0, sense, passes=2, iters=24):
-    """Golden-section refinement along pairwise simplex sections.
+def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
+    """Certified search over L >= 1 multipliers on the unit simplex.
 
-    ``evaluate(lam) -> value`` must record its own bookkeeping; ``sense`` is
-    "min" or "max".  Returns the best multipliers seen.
-    """
-    better = (lambda a, b: a < b) if sense == "min" else (lambda a, b: a > b)
-    lam = np.array(lam0, dtype=float)
-    best_val = evaluate(lam)
-    best_lam = lam.copy()
-    L = lam.size
-    for _ in range(passes):
-        for (d1, d2) in _pair_sections(L):
-            tot = best_lam[d1] + best_lam[d2]
-            if tot <= 4 * LAMBDA_FLOOR:
-                continue
-
-            def at(x):
-                cand = best_lam.copy()
-                cand[d1] = x * tot
-                cand[d2] = (1.0 - x) * tot
-                return cand
-
-            a, b = 0.0, 1.0
-            c1 = b - GOLDEN * (b - a)
-            c2 = a + GOLDEN * (b - a)
-            f1 = evaluate(at(c1))
-            f2 = evaluate(at(c2))
-            for _ in range(iters):
-                if better(f1, f2):
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - GOLDEN * (b - a)
-                    f1 = evaluate(at(c1))
-                else:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + GOLDEN * (b - a)
-                    f2 = evaluate(at(c2))
-                cur, curx = (f1, c1) if better(f1, f2) else (f2, c2)
-                if better(cur, best_val):
-                    best_val = cur
-                    best_lam = at(curx)
-    return best_lam
-
-
-def _outer_loop(evaluate, L, outer, sense):
-    """Projected subgradient with diminishing steps a/sqrt(t) on the simplex
-    of L >= 2 multipliers, followed by the pairwise polish.
-    ``evaluate(lam) -> (value, subgrad)`` does its own best-candidate
-    tracking; returns nothing."""
-    lam = np.full(L, 1.0 / L)
-    sign = -1.0 if sense == "min" else 1.0
-    step_scale = None
-    best_hist = []
-    for t in range(1, max(2, outer.max_iters) + 1):
-        val, sub = evaluate(lam)
-        best_hist.append(val)
-        if step_scale is None:
-            norm = float(np.max(np.abs(sub)))
-            step_scale = FIRST_STEP_CAP / norm if norm > 0 else 0.0
-        if step_scale == 0.0:
-            break
-        best_so_far = min(best_hist) if sense == "min" else max(best_hist)
-        if len(best_hist) > STALL_WINDOW:
-            prev = best_hist[:-STALL_WINDOW]
-            prev_best = min(prev) if sense == "min" else max(prev)
-            if abs(prev_best - best_so_far) < outer.tol * max(1.0, abs(best_so_far)):
-                break
-        step = step_scale / np.sqrt(t)
-        lam = _project_simplex(lam + sign * step * sub)
-        lam = DualWeights(lam).values
-    _polish_simplex(lambda lam_arr: evaluate(lam_arr)[0], lam, sense)
-
-
-def _feasible(slacks, constraints):
-    return np.min(slacks) >= -FEAS_TOL_FACTOR * max(c.P for c in constraints)
-
-
-def _multiplier_loop(merge, L, outer, sense, evaluate):
-    """Outer loop over L multipliers: ``merge(lam) -> (A, budget)`` is the
-    merged single constraint at ``lam``, and ``evaluate(lam, A, budget)``
-    solves it and returns (value, subgradient, key, feasible, result).
-    Returns (key, result, multipliers, trace) of the kept evaluation;
-    ``trace.converged`` says whether it is feasible."""
+    ``merge(lam) -> (A, budget)`` is the merged single constraint at ``lam``
+    (a ``DualWeights``), and ``evaluate(lam, A, budget)`` solves it and
+    returns (bound, subgradient, result): a bound on the optimum, from above
+    for sense "min" and from below for "max", and a subgradient of the
+    merged bound at ``lam`` (a supergradient for "max").
+    ``recover(results, theta) -> (value, result)`` builds and repairs the
+    emitted point from the evaluations' results and the search's weights
+    ``theta`` (evaluation index: weight).  Returns (value, result,
+    multipliers of the best bound, trace)."""
     outer = outer or SolverSettings(max_iters=120)
     if L < 1:
         raise InvalidInput("need at least one constraint")
-    trace = OuterTrace()
-    best = {}  # "feasible" and "any": (key, result, lam, trace index)
-
-    def run(lam_arr):
-        lam = DualWeights(lam_arr)
-        A, budget = merge(lam)
-        value, sub, key, feasible, result = evaluate(lam, A, budget)
-        trace.record(lam.values, value, sub)
-        entry = (key, result, lam, len(trace.value) - 1)
-        for slot in ("feasible", "any") if feasible else ("any",):
-            if slot not in best or key < best[slot][0]:
-                best[slot] = entry
-        return value, sub
-
-    if L == 1:
-        run(np.ones(1))
-    else:
-        _outer_loop(run, L, outer, sense)
-    chosen = best.get("feasible", best["any"])
-    trace.converged = "feasible" in best
-    trace.best_index = chosen[3]
-    return chosen[0], chosen[1], chosen[2], trace
+    sign = 1.0 if sense == "min" else -1.0
+    trace, points, results = OuterTrace(), [], []
+    lam = np.full(L, 1.0 / L)
+    while True:
+        points.append(DualWeights(lam))
+        bound, sub, result = evaluate(points[-1], *merge(points[-1]))
+        trace.record(points[-1].values, bound, sub)
+        results.append(result)
+        lam, theta = (None, {0: 1.0}) if L == 1 else (_bisect if L == 2 else _center)(trace, sign)
+        value, out = recover(results, theta)
+        best = trace.best_index = int(np.argmin(sign * np.array(trace.value)))
+        trace.gap = sign * (trace.value[best] - value) / max(abs(trace.value[best]), 1e-300)
+        trace.converged = bool(trace.gap <= outer.tol)
+        # a bisection step costs one warm-started evaluation and halves the
+        # bracket, so it does not stop at the tolerance: the bracket ends,
+        # which balancing emits, meet at the optimal multipliers to
+        # rounding, and the inner solves' Frank-Wolfe gaps keep closing
+        if lam is None or trace.iterations >= outer.max_iters or (L > 2 and trace.converged) \
+                or any(np.array_equal(DualWeights(lam).values, p.values) for p in points):
+            return value, out, points[best], trace
 
 
-def _wsr_evaluate(ch, weights, inner, check):
-    """``evaluate`` of a weighted-sum-rate multiplier loop: the merged
-    constraint's bound, warm-started from the previous evaluation, whose
-    subgradient and feasibility come from ``check(lam, merged, cov_bc, sol)``."""
-    inner = inner or SolverSettings()
+def _wsr_evaluate(ch, weights, inner, slacks):
+    """``evaluate`` of a weighted-sum-rate search: the merged constraint's
+    solve, warm-started from the previous evaluation; its bound is the
+    objective plus the Frank-Wolfe gap, and its subgradient is
+    mu * ``slacks(lam, cov_bc)`` with mu the merged budget's own multiplier
+    (without the mu factor the direction is the same but the subgradient
+    inequality fails)."""
     warm = [None]  # uplink covariances of the previous evaluation
 
     def evaluate(lam, A, budget):
-        inner_here = inner if warm[0] is None else replace(inner, restarts=1)
-        g, cov_bc, sol = eval_wsr_relaxation(ch, None, lam, weights, inner_here,
-                                             warm[0], (A, budget))
+        g, cov_bc, sol = eval_wsr_relaxation(ch, None, lam, weights, inner, warm[0],
+                                             (A, budget))
         warm[0] = sol.cov
-        sub, feasible = check(lam, (A, budget), cov_bc, sol)
-        return g, sub, g, feasible, cov_bc
+        return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc
 
     return evaluate
+
+
+def _wsr_recover(ch, weights, scale):
+    """``recover`` of a weighted-sum-rate search: the covariances
+    time-shared by ``theta``, scaled by ``scale(cov)`` (at most 1) into the
+    constraints, and their weighted sum rate."""
+    def recover(results, theta):
+        cov = model.CovarianceSet.built(model.BC, sum(t * results[k].Q for k, t in theta.items()))
+        cov = model.CovarianceSet.built(model.BC, scale(cov) * cov.Q)
+        return float(np.dot(weights, model.bc_rates_dpc(ch, cov))), cov
+
+    return recover
 
 
 def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
     """Weighted sum rate maximization under multiple linear constraints.
 
-    Minimizes the merged-constraint upper bound over simplex multipliers by
-    projected subgradient (subgradient entry l is P_l - tr(Q A_l) at the
-    inner solution) plus a golden-section polish.  Returns the best downlink
-    covariance that is feasible for every constraint, the multipliers, and
-    the outer trace.
+    Minimizes the merged-constraint upper bound over simplex multipliers
+    (subgradient entry l is mu * (P_l - tr(Q A_l)) at the inner solution)
+    and emits the time-shared covariances scaled into every constraint.
+    Returns that downlink covariance, the multipliers of the best bound and
+    the search trace (``trace.gap``: the certified relative gap).
     """
     constraints = list(constraints)
-
-    def check(lam, merged, cov_bc, sol):
-        sub = wsr_bound_subgradient(ch, constraints, lam, weights, cov_bc, sol, merged)
-        return sub, _feasible(model.constraint_slacks(cov_bc, constraints), constraints)
-
     _, cov_bc, lam, trace = _multiplier_loop(
         partial(combined_constraint, constraints), len(constraints), outer, "min",
-        _wsr_evaluate(ch, weights, inner, check))
+        _wsr_evaluate(ch, weights, inner,
+                      lambda lam, cov: model.constraint_slacks(cov, constraints)),
+        _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)))
     return cov_bc, lam, trace
 
 
 def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     """SINR balancing under multiple linear constraints: minimize the merged
-    upper bound on the balanced ratio over simplex multipliers.  Returns
-    (alpha, downlink beamforming solution, multipliers, trace)."""
-    inner = inner or SolverSettings()
+    upper bound on the balanced ratio over simplex multipliers.  The
+    downlink powers of the evaluations the search weights are scaled into
+    every constraint, and the one with the largest least SINR_i / gamma_i,
+    the emitted alpha, is kept.  Returns (alpha, downlink beamforming
+    solution, multipliers, trace)."""
     constraints = list(constraints)
 
     def evaluate(lam, A, budget):
         alpha, bf_mac = solve_sinr_balance_mac(ch, A, budget, targets, inner)
         bf = transforms.mac_to_bc_sinr(ch, bf_mac, A)
-        slacks = model.constraint_slacks(bf.bc_covariances(), constraints)
-        return alpha, slacks, alpha, _feasible(slacks, constraints), bf
+        return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), bf
+
+    def repaired(bf):
+        factor = model.feasible_scale(bf.bc_covariances(), constraints)
+        bf = replace(bf, p=[factor * p for p in bf.p])
+        return min(float(s[0]) / g for s, g in zip(model.bc_sinr(ch, bf), targets.gamma)), bf
+
+    def recover(results, theta):
+        return max((repaired(results[k]) for k in theta), key=lambda out: out[0])
 
     return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
-                            outer, "min", evaluate)
+                            outer, "min", evaluate, recover)
 
 
 def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -335,12 +331,11 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
     SINR targets, by maximizing the merged lower bound over multipliers.
 
     Every inner solution meets the SINR targets exactly (the transformation
-    preserves SINRs), so the reported alpha is the achieved constraint ratio
-    max_l tr(Q A_l) / P_l of the best iterate, an achievable value; the
-    maximized bound approaches it from below.  Returns
+    preserves SINRs), so the reported alpha, the least achieved constraint
+    ratio max_l tr(Q A_l) / P_l among the evaluations the search weights, is
+    achievable; the maximized bound approaches it from below.  Returns
     (alpha, beamforming solution, multipliers, trace).
     """
-    inner = inner or SolverSettings()
     constraints = list(constraints)
 
     def evaluate(lam, A, budget):
@@ -352,10 +347,12 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
         achieved = float(np.max(used / [c.P for c in constraints]))
         # supergradient of the bound: (tr(Q A_l) - bound * P_l) / (lam . P)
         sub = np.array([u - bound * c.P for u, c in zip(used, constraints)]) / budget
-        return bound, sub, achieved, True, bf
+        return bound, sub, (achieved, bf)
 
     return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
-                            outer, "max", evaluate)
+                            outer, "max", evaluate,
+                            lambda results, theta: min((results[k] for k in theta),
+                                                       key=lambda out: out[0]))
 
 
 class TraceSpaceConstraint:
@@ -366,7 +363,7 @@ class TraceSpaceConstraint:
     At a normal c >= 0 its support function h(c) = sup{c . p : phi(p) <= 0,
     p >= 0} is attained at ``support_point(c)``, and ``merged(c)`` is the
     single linear constraint tr(Q sum_l c_l A_l) <= h(c), which every
-    feasible Q meets."""
+    feasible Q meets.  ``room(p)`` is the largest t with phi(t p) <= 0."""
 
     def __init__(self, mats):
         self.mats = [linalg.check_hermitian(A, name="constraint matrix") for A in mats]
@@ -375,6 +372,9 @@ class TraceSpaceConstraint:
         raise NotImplementedError
 
     def support_point(self, c):
+        raise NotImplementedError
+
+    def room(self, p):
         raise NotImplementedError
 
     def merged(self, lam):
@@ -408,6 +408,9 @@ class QuadraticBall(TraceSpaceConstraint):
         c = np.asarray(c, dtype=float)
         return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
 
+    def room(self, p):
+        return float(np.sqrt(self.radius_sq) / max(np.linalg.norm(p), 1e-300))
+
 
 class AffineHalfspace(TraceSpaceConstraint):
     """a . (tr(Q A_1), ...) <= offset, the already-linear degenerate case."""
@@ -431,27 +434,25 @@ class AffineHalfspace(TraceSpaceConstraint):
                                     where=self.coeffs > 0)))
         return self.offset / self.coeffs[k] * np.eye(c.size)[k]
 
+    def room(self, p):
+        return self.offset / max(float(self.coeffs @ np.asarray(p)), 1e-300)
+
 
 def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     """Weighted sum rate maximization under a convex trace-space constraint
     f(Q) <= 0.
 
-    The multiplier loop minimizes, over normals c on the simplex, the bound
-    of the merged constraint ``f.merged(c)``; its subgradient is
-    mu * (support_point(c) - p(Q)) at the inner solution.  An evaluation is
-    feasible when phi(p) <= FEAS_TOL_FACTOR * (-phi(0)).  Returns the
-    downlink covariance of the kept evaluation and a ``NonlinearResult``.
+    The multiplier search minimizes, over normals c on the simplex, the
+    bound of the merged constraint ``f.merged(c)``; its subgradient is
+    mu * (support_point(c) - p(Q)) at the inner solution.  The emitted
+    covariance is the time-shared one scaled by min(1, ``f.room(p)``) into
+    the constraint.  Returns it and a ``NonlinearResult``.
     """
     if not isinstance(f, TraceSpaceConstraint):
         raise InvalidInput("constraint must expose trace-space structure")
-    L = len(f.mats)
-    tol = -FEAS_TOL_FACTOR * f.phi(np.zeros(L))
-
-    def check(lam, merged, cov_bc, sol):
-        p = f.traces(cov_bc)
-        mu = budget_multiplier_wsr(ch, *merged, weights, sol.cov)
-        return mu * (f.support_point(lam.values) - p), f.phi(p) <= tol
-
-    _, cov_bc, lam, trace = _multiplier_loop(f.merged, L, outer, "min",
-                                             _wsr_evaluate(ch, weights, inner, check))
+    _, cov_bc, lam, trace = _multiplier_loop(
+        f.merged, len(f.mats), outer, "min",
+        _wsr_evaluate(ch, weights, inner,
+                      lambda lam, cov: f.support_point(lam.values) - f.traces(cov)),
+        _wsr_recover(ch, weights, lambda cov: min(1.0, f.room(f.traces(cov)))))
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

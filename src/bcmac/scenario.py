@@ -6,11 +6,17 @@ header row plus a JSON metadata sidecar carrying the echoed settings and a
 sha256 content hash of the CSV, so identical config + seed give byte-identical
 outputs.  Rates are bits/channel use in files, nats internally.  A config key
 the program does not read is an error; ``workers`` is still accepted and does
-nothing.
+nothing, and ``seed`` is only echoed to the sidecar (the solvers are
+deterministic).
+
+A region row's ``g_gap`` is its certified gap in nats: the least bound the
+multiplier search evaluated (inner objective plus Frank-Wolfe gap) minus the
+row's weighted sum rate, which is achievable because the emitted covariance
+meets every constraint.
 
 A ``nonlinear_wsr`` run writes one row: the weighted sum rate and phi of the
-emitted covariance, the kept normal of the merged constraint (whose support
-function value is its budget) and the number of evaluations.
+emitted covariance, the normal of the merged constraint with the best bound
+(whose support function value is its budget) and the number of evaluations.
 
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
@@ -171,8 +177,10 @@ def _parse_nonlinear(doc, nt):
         raise ConfigError(f"nonlinear: {exc}") from exc
 
 
-SETTING_TYPES = {f.name: f.type for f in fields(SolverSettings)}
-OUTER_KEYS = ("tol", "max_iters")  # all the multiplier loop reads
+# seed and restarts are SolverSettings fields that nothing reads
+SETTING_TYPES = {f.name: f.type for f in fields(SolverSettings)
+                 if f.name not in ("seed", "restarts")}
+OUTER_KEYS = ("tol", "max_iters")  # all the multiplier search reads
 
 
 def _parse_settings(doc, key, default, names=tuple(SETTING_TYPES)):
@@ -260,10 +268,6 @@ def _order_label(ch):
     return "".join(str(i + 1) for i in ch.encoding_order)
 
 
-def _point_seed(base, idx):
-    return (int(base) * 100003 + 7919 * int(idx)) % (2 ** 31 - 1)
-
-
 def _weight_sorted(ch, w):
     """``ch`` encoded in descending weight ``w``, ties in the configured order."""
     return ch.with_order(sorted(ch.encoding_order, key=lambda i: -w[i]))
@@ -277,13 +281,12 @@ def _user_rates(ch, users, solved, cov):
     return rates
 
 
-def _region_point(cfg, t, idx):
+def _region_point(cfg, t):
     """One swept weight, solved once: the row, and the channel set, its users
     and the downlink covariance it was solved on.  A two-user endpoint is the
     weighted user's capacity alone (the other rate zero); other weights are
     solved in the weight-sorted order, equal weights in the configured one."""
     ch = cfg.channels
-    inner = replace(cfg.solver, seed=_point_seed(cfg.seed, idx))
     w = np.array([t, 1.0 - t]) if ch.K == 2 else np.array([1.0])
     if ch.K == 2 and t in (0.0, 1.0):
         users = [0 if t == 1.0 else 1]
@@ -292,11 +295,11 @@ def _region_point(cfg, t, idx):
         users = list(range(ch.K))
         solved = _weight_sorted(ch, w)
     cov, lam, tr = orchestrator.solve_wsr_multi(solved, cfg.constraints, w[users],
-                                                cfg.outer, inner)
+                                                cfg.outer, cfg.solver)
     rates = _user_rates(ch, users, solved, cov)
     row = RegionPoint(tuple(w), _order_label(solved if len(users) == ch.K else ch),
                       rates / LN2, lam.values, model.constraint_slacks(cov, cfg.constraints),
-                      tr.iterations, max(0.0, min(tr.value) - float(w @ rates)))
+                      tr.iterations, min(tr.value) - float(w @ rates))
     return row, solved, users, cov
 
 
@@ -307,7 +310,7 @@ def sweep_weights(resolution):
 def run_region(cfg):
     """Weighted-sum-rate region sweep; returns RegionPoint rows ordered by
     weight index."""
-    return [_region_point(cfg, t, i)[0] for i, t in enumerate(sweep_weights(cfg.resolution))]
+    return [_region_point(cfg, t)[0] for t in sweep_weights(cfg.resolution)]
 
 
 def run_heuristic_normalization(cfg):
@@ -318,11 +321,9 @@ def run_heuristic_normalization(cfg):
     others = cfg.constraints[1:]
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
-    for idx, t in enumerate(sweep_weights(cfg.resolution)):
-        point, solved, users, cov = _region_point(sub_cfg, t, idx)
-        factor = min([1.0] + [c.P / max(model.constraint_value(cov, c), 1e-300)
-                              for c in others])
-        scaled = model.CovarianceSet.built(model.BC, factor * cov.Q)
+    for t in sweep_weights(cfg.resolution):
+        point, solved, users, cov = _region_point(sub_cfg, t)
+        scaled = model.CovarianceSet.built(model.BC, model.feasible_scale(cov, others) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append(RegionPoint(point.weights, point.order, rates / LN2,
                                 np.full(len(cfg.constraints), np.nan),
@@ -361,16 +362,14 @@ def trace_csv(trace, alpha_label="value"):
 
 def run_balance(cfg):
     alpha, bf, lam, trace = orchestrator.solve_sinr_balance_multi(
-        cfg.channels, cfg.constraints, cfg.targets, cfg.outer,
-        replace(cfg.solver, seed=cfg.seed))
+        cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
     slacks = model.constraint_slacks(bf.bc_covariances(), cfg.constraints)
     return alpha, lam.values, slacks, trace
 
 
 def run_power_balance(cfg):
     alpha, bf, lam, trace = orchestrator.solve_power_balance_multi(
-        cfg.channels, cfg.constraints, cfg.targets, cfg.outer,
-        replace(cfg.solver, seed=cfg.seed))
+        cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
     cov = bf.bc_covariances()
     slacks = np.array([alpha * c.P - model.constraint_value(cov, c)
                        for c in cfg.constraints])
@@ -378,11 +377,11 @@ def run_power_balance(cfg):
 
 
 def run_nonlinear(cfg):
-    """Weighted sum rate (nats) and phi of the emitted covariance, the kept
-    normal and the multiplier-loop trace."""
+    """Weighted sum rate (nats) and phi of the emitted covariance, the
+    normal of the best bound and the multiplier-search trace."""
     ch = _weight_sorted(cfg.channels, cfg.weights)
     cov, result = orchestrator.solve_wsr_nonlinear(ch, cfg.nonlinear, cfg.weights, cfg.outer,
-                                                   replace(cfg.solver, seed=cfg.seed))
+                                                   cfg.solver)
     wsr = float(cfg.weights @ model.bc_rates_dpc(ch, cov))
     return wsr, cfg.nonlinear.value(cov), result.lam.values, result.trace
 

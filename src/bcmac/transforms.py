@@ -100,12 +100,14 @@ def _omega(ch, Hhat, Qw, pos):
     return Om
 
 
-def mac_to_bc_capacity(ch, cov_mac, A):
+def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     """Map dual-uplink covariances to downlink covariances achieving the same
-    per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m))."""
+    per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m)).
+    ``whitened`` is ``model.whitened_channels(ch, A)`` when the caller has it
+    already (a weighted-sum-rate solve returns it)."""
     if cov_mac.side != model.MAC or cov_mac.K != ch.K:
         raise InvalidInput("expected uplink covariances matching the channel set")
-    Hhat, W = model.whitened_channels(ch, A)
+    Hhat, W = whitened or model.whitened_channels(ch, A)
     order = ch.encoding_order
     # absorb the per-user noise weights so the budget is a plain trace
     Z = ch.sigma2[:, None, None] * cov_mac.Q

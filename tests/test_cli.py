@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,10 +108,46 @@ def test_sweep_solves_each_weight_once(tmp_path, monkeypatch, run):
             assert float(cells[f"slack_{l}"]) >= -1e-12 * 5.0
 
 
+def test_region_rows_are_feasible_with_a_certified_gap(tmp_path):
+    """The Section VI sweep: every row meets both per-antenna constraints,
+    and its g_gap (least evaluated bound minus the row's weighted sum rate)
+    is a nonnegative certified gap."""
+    out = tmp_path / "out"
+    doc = _region_doc(sweep={"resolution": 5})
+    assert cli.main(_args("region", _write(tmp_path, doc), str(out))) == 0
+    lines = (out / "wsr_region.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 1 + 6
+    for line in lines[1:]:
+        cells = dict(zip(header, line.split(",")))
+        assert float(cells["slack_1"]) >= -1e-12 * 5.0
+        assert float(cells["slack_2"]) >= -1e-12 * 5.0
+        assert 0.0 <= float(cells["g_gap"]) <= 1e-5
+
+
+def test_two_constraint_region_does_not_import_scipy(tmp_path):
+    """Only searches over three or more multipliers load scipy; a
+    two-constraint region run in a fresh interpreter never does."""
+    out = tmp_path / "out"
+    code = ("import sys\n"
+            "from bcmac import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.exit(f'scipy loaded: {loaded[:3]}' if loaded else 0)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, "region", "--config",
+                           _write(tmp_path, _region_doc()), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("doc, message", [
     (_region_doc(solver={"tolerance": 1e-12}), "unknown setting 'tolerance'"),
     (_region_doc(outer={"restarts": 3}), "unknown setting 'restarts'"),
-], ids=["unknown_solver_key", "outer_key_the_loop_ignores"])
+    (_region_doc(solver={"restarts": 2}), "unknown setting 'restarts'"),
+    (_region_doc(solver={"seed": 7}), "unknown setting 'seed'"),
+], ids=["unknown_solver_key", "outer_key_the_loop_ignores", "solver_restarts", "solver_seed"])
 def test_inert_settings_are_config_errors(tmp_path, capsys, doc, message):
     assert cli.main(_args("validate", _write(tmp_path, doc), "")) == 2
     err = capsys.readouterr().err

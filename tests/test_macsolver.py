@@ -8,7 +8,6 @@ from bcmac import (
     LinearConstraint,
     SinrTargets,
     SolverSettings,
-    kkt_residual_wsr,
     mac_rates,
     mac_sinr,
     solve_power_min_mac,
@@ -47,7 +46,7 @@ def test_wsr_budget_tight_and_kkt(rng):
         sol = solve_wsr_mac(ch, A, 2.0, [2.0, 1.0], TIGHT)
         used = sum(np.trace(Q).real for Q in sol.cov.Q)
         assert used == pytest.approx(2.0, abs=1e-8)
-        assert sol.kkt_residual <= 10 * TIGHT.tol
+        assert 0 <= sol.gap <= TIGHT.tol * sol.objective
         assert sol.converged
 
 
@@ -76,7 +75,7 @@ def test_wsr_whitened_equivalence(rng):
 def test_wsr_objective_equals_rates(rng):
     ch = ChannelSet(rand_channels(rng, 3, 2, 2), encoding_order=[1, 2, 0])
     A = rand_pd(rng, 2)
-    w = [3.0, 2.0, 1.0]
+    w = [1.0, 3.0, 2.0]  # nonincreasing along the encoding order
     sol = solve_wsr_mac(ch, A, 1.5, w, TIGHT)
     r = mac_rates(ch, sol.cov, A)
     order_w = np.array(w)
@@ -125,27 +124,54 @@ def test_gradient_matches_finite_differences(rng):
             assert np.max(np.abs(G_fd - grads[i])) <= 1e-5 * scale
 
 
-def test_kkt_residual_scalar_optimum():
-    # single-user scalar water-filling: optimum puts all power on the channel
-    ch = ChannelSet([[[1.0]]])
-    cov = CovarianceSet("mac", [[[2.0]]])
-    res = kkt_residual_wsr(ch, [[1.0]], 2.0, [1.0], cov)
-    assert res < 1e-10
+def _at(ch, noise, budget, weights, cov):
+    """The solver's state at ``cov`` without a step: its objective, gap and
+    multiplier there."""
+    return solve_wsr_mac(ch, noise, budget, weights, SolverSettings(max_iters=0), init=cov)
 
 
-def test_kkt_residual_detects_suboptimal(rng):
-    ch = ChannelSet(rand_channels(rng, 2, 2, 2))
-    cov = random_mac_cov(rng, 2, 2, 2.0)
-    res = kkt_residual_wsr(ch, np.eye(2), 2.0, [1, 1], cov)
-    assert res > 1e-3
+def test_fw_gap_scalar_closed_form():
+    """One scalar user, gain h^2 / noise = 8: the gradient at power q is
+    8 / (1 + 8 q), the gap budget * g - q * g, and the budget's multiplier g
+    where the budget binds, 0 where it is slack."""
+    ch = ChannelSet([[[2.0]]])
+    slack = _at(ch, [[0.5]], 3.0, [1.0], CovarianceSet("mac", [[[1.0]]]))
+    assert slack.gap == pytest.approx(2.0 * 8.0 / 9.0, rel=1e-14)
+    assert slack.multiplier == 0.0
+    tight = _at(ch, [[0.5]], 3.0, [1.0], CovarianceSet("mac", [[[3.0]]]))
+    assert abs(tight.gap) <= 1e-15
+    assert tight.multiplier == pytest.approx(8.0 / 25.0, rel=1e-14)
 
 
-def test_kkt_residual_after_solve(rng):
+def test_fw_gap_detects_suboptimal():
+    """Two parallel streams with gains 4 and 1 and equal power 1 of a
+    budget of 2: gradients 4/5 and 1/2, so the gap is 2 * 4/5 - (4/5 + 1/2)
+    = 0.3, and the optimum (water-filling, 1.375 and 0.625) is within it."""
+    ch = ChannelSet([np.diag([2.0, 1.0])])
+    sol = _at(ch, np.eye(2), 2.0, [1.0], CovarianceSet("mac", [np.eye(2)]))
+    assert sol.objective == pytest.approx(np.log(10.0), rel=1e-14)
+    assert sol.gap == pytest.approx(0.3, rel=1e-13)
+    assert sol.multiplier == pytest.approx(0.8, rel=1e-14)
+    best = np.log(1 + 4 * 1.375) + np.log(1 + 0.625)
+    assert sol.objective < best <= sol.objective + sol.gap
+
+
+def test_fw_gap_after_solve(rng):
+    """The solve's gap meets its tolerance and bounds the distance to a
+    tighter solve's objective."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
     A = rand_pd(rng, 2)
-    sol = solve_wsr_mac(ch, A, 2.0, [1.0, 1.0], TIGHT)
-    res = kkt_residual_wsr(ch, A, 2.0, [1.0, 1.0], sol.cov)
-    assert res <= 10 * TIGHT.tol
+    sol = solve_wsr_mac(ch, A, 2.0, [1.0, 1.0], SolverSettings(tol=1e-5))
+    assert sol.converged and 0 <= sol.gap <= 1e-5 * sol.objective
+    tight = solve_wsr_mac(ch, A, 2.0, [1.0, 1.0], SolverSettings(tol=1e-12))
+    assert sol.objective <= tight.objective + 1e-12 <= sol.objective + sol.gap + 2e-12
+
+
+def test_wsr_rejects_weights_increasing_along_the_encoding_order(rng):
+    ch = ChannelSet(rand_channels(rng, 2, 2, 2), encoding_order=[1, 0])
+    with pytest.raises(InvalidInput, match="nonincreasing"):
+        solve_wsr_mac(ch, np.eye(2), 1.0, [2.0, 1.0])
+    assert solve_wsr_mac(ch, np.eye(2), 1.0, [1.0, 2.0]).converged
 
 
 def test_balance_scalar_closed_form():
@@ -290,33 +316,12 @@ def _ref_gradient(ch, G, w, Z):
     return grads
 
 
-def _ref_kkt(Z, grads, budget, rank_tol=1e-9):
-    """Least-squares budget multiplier and KKT residual, block by block."""
+def _ref_fw(Z, grads, budget):
+    """Frank-Wolfe gap and budget multiplier, block by block."""
+    top = max(float(np.linalg.eigvalsh(Gi)[-1]) for Gi in grads)
+    gap = budget * top - sum(float(np.trace(Gi @ Zi).real) for Gi, Zi in zip(grads, Z))
     used = sum(float(np.trace(Zi).real) for Zi in Z)
-    parts, rank_sum, tr_sum = [], 0, 0.0
-    for Zi, Gi in zip(Z, grads):
-        w, V = np.linalg.eigh(0.5 * (Zi + Zi.conj().T))
-        mask = w > rank_tol * max(1.0, w[-1])
-        B = V.conj().T @ Gi @ V
-        parts.append((mask, B))
-        rank_sum += int(mask.sum())
-        tr_sum += float(np.trace(B[np.ix_(mask, mask)]).real)
-    if budget - used > 1e-9 * max(1.0, budget):
-        lam = 0.0
-    elif rank_sum:
-        lam = max(0.0, tr_sum / rank_sum)
-    else:
-        lam = max(0.0, max(float(np.linalg.eigvalsh(B)[-1]) for _, B in parts))
-    worst = 0.0
-    for mask, B in parts:
-        R = B - lam * np.eye(B.shape[0])
-        res = np.sum(np.abs(R[np.ix_(mask, mask)]) ** 2) \
-            + 2.0 * np.sum(np.abs(R[np.ix_(mask, ~mask)]) ** 2)
-        nn = R[np.ix_(~mask, ~mask)]
-        if nn.size:
-            res += np.sum(np.maximum(np.linalg.eigvalsh(0.5 * (nn + nn.conj().T)), 0) ** 2)
-        worst = max(worst, float(np.sqrt(res)))
-    return lam, worst
+    return gap, (top if used >= budget * (1 - 1e-9) else 0.0)
 
 
 def _rank_one_mac_cov(rng, K, nr, total):
@@ -369,26 +374,25 @@ def test_project_blocks_rejects_nan():
         macsolver._project_blocks(M, 1.0)
 
 
-def test_stacked_kkt_and_multiplier_match_per_block(rng):
+def test_stacked_gap_and_multiplier_match_per_block(rng):
     ch, A = _stack_instance(rng)
     G = _ref_whitened(ch, A)
     covs = [random_mac_cov(rng, 4, 2, 2.5), _rank_one_mac_cov(rng, 4, 2, 2.5)]
     for cov in covs:
         Z = [ch.sigma2[i] * cov.Q[i] for i in range(4)]
         grads = _ref_gradient(ch, G, STACK_W, Z)
-        for budget in (2.5, 4.0):  # tight, then slack
-            lam_ref, res_ref = _ref_kkt(Z, grads, budget)
-            lam = macsolver.budget_multiplier_wsr(ch, A, budget, STACK_W, cov)
-            res = kkt_residual_wsr(ch, A, budget, STACK_W, cov)
-            assert lam == pytest.approx(lam_ref, rel=1e-12)
-            assert res == pytest.approx(res_ref, rel=1e-12)
+        used = sum(float(np.trace(Zi).real) for Zi in Z)
+        for budget in (used, 1.6 * used):  # tight, then slack
+            gap_ref, mult_ref = _ref_fw(Z, grads, budget)
+            sol = _at(ch, A, budget, STACK_W, cov)
+            assert sol.gap == pytest.approx(gap_ref, rel=1e-9)
+            assert sol.multiplier == pytest.approx(mult_ref, rel=1e-9)
     zero = CovarianceSet("mac", [np.zeros((2, 2))] * 4)
     Z = [np.zeros((2, 2), dtype=complex)] * 4
-    lam_ref, res_ref = _ref_kkt(Z, _ref_gradient(ch, G, STACK_W, Z), 0.0)
-    assert lam_ref > 0  # the rank-zero branch: top gradient eigenvalue
-    assert macsolver.budget_multiplier_wsr(ch, A, 0.0, STACK_W, zero) \
-        == pytest.approx(lam_ref, rel=1e-12)
-    assert kkt_residual_wsr(ch, A, 0.0, STACK_W, zero) == pytest.approx(res_ref, rel=1e-12)
+    gap_ref, mult_ref = _ref_fw(Z, _ref_gradient(ch, G, STACK_W, Z), 0.0)
+    assert mult_ref > 0 and gap_ref == 0.0  # zero budget: top gradient eigenvalue
+    sol = _at(ch, A, 0.0, STACK_W, zero)
+    assert sol.multiplier == pytest.approx(mult_ref, rel=1e-12) and sol.gap == 0.0
 
 
 def test_stacked_solution_in_user_order(rng):
@@ -400,6 +404,6 @@ def test_stacked_solution_in_user_order(rng):
     power = sum(ch.sigma2[i] * np.trace(sol.cov.Q[i]).real for i in range(4))
     assert power == pytest.approx(3.0, rel=1e-9)
     # a warm start given in user order starts one step from the optimum
-    warm = solve_wsr_mac(ch, A, 3.0, STACK_W, replace(TIGHT, restarts=1, max_iters=1),
+    warm = solve_wsr_mac(ch, A, 3.0, STACK_W, replace(TIGHT, max_iters=1),
                          init=sol.cov)
     assert warm.objective >= sol.objective - 1e-9

@@ -263,3 +263,19 @@ def test_mac_eigenbeams_drops_zero_streams(rng):
 def test_beamforming_validation():
     with pytest.raises(InvalidInput):
         BeamformingSolution(u=[np.array([[2.0, 0.0]])], v=[np.array([[1.0]])])
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    """Dataclasses holding arrays compare by identity: the generated
+    field-by-field ``==`` raised on the arrays' elementwise result, and the
+    generated ``hash`` on the arrays themselves."""
+    from bcmac.orchestrator import DualWeights
+
+    for make in (lambda: model.CovarianceSet("bc", [np.eye(2)]),
+                 lambda: model.ChannelSet([np.eye(2)]),
+                 lambda: model.LinearConstraint(np.eye(2), 1.0),
+                 lambda: model.SinrTargets([1.0, 2.0]),
+                 lambda: DualWeights([0.3, 0.7])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2

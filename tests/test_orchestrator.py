@@ -15,7 +15,7 @@ from bcmac import (
     constraint_value,
     solve_wsr_mac,
 )
-from bcmac import orchestrator
+from bcmac import model, orchestrator
 from bcmac.errors import InvalidInput
 from bcmac.orchestrator import (
     AffineHalfspace,
@@ -27,7 +27,6 @@ from bcmac.orchestrator import (
     solve_sinr_balance_multi,
     solve_wsr_multi,
     solve_wsr_nonlinear,
-    wsr_bound_subgradient,
 )
 from bcmac.oracles import GridSpec, brute_power_min, brute_sinr_balance
 
@@ -102,7 +101,7 @@ def test_subgradient_inequality(rng):
         lam2 = DualWeights(rng.dirichlet([1.5, 1.5])).values
         g1, cov1, sol1 = eval_wsr_relaxation(ch, cons, DualWeights(lam), w, INNER)
         g2, _, _ = eval_wsr_relaxation(ch, cons, DualWeights(lam2), w, INNER)
-        sub = wsr_bound_subgradient(ch, cons, DualWeights(lam), w, cov1, sol1)
+        sub = sol1.multiplier * model.constraint_slacks(cov1, cons)  # mu (P_l - tr(Q A_l))
         assert g2 >= g1 + float(sub @ (lam2 - lam)) - 1e-5
 
 
@@ -246,6 +245,31 @@ def test_power_balance_vs_oracle(rng):
             assert s[i][0] >= gam.gamma[i] - 1e-6
 
 
+def test_balancing_three_constraints_vs_oracle(rng):
+    """Three constraints take the central cutting-plane search; its cuts use
+    only subgradient directions, which the quasi-convex balancing bounds
+    keep valid.  Both balancing results meet the grid oracles, every
+    constraint holds, and the search converges."""
+    gam = SinrTargets([1.0, 0.7])
+    outer = SolverSettings(max_iters=120, tol=1e-6)
+    for _ in range(2):
+        ch = ChannelSet(rand_channels(rng, 2, 1, 2, real=True))
+        X = rng.normal(size=(2, 2))
+        cons = [LinearConstraint.sum_power(2, 1.0),
+                LinearConstraint(X @ X.T / 2 + 0.4 * np.eye(2), 1.0),
+                LinearConstraint.per_antenna(2, 0, 0.45)]
+        alpha, bf, lam, tr = solve_sinr_balance_multi(ch, cons, gam, outer, INNER)
+        ref = brute_sinr_balance(ch, cons, gam, GridSpec(resolution=48, rounds=8))
+        assert alpha == pytest.approx(ref, abs=1e-3)
+        assert tr.converged
+        for c in cons:
+            assert constraint_value(bf.bc_covariances(), c) <= c.P * (1 + 1e-12)
+        alpha, bf, lam, tr = solve_power_balance_multi(ch, cons, gam, outer, INNER)
+        ref = brute_power_min(ch, cons, gam, GridSpec(resolution=48, rounds=8))
+        assert alpha == pytest.approx(ref, abs=1e-3)
+        assert tr.converged and alpha >= max(tr.value)
+
+
 def _wsr(ch, cov, w):
     return float(np.asarray(w, dtype=float) @ bc_rates_dpc(ch, cov))
 
@@ -337,52 +361,91 @@ def test_merged_bound_dominates_feasible_rates(seed, t, shape):
     assert bound >= _wsr(ch, cov, w) - 1e-9
 
 
-@pytest.mark.parametrize("seed", [2, 4, 5])
+@pytest.mark.parametrize("seed", range(6))
 def test_four_users_four_antenna_constraints_finish(seed):
-    """K=4 under four per-antenna constraints: merged constraint matrices
-    with multipliers at LAMBDA_FLOOR (condition number about 1e7) leave the
-    transform's matrices Hermitian and PSD only up to roundoff at that
-    scale, which used to stop the loop with "not Hermitian" (seeds 4, 5) or
-    with an eigenvalue of -1.06e-9 relative "below clamp tolerance" (seed 2)."""
+    """K=4 under four per-antenna constraints: the search reaches merged
+    constraint matrices with multipliers at LAMBDA_FLOOR (condition number
+    about 1e7), whose transform outputs are Hermitian and PSD only up to
+    roundoff at that scale; that used to stop the loop with "not Hermitian"
+    (seeds 4, 5) or with an eigenvalue of -1.06e-9 relative "below clamp
+    tolerance" (seed 2).  The emitted point meets every constraint, and
+    ``converged`` reports its certified gap against the tolerance."""
     ch = ChannelSet(rand_channels(np.random.default_rng(seed), 4, 2, 4))
     cons = [LinearConstraint.per_antenna(4, a, 2.5) for a in range(4)]
-    cov, lam, trace = solve_wsr_multi(ch, cons, np.ones(4))
-    assert trace.iterations > 100
+    outer = SolverSettings(max_iters=120)
+    cov, lam, trace = solve_wsr_multi(ch, cons, np.ones(4), outer)
+    assert any(np.min(l) <= 1.000001 * orchestrator.LAMBDA_FLOOR for l in trace.lam)
     assert np.all(np.isfinite(bc_rates_dpc(ch, cov)))
-    assert _wsr(ch, cov, np.ones(4)) <= min(trace.value) + 1e-6
+    for c in cons:
+        assert c.P - constraint_value(cov, c) >= -1e-12 * c.P
+    bound = min(trace.value)
+    assert trace.gap == pytest.approx((bound - _wsr(ch, cov, np.ones(4))) / bound, abs=1e-12)
+    assert trace.gap >= -1e-12
+    assert trace.converged == (trace.gap <= outer.tol)
 
 
-def _stub_multiplier_loop(feasible_from):
-    """The shared outer loop over two constraints with a stub solve: key and
-    value lam_1, feasible when lam_1 >= feasible_from, a subgradient pushing
-    lam_1 down.  Returns the loop's output and the (key, feasible) seen."""
+def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80):
+    """The shared search over two constraints with a stub solve: the bound
+    and its subgradient come from ``bound(x) -> (value, slope)`` at
+    lam = (x, 1 - x), the result is the evaluation's index, and recovery
+    reports ``achieved`` with the weights it was given."""
     cons = [LinearConstraint.per_antenna(2, 0, 5.0),
             LinearConstraint.per_antenna(2, 1, 5.0)]
     seen = []
 
     def evaluate(lam, A, budget):
-        key = float(lam.values[0])
-        seen.append((key, key >= feasible_from))
-        return key, np.array([1.0, -1.0]), key, seen[-1][1], len(seen) - 1
+        value, slope = bound(float(lam.values[0]))
+        seen.append(float(lam.values[0]))
+        return value, np.array([0.5 * slope, -0.5 * slope]), len(seen) - 1
+
+    def recover(results, theta):
+        return achieved, theta
 
     out = orchestrator._multiplier_loop(partial(combined_constraint, cons), len(cons),
-                                        SolverSettings(max_iters=10), "min", evaluate)
+                                        SolverSettings(max_iters=max_iters, tol=tol), sense,
+                                        evaluate, recover)
     return out, seen
 
 
-def test_multiplier_loop_prefers_feasible_evaluation():
-    (key, index, lam, trace), seen = _stub_multiplier_loop(0.3)
-    feasible = [k for k, ok in seen if ok]
-    assert feasible and key == min(feasible)
-    assert any(k < key for k, ok in seen if not ok)  # a lower infeasible key lost
-    assert trace.converged
-    assert trace.best_index == index and trace.iterations == len(seen)
-    assert lam.values[0] == key and trace.value[index] == key
+def test_multiplier_search_bisects_and_time_shares_the_bracket():
+    """Bisection on the slope's sign: every evaluation is the midpoint of
+    the bracket left by the earlier ones until the bracket collapses to
+    rounding, the certified gap is within tolerance, and recovery gets the
+    last evaluation on each side, weighted so that their slopes cancel."""
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 1.0)
+    lo, hi = 0.0, 1.0
+    for x in seen:
+        assert x == pytest.approx(0.5 * (lo + hi), abs=1e-15)
+        lo, hi = (x, hi) if x <= 0.3 else (lo, x)
+    assert trace.converged and 0 <= trace.gap <= 1e-8
+    assert trace.gap == pytest.approx(min(trace.value) - 1.0, rel=1e-12)
+    assert trace.iterations == len(seen) < 80
+    assert trace.best_index == int(np.argmin(trace.value))
+    assert lam.values[0] == seen[trace.best_index]
+    assert abs(seen[-1] - 0.3) <= 1e-15
+    left = max((k for k, x in enumerate(seen) if x <= 0.3), key=lambda k: seen[k])
+    right = min((k for k, x in enumerate(seen) if x > 0.3), key=lambda k: seen[k])
+    assert set(theta) == {left, right}
+    assert sum(theta.values()) == pytest.approx(1.0, abs=1e-15)
+    assert abs(sum(t * (seen[k] - 0.3) for k, t in theta.items())) <= 1e-15
 
 
-def test_multiplier_loop_without_feasible_keeps_best_of_all():
-    (key, index, lam, trace), seen = _stub_multiplier_loop(2.0)
-    assert not any(ok for _, ok in seen)
-    assert key == min(k for k, _ in seen)
+def test_multiplier_search_maximizes_with_the_sign_flipped():
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 - (x - 0.7) ** 2, -2.0 * (x - 0.7)), 1.0, sense="max")
+    assert trace.converged and 0 <= trace.gap <= 1e-8
+    assert trace.best_index == int(np.argmax(trace.value))
+    assert abs(lam.values[0] - 0.7) <= 1e-4
+
+
+def test_multiplier_search_reports_an_open_gap():
+    """A recovered value that never meets the bound leaves the gap open and
+    the search unconverged, and it stops at its evaluation budget."""
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 0.5)
     assert not trace.converged
-    assert trace.best_index == index and seen[index][0] == key
+    assert trace.gap == pytest.approx((min(trace.value) - 0.5) / min(trace.value))
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 0.5, max_iters=10)
+    assert not trace.converged and trace.iterations == 10
