@@ -1,5 +1,4 @@
-"""Dense complex Hermitian primitives used by every solver module, and the
-one 1-D bracketing search (:func:`bisect_edge`).
+"""Dense complex Hermitian primitives used by every solver module.
 
 Matrices are plain ``numpy`` arrays in ``complex128``.  Validation happens
 where input enters the library: :func:`check_hermitian` checks conjugate
@@ -90,28 +89,3 @@ def assert_pd(M, floor=0.0, name="matrix"):
             f"{name} is not positive definite (min eigenvalue {w[0]:g})"
         )
     return w, V
-
-
-def bisect_edge(f, level, hi, tol, unbounded):
-    """Largest x >= 0 found with f(x) <= level, for f that stays at or below
-    ``level`` from 0 up to one crossing.
-
-    Doubles ``hi`` while f(hi) < level, then bisects [0, hi], keeping
-    f <= level at the low end, for at most 200 halvings or until
-    hi - lo <= tol * max(hi, 1).  Raises the exception ``unbounded`` once the
-    bracket passes 1e30.
-    """
-    while f(hi) < level:
-        hi *= 2.0
-        if hi > 1e30:
-            raise unbounded
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(hi, 1.0):
-            break
-    return lo

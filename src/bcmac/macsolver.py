@@ -27,6 +27,16 @@ blocks therefore adds its terms in user order whatever the encoding order,
 which matters for the projection's budget test: a warm start meets the
 budget with equality, and the order of the sum decides which side of it
 the rounding falls on.
+
+SINR balancing and power minimization are fixed points of MMSE receivers
+and a power update (Schubert and Boche, 2004), one stream per user.  Both
+take ``init``, the uplink solution of a nearby problem (the previous
+evaluation of a multiplier search), and start from its user-side vectors
+and powers; both stop once a sweep moves no power by more than POWER_RTOL
+relative, after at least two sweeps.  Near singular noise (a merged
+constraint near a vertex of the multiplier simplex) SINR balancing's
+receiver updates can stall, the powers creeping on for thousands of sweeps;
+a stalled sweep also stops it once alpha moved by at most ``tol`` relative.
 """
 
 from dataclasses import dataclass
@@ -36,6 +46,12 @@ import numpy as np
 from . import linalg, model
 from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
 
+# The beamforming fixed points stop once a sweep moves every power by at
+# most POWER_RTOL, relative; a move above STALL times the last one counts as
+# stalled (see the module docstring).
+POWER_RTOL = 1e-11
+STALL = 0.99
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -43,9 +59,10 @@ class SolverSettings:
     passed as ``outer``.
 
     ``tol``: the weighted-sum-rate ascent stops once its Frank-Wolfe gap is
-    at most tol * |objective|, and SINR balancing once its ratio moves by at
-    most tol relative; for the multiplier search it is the certified
-    relative gap that counts as converged.  ``max_iters`` caps iterations
+    at most tol * |objective|; for the multiplier search it is the certified
+    relative gap that counts as converged.  The beamforming fixed points
+    stop on POWER_RTOL instead, SINR balancing on ``tol`` only where it
+    stalls (see the module docstring).  ``max_iters`` caps iterations
     (evaluations, for the search).  ``seed`` and ``restarts`` do nothing:
     the ascent makes one deterministic start.  They are still accepted
     because the benchmark's scripts (``perfbench/workloads.py``,
@@ -235,27 +252,29 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
                        budget_multiplier_wsr(Z, top, budget), whitened)
 
 
-def _single_stream_setup(ch):
-    """Initial user-side unit vectors: the top left singular vector of each
-    channel (for one receive antenna this is just the scalar 1)."""
-    v = []
-    for i in range(ch.K):
-        if ch.nr == 1:
-            v.append(np.ones((1, 1), dtype=np.complex128))
-        else:
-            U, _, _ = np.linalg.svd(ch.H[i])
-            v.append(U[:, :1].T)
-    return [vi / np.linalg.norm(vi) for vi in v]
+def _start(ch, init):
+    """User-side unit vectors and powers a beamforming fixed point starts
+    from: those of ``init`` (an uplink solution with one stream per user),
+    or else the top left singular vector of each channel (for one receive
+    antenna the scalar 1) and zero powers."""
+    if init is None:
+        v = [np.ones((1, 1), dtype=np.complex128) if ch.nr == 1
+             else np.linalg.svd(ch.H[i])[0][:, :1].T for i in range(ch.K)]
+        return v, np.zeros(ch.K)
+    return [vi.copy() for vi in init.v], np.array([float(qi[0]) for qi in init.q])
 
 
 def _single_stream(ch, u, v, q):
     """Uplink solution with one stream per user from per-user vectors and
-    powers (indexed by user)."""
-    return model.BeamformingSolution(
-        u=[u[i].reshape(1, -1) for i in range(ch.K)],
-        v=[v[i].reshape(1, -1) for i in range(ch.K)],
-        q=[np.array([q[i]]) for i in range(ch.K)],
-    )
+    powers (indexed by user), unit vectors by construction."""
+    return model.BeamformingSolution.built(
+        [u[i].reshape(1, -1) for i in range(ch.K)], [v[i].reshape(1, -1) for i in range(ch.K)],
+        q=[np.array([q[i]]) for i in range(ch.K)])
+
+
+def _move(new_q, q):
+    """Largest relative change of a power from one sweep to the next."""
+    return float(np.max(np.abs(new_q - q) / np.maximum(new_q, 1e-300)))
 
 
 def _mac_links(ch, v):
@@ -275,31 +294,45 @@ def _mmse_pass(ch, A, g, power):
 
 def _link_gains(ch, A, g, u):
     """b[i][k] = |u_i^H g_k|^2 for earlier-encoded k, c_i = u_i^H A u_i."""
-    K = ch.K
-    c = np.zeros(K)
-    b = np.zeros((K, K))
-    for m in range(K):
-        i = ch.encoding_order[m]
-        c[i] = float(np.real(u[i].conj() @ A @ u[i]))
-        for mm in range(m):
-            k = ch.encoding_order[mm]
-            b[i, k] = abs(np.vdot(u[i], g[k])) ** 2
-    return b, c
+    U = np.array([u[i] for i in range(ch.K)])
+    pos = np.argsort(ch.encoding_order)
+    b = np.abs(U.conj() @ np.array(g).T) ** 2 * (pos[None, :] < pos[:, None])
+    return b, np.einsum("ij,jk,ik->i", U.conj(), A, U).real
 
 
 def _powers_for_ratio(ch, targets, a, b, c, alpha):
     """Uplink powers meeting SINR_i = alpha * gamma_i exactly, filled in
     encoding order (each user only sees earlier-encoded interference)."""
-    K = ch.K
-    q = np.zeros(K)
-    for m in range(K):
-        i = ch.encoding_order[m]
-        if a[i] <= 0:
-            raise InfeasibleTargets(f"user {i}: zero effective channel gain")
-        interf = c[i] + sum(b[i, ch.encoding_order[mm]] * q[ch.encoding_order[mm]]
-                            for mm in range(m))
-        q[i] = alpha * targets.gamma[i] * interf / a[i]
+    q = np.zeros(ch.K)
+    for i in ch.encoding_order:
+        q[i] = alpha * targets.gamma[i] * (c[i] + b[i] @ q) / a[i]
     return q
+
+
+def _balanced_ratio(ch, targets, a, b, c, budget):
+    """The ratio alpha whose powers (:func:`_powers_for_ratio`) spend the
+    budget.  With D = diag(gamma / a) those powers are
+    q(alpha) = sum_k alpha^k (D B)^(k-1) D c, B strictly triangular in
+    encoding order, so sigma^2 . q(alpha) = sum_k s_k alpha^k has
+    nonnegative coefficients: it is convex and increasing for alpha >= 0,
+    and Newton's method from the upper bound min_k (budget / s_k)^(1/k)
+    descends onto the root monotonically."""
+    if np.any(a <= 0):
+        raise InfeasibleTargets(f"user {int(np.argmax(a <= 0))}: zero effective channel gain")
+    d = targets.gamma / a
+    s, x = np.zeros(ch.K), d * c
+    for k in range(ch.K):
+        s[k] = ch.sigma2 @ x
+        x = d * (b @ x)
+    k = np.arange(1, ch.K + 1)
+    alpha = float(np.min((budget / s[s > 0]) ** (1.0 / k[s > 0])))
+    for _ in range(100):
+        powers = alpha ** k
+        step = (s @ powers - budget) / (s @ (k * powers)) * alpha
+        if not step > 1e-15 * alpha:
+            break
+        alpha -= step
+    return alpha
 
 
 def _downlink_receiver_update(ch, A, u, v, q):
@@ -313,23 +346,23 @@ def _downlink_receiver_update(ch, A, u, v, q):
     from . import transforms
 
     bf_bc = transforms.sinr_to_bc(ch, _single_stream(ch, u, v, q), A)
-    p = [bf_bc.p[i][0] for i in range(ch.K)]
-    beams = [bf_bc.u[i][0] for i in range(ch.K)]
-    vnew = model.bc_mmse_receivers(ch, beams, p)
+    vnew = model.bc_mmse_receivers(ch, [ui[0] for ui in bf_bc.u], [pi[0] for pi in bf_bc.p])
     return [vi.reshape(1, -1) for vi in vnew]
 
 
-def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
+def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None):
     """Maximize the common ratio alpha = SINR_i / gamma_i on the dual uplink
     under sum_i sigma_i^2 q_i = budget, one stream per user.
 
     Alternates MMSE receive vectors at the base station with an exact power
     rebalance: for fixed vectors the powers meeting a common ratio are a
-    triangular system, and the ratio exhausting the budget is found by
-    bisection.  When users have several antennas the user-side vectors are
-    refreshed as downlink MMSE receivers through the SINR-preserving
-    transformation, which keeps the iteration monotone.  At return every
-    ratio equals alpha to within the bisection tolerance.
+    triangular system, and the ratio exhausting the budget is the root of a
+    polynomial (:func:`_balanced_ratio`).  When users have several antennas
+    the user-side vectors are refreshed as downlink MMSE receivers through
+    the SINR-preserving transformation, which keeps the iteration monotone.
+    Starts from ``init``, its powers rescaled to ``budget``, or from scratch
+    (see the module docstring).  At return every ratio equals alpha to
+    rounding.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
@@ -338,30 +371,27 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
         raise InvalidInput(f"need {ch.K} SINR targets")
     if not (budget > 0):
         raise InvalidInput("budget must be positive")
-    v = _single_stream_setup(ch)
-    q = np.zeros(ch.K)
-    alpha = 0.0
+    v, q = _start(ch, init)
+    if q.any():
+        q *= budget / float(ch.sigma2 @ q)
     a = np.zeros(ch.K)  # a_i = |u_i^H g_i|^2, recorded by the SIC pass
 
     def current_power(i, gain, den):
         a[i] = gain
         return q[i]
 
+    alpha, move = 0.0, np.inf
     for it in range(settings.max_iters):
         g = _mac_links(ch, v)
         u, _ = _mmse_pass(ch, A, g, current_power)
         b, c = _link_gains(ch, A, g, u)
-
-        def total(al):
-            return float(ch.sigma2 @ _powers_for_ratio(ch, targets, a, b, c, al))
-
-        new_alpha = linalg.bisect_edge(total, budget, max(alpha, 1.0), 1e-14,
-                                       InfeasibleTargets("balance ratio diverged"))
-        q = _powers_for_ratio(ch, targets, a, b, c, new_alpha)
-        if it > 0 and abs(new_alpha - alpha) <= settings.tol * max(new_alpha, 1e-300):
-            alpha = new_alpha
+        new_alpha = _balanced_ratio(ch, targets, a, b, c, budget)
+        new_q = _powers_for_ratio(ch, targets, a, b, c, new_alpha)
+        last, move = move, _move(new_q, q)
+        stalled = move > STALL * last and abs(new_alpha - alpha) <= settings.tol * new_alpha
+        alpha, q = new_alpha, new_q
+        if it > 0 and (move <= POWER_RTOL or stalled):
             break
-        alpha = new_alpha
         if ch.nr > 1:
             v = _downlink_receiver_update(ch, A, u, v, q)
     else:
@@ -369,22 +399,22 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None):
     return alpha, _single_stream(ch, u, v, q)
 
 
-def solve_power_min_mac(ch, noise, targets, settings=None):
+def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     """Minimize sum_i sigma_i^2 q_i on the dual uplink subject to
     SINR_i >= gamma_i, one stream per user.
 
     The successive-decoding structure makes the minimum a forward pass: each
     user's power is set to meet its target exactly against already-fixed
     earlier interference, with MMSE receive vectors recomputed each sweep.
-    Power growth beyond 1e12 raises InfeasibleTargets.
+    Starts from the user-side vectors of ``init`` or from scratch (see the
+    module docstring).  Power growth beyond 1e12 raises InfeasibleTargets.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=settings.pd_floor, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
-    v = _single_stream_setup(ch)
-    q = np.zeros(ch.K)
+    v, q = _start(ch, init)
 
     def target_power(i, gain, den):
         # met exactly against the interference of already-updated earlier users
@@ -399,9 +429,8 @@ def solve_power_min_mac(ch, noise, targets, settings=None):
         # Gauss-Seidel sweep: receive vector, then power, user by user
         u, new_q = _mmse_pass(ch, A, _mac_links(ch, v), target_power)
         new_q = np.array([new_q[i] for i in range(ch.K)])
-        change = float(np.max(np.abs(new_q - q) / np.maximum(new_q, 1e-300)))
-        q = new_q
-        if it > 0 and change <= 1e-11:
+        move, q = _move(new_q, q), new_q
+        if it > 0 and move <= POWER_RTOL:
             break
         if ch.nr > 1:
             v = _downlink_receiver_update(ch, A, u, v, q)

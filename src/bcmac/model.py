@@ -189,6 +189,7 @@ class BeamformingSolution:
     v[i]: (S_i, Nr) unit rows, user-side vectors.
     p[i]: downlink stream powers, q[i]: uplink stream powers; either may be
         None before the corresponding side has been populated.
+    Solutions the library builds skip the constructor's checks (:meth:`built`).
     """
 
     u: list
@@ -221,6 +222,15 @@ class BeamformingSolution:
             if any(np.any(v < 0) for v in vals):
                 raise InvalidInput(f"{name} powers must be nonnegative")
             setattr(self, name, vals)
+
+    @classmethod
+    def built(cls, u, v, p=None, q=None):
+        """A solution the library computed, in the constructor's normal form
+        (2-D complex u[i], v[i] with unit rows; 1-D float nonnegative p[i],
+        q[i]) by construction."""
+        bf = object.__new__(cls)
+        bf.u, bf.v, bf.p, bf.q = u, v, p, q
+        return bf
 
     @property
     def K(self):

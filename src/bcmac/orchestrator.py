@@ -47,7 +47,7 @@ rounding.  Both stop when their next multipliers repeat evaluated ones or
 after ``outer.max_iters`` evaluations.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -232,11 +232,11 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
         raise InvalidInput("need at least one constraint")
     sign = 1.0 if sense == "min" else -1.0
     trace, points, results = OuterTrace(), [], []
-    lam = np.full(L, 1.0 / L)
+    nxt = DualWeights(np.full(L, 1.0 / L))
     while True:
-        points.append(DualWeights(lam))
-        bound, sub, result = evaluate(points[-1], *merge(points[-1]))
-        trace.record(points[-1].values, bound, sub)
+        points.append(nxt)
+        bound, sub, result = evaluate(nxt, *merge(nxt))
+        trace.record(nxt.values, bound, sub)
         results.append(result)
         lam, theta = (None, {0: 1.0}) if L == 1 else (_bisect if L == 2 else _center)(trace, sign)
         value, out = recover(results, theta)
@@ -247,8 +247,9 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
         # bracket, so it does not stop at the tolerance: the bracket ends,
         # which balancing emits, meet at the optimal multipliers to
         # rounding, and the inner solves' Frank-Wolfe gaps keep closing
-        if lam is None or trace.iterations >= outer.max_iters or (L > 2 and trace.converged) \
-                or any(np.array_equal(DualWeights(lam).values, p.values) for p in points):
+        nxt = None if lam is None else DualWeights(lam)
+        if nxt is None or trace.iterations >= outer.max_iters or (L > 2 and trace.converged) \
+                or any(np.array_equal(nxt.values, p.values) for p in points):
             return value, out, points[best], trace
 
 
@@ -308,15 +309,16 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     the emitted alpha, is kept.  Returns (alpha, downlink beamforming
     solution, multipliers, trace)."""
     constraints = list(constraints)
+    warm = [None]  # uplink solution of the previous evaluation
 
     def evaluate(lam, A, budget):
-        alpha, bf_mac = solve_sinr_balance_mac(ch, A, budget, targets, inner)
-        bf = transforms.mac_to_bc_sinr(ch, bf_mac, A)
+        alpha, warm[0] = solve_sinr_balance_mac(ch, A, budget, targets, inner, warm[0])
+        bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
         return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), bf
 
     def repaired(bf):
         factor = model.feasible_scale(bf.bc_covariances(), constraints)
-        bf = replace(bf, p=[factor * p for p in bf.p])
+        bf = model.BeamformingSolution.built(bf.u, bf.v, [factor * p for p in bf.p], bf.q)
         return min(float(s[0]) / g for s, g in zip(model.bc_sinr(ch, bf), targets.gamma)), bf
 
     def recover(results, theta):
@@ -337,11 +339,12 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
     (alpha, beamforming solution, multipliers, trace).
     """
     constraints = list(constraints)
+    warm = [None]  # uplink solution of the previous evaluation
 
     def evaluate(lam, A, budget):
-        total, bf_mac = solve_power_min_mac(ch, A, targets, inner)
+        total, warm[0] = solve_power_min_mac(ch, A, targets, inner, warm[0])
         bound = total / budget
-        bf = transforms.mac_to_bc_sinr(ch, bf_mac, A)
+        bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
         cov_bc = bf.bc_covariances()
         used = np.array([model.constraint_value(cov_bc, c) for c in constraints])
         achieved = float(np.max(used / [c.P for c in constraints]))

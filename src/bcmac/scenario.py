@@ -16,7 +16,10 @@ meets every constraint.
 
 A ``nonlinear_wsr`` run writes one row: the weighted sum rate and phi of the
 emitted covariance, the normal of the merged constraint with the best bound
-(whose support function value is its budget) and the number of evaluations.
+(whose support function value is its budget), the number of evaluations and
+``gap``, the search's signed relative gap from the best bound to the emitted
+value; a balancing row holds alpha, the best bound's multipliers, the
+slacks, ``iters`` and ``gap`` (uncertified for SINR balancing).
 
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
@@ -386,12 +389,13 @@ def run_nonlinear(cfg):
     return wsr, cfg.nonlinear.value(cov), result.lam.values, result.trace
 
 
-def scalar_result_csv(lead, lam, slacks, iterations):
-    """One row: the ``lead`` columns (name: value), lambda_l, slack_l, iters."""
+def scalar_result_csv(lead, lam, slacks, trace):
+    """One row: the ``lead`` columns (name: value), lambda_l, slack_l, the
+    search's evaluation count ``iters`` and its signed gap ``gap``."""
     header = list(lead) + [f"lambda_{l+1}" for l in range(lam.size)] \
-        + [f"slack_{l+1}" for l in range(slacks.size)] + ["iters"]
+        + [f"slack_{l+1}" for l in range(slacks.size)] + ["iters", "gap"]
     cells = [_fmt(x) for x in lead.values()] + [_fmt(x) for x in lam] \
-        + [_fmt(x) for x in slacks] + [str(int(iterations))]
+        + [_fmt(x) for x in slacks] + [str(int(trace.iterations)), _fmt(trace.gap)]
     return ",".join(header) + "\n" + ",".join(cells) + "\n"
 
 
@@ -436,16 +440,16 @@ def run_scenario(cfg, out_dir):
                                                  len(cfg.constraints))
     elif cfg.objective == "sinr_balance":
         alpha, lam, slacks, trace = run_balance(cfg)
-        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace.iterations)
+        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace)
         files["_trace.csv"] = trace_csv(trace, "alpha")
     elif cfg.objective == "power_balance":
         alpha, lam, slacks, trace = run_power_balance(cfg)
-        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace.iterations)
+        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace)
         files["_trace.csv"] = trace_csv(trace, "bound")
     elif cfg.objective == "nonlinear_wsr":
         wsr, f_value, lam, trace = run_nonlinear(cfg)
         files[".csv"] = scalar_result_csv({"wsr_bits": wsr / LN2, "f_value": f_value}, lam,
-                                          np.zeros(0), trace.iterations)
+                                          np.zeros(0), trace)
     else:  # pragma: no cover - load_config guards this
         raise ConfigError(f"unknown objective {cfg.objective}")
     return write_outputs(out_dir, cfg.basename, files, cfg)

@@ -186,8 +186,8 @@ def sinr_to_bc(ch, bf_mac, A):
                 f"stream ({i},{j}): zero gain with positive target SINR"
             )
         p[i][j] = target * interf_bc / gain
-    return model.BeamformingSolution(u=u, v=[vi.copy() for vi in bf_mac.v],
-                                     p=p, q=[np.array(qi) for qi in bf_mac.q])
+    return model.BeamformingSolution.built(u, [vi.copy() for vi in bf_mac.v], p,
+                                           [np.array(qi) for qi in bf_mac.q])
 
 
 def verify_capacity_transform(ch, cov_mac, cov_bc, A):

@@ -125,6 +125,33 @@ def test_region_rows_are_feasible_with_a_certified_gap(tmp_path):
         assert 0.0 <= float(cells["g_gap"]) <= 1e-5
 
 
+@pytest.mark.parametrize("command, objective, solver", [
+    ("balance", "sinr_balance", "solve_sinr_balance_multi"),
+    ("powermin", "power_balance", "solve_power_balance_multi"),
+])
+def test_balancing_rows_end_with_the_search_gap(tmp_path, monkeypatch, command, objective,
+                                                solver):
+    """A balancing row ends with ``gap``, the multiplier search's signed
+    relative gap from its best bound to the emitted alpha."""
+    solve, traces = getattr(orchestrator, solver), []
+
+    def kept(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        traces.append(result[3])
+        return result
+
+    monkeypatch.setattr(orchestrator, solver, kept)
+    doc = {"objective": objective, "channels": {"h": [H1_CAP, H2_CAP]},
+           "constraints": PER_ANTENNA, "targets": [1.0, 2.0], "seed": 3}
+    out = tmp_path / "out"
+    assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 0
+    header, row = (out / f"{objective}.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[-1] == "gap"
+    gap = float(row.split(",")[-1])
+    assert gap == traces[0].gap
+    assert -1e-12 <= gap <= 1e-6
+
+
 def test_two_constraint_region_does_not_import_scipy(tmp_path):
     """Only searches over three or more multipliers load scipy; a
     two-constraint region run in a fresh interpreter never does."""

@@ -407,3 +407,81 @@ def test_stacked_solution_in_user_order(rng):
     warm = solve_wsr_mac(ch, A, 3.0, STACK_W, replace(TIGHT, max_iters=1),
                          init=sol.cov)
     assert warm.objective >= sol.objective - 1e-9
+
+
+# the two-antenna users of the beamforming benchmark, under the merged
+# per-antenna constraints diag(x, 1 - x) <= 5
+BAL_H = [[[1.0, 0.0], [0.5, 0.6]], [[0.4, 0.0], [0.5, 1.5]]]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ch, x, gam, init: solve_sinr_balance_mac(ch, np.diag([x, 1 - x]), 5.0, gam, init=init),
+    lambda ch, x, gam, init: solve_power_min_mac(ch, np.diag([x, 1 - x]), gam, init=init),
+], ids=["sinr_balance", "power_min"])
+def test_warm_start_from_a_nearby_multiplier_matches_the_cold_solve(monkeypatch, solve):
+    """Started from the solution at a nearby multiplier, both fixed points
+    reach the cold solve's value and total power to 1e-9 relative, in fewer
+    MMSE sweeps."""
+    ch, gam = ChannelSet(BAL_H), SinrTargets([1.0, 2.0])
+    sweeps = [0]
+    real = macsolver._mmse_pass
+
+    def counted(*args):
+        sweeps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(macsolver, "_mmse_pass", counted)
+    _, near = solve(ch, 0.40, gam, None)
+    runs = []
+    for init in (None, near):
+        sweeps[0] = 0
+        value, bf = solve(ch, 0.42, gam, init)
+        runs.append((value, float(ch.sigma2 @ [qi[0] for qi in bf.q]), sweeps[0]))
+    (cold, cold_power, cold_sweeps), (warm, warm_power, warm_sweeps) = runs
+    assert warm == pytest.approx(cold, rel=1e-9)
+    assert warm_power == pytest.approx(cold_power, rel=1e-9)
+    assert warm_sweeps < cold_sweeps
+
+
+def test_balanced_ratio_matches_a_bisection(rng):
+    """The closed-form ratio spends the budget: it matches a tight bisection
+    of the powers' total over alpha, for fixed receivers."""
+    for K in (2, 3, 4):
+        for _ in range(4):
+            ch = ChannelSet(rand_channels(rng, K, 1, 2), sigma2=rng.uniform(0.5, 2.0, K),
+                            encoding_order=rng.permutation(K))
+            gam = SinrTargets(rng.uniform(0.5, 2.0, K))
+            a, c = rng.uniform(0.1, 2.0, K), rng.uniform(0.5, 2.0, K)
+            pos = np.argsort(ch.encoding_order)
+            b = rng.uniform(0.0, 1.0, (K, K)) * (pos[None, :] < pos[:, None])
+            budget = float(rng.uniform(1.0, 10.0))
+
+            def total(al):
+                return float(ch.sigma2 @ macsolver._powers_for_ratio(ch, gam, a, b, c, al))
+
+            lo, hi = 0.0, 1.0
+            while total(hi) < budget:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
+            alpha = macsolver._balanced_ratio(ch, gam, a, b, c, budget)
+            assert alpha == pytest.approx(lo, rel=1e-12)
+            assert total(alpha) == pytest.approx(budget, rel=1e-12)
+    a[1] = 0.0
+    with pytest.raises(InfeasibleTargets, match="user 1"):
+        macsolver._balanced_ratio(ch, gam, a, b, c, budget)
+
+
+def test_sinr_balance_stops_where_its_receiver_updates_stall():
+    """Near singular noise, as merged at a vertex of the multiplier simplex,
+    two-antenna users' alternating receiver updates stall: the powers creep
+    on by about 5e-7 relative a sweep and never settle.  A stalled sweep
+    that moves alpha by at most tol stops the solve within a few sweeps,
+    at a solution whose ratios all equal alpha."""
+    ch = ChannelSet(rand_channels(np.random.default_rng(1), 2, 2, 3))
+    A = np.diag([1e-7, 1.0, 1e-7])
+    alpha, bf = solve_sinr_balance_mac(ch, A, 3.0, SinrTargets([1.0, 1.0]),
+                                       SolverSettings(max_iters=50))
+    s = mac_sinr(ch, bf, A)
+    assert [s[i][0] for i in range(2)] == pytest.approx([alpha, alpha], rel=1e-9)

@@ -261,8 +261,14 @@ def test_mac_eigenbeams_drops_zero_streams(rng):
 
 
 def test_beamforming_validation():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="unit norm"):
         BeamformingSolution(u=[np.array([[2.0, 0.0]])], v=[np.array([[1.0]])])
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        BeamformingSolution(u=[[[1.0, 0.0]]], v=[[[1.0]]], q=[[-1.0]])
+    # a library-built solution is taken as it comes, unchecked
+    u = [np.array([[2.0, 0.0]], dtype=complex)]
+    bf = BeamformingSolution.built(u, [np.ones((1, 1), dtype=complex)], q=[np.array([-1.0])])
+    assert bf.u is u and bf.p is None and bf.q[0][0] == -1.0
 
 
 def test_array_holding_values_compare_and_hash_by_identity():

@@ -449,3 +449,17 @@ def test_multiplier_search_reports_an_open_gap():
     (value, theta, lam, trace), seen = _stub_multiplier_loop(
         lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 0.5, max_iters=10)
     assert not trace.converged and trace.iterations == 10
+
+
+@pytest.mark.parametrize("targets", [[1.0, 1.0], [1.0, 2.0]])
+def test_sinr_balancing_gap_on_the_two_antenna_instance(targets):
+    """The beamforming benchmark's instance under the command line's default
+    settings: the fixed points settle their powers, so the bounds the search
+    records are the merged problems' ratios and the emitted alpha meets the
+    best of them to rounding (the signed gap read -6.3e-8 when SINR
+    balancing stopped on a 1e-6 change of its ratio)."""
+    ch = ChannelSet([[[1.0, 0.0], [0.5, 0.6]], [[0.4, 0.0], [0.5, 1.5]]])
+    cons = [LinearConstraint.per_antenna(2, a, 5.0) for a in range(2)]
+    _, _, _, tr = solve_sinr_balance_multi(ch, cons, SinrTargets(targets),
+                                           SolverSettings(max_iters=80), SolverSettings())
+    assert tr.converged and -1e-12 <= tr.gap <= 1e-9
