@@ -29,8 +29,14 @@ budget with equality, and the order of the sum decides which side of it
 the rounding falls on.
 
 SINR balancing and power minimization are fixed points of MMSE receivers
-and a power update (Schubert and Boche, 2004), one stream per user.  Both
-take ``init``, the uplink solution of a nearby problem (the previous
+and a power update (Schubert and Boche, 2004), one stream per user in
+encoding order; for fixed receivers, the powers meeting given SINRs are
+one triangular solve (``model.sinr_powers``).  Multi-antenna users'
+vectors are refreshed as downlink MMSE receivers after each sweep: power
+minimization's from the sweep itself (its receivers are MMSE under the
+powers it set, its SINRs the targets), SINR balancing's through
+``transforms.sinr_to_bc``, as it rescales the powers after the sweep.
+Both take ``init``, the uplink solution of a nearby problem (the previous
 evaluation of a multiplier search), and start from its user-side vectors
 and powers; both stop once a sweep moves no power by more than POWER_RTOL
 relative, after at least two sweeps.  Near singular noise (a merged
@@ -253,23 +259,23 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
 
 
 def _start(ch, init):
-    """User-side unit vectors and powers a beamforming fixed point starts
-    from: those of ``init`` (an uplink solution with one stream per user),
-    or else the top left singular vector of each channel (for one receive
-    antenna the scalar 1) and zero powers."""
+    """User-side unit vectors (per user) and powers (in encoding order) a
+    beamforming fixed point starts from: those of ``init`` (an uplink
+    solution with one stream per user), or else the top left singular vector
+    of each channel (for one receive antenna the scalar 1) and zero powers."""
     if init is None:
         v = [np.ones((1, 1), dtype=np.complex128) if ch.nr == 1
              else np.linalg.svd(ch.H[i])[0][:, :1].T for i in range(ch.K)]
         return v, np.zeros(ch.K)
-    return [vi.copy() for vi in init.v], np.array([float(qi[0]) for qi in init.q])
+    return [vi.copy() for vi in init.v], np.array([float(init.q[i][0]) for i in ch.encoding_order])
 
 
 def _single_stream(ch, u, v, q):
-    """Uplink solution with one stream per user from per-user vectors and
-    powers (indexed by user), unit vectors by construction."""
-    return model.BeamformingSolution.built(
-        [u[i].reshape(1, -1) for i in range(ch.K)], [v[i].reshape(1, -1) for i in range(ch.K)],
-        q=[np.array([q[i]]) for i in range(ch.K)])
+    """Uplink solution with one stream per user from user-side vectors v (per
+    user) and receivers u and powers q (in encoding order)."""
+    ones = [1] * ch.K
+    return model.BeamformingSolution.built(model.per_user(ch, ones, u), v,
+                                           q=model.per_user(ch, ones, q))
 
 
 def _move(new_q, q):
@@ -277,54 +283,36 @@ def _move(new_q, q):
     return float(np.max(np.abs(new_q - q) / np.maximum(new_q, 1e-300)))
 
 
-def _mac_links(ch, v):
-    """Effective uplink signal vectors at the base station, g_i = H_i^H v_i."""
-    return [ch.H[i].conj().T @ v[i].ravel() for i in range(ch.K)]
+def _zero_gain(users):
+    """The error of a stream whose effective channel vanishes."""
+    return lambda s: InfeasibleTargets(f"user {users[s]}: zero effective channel gain")
 
 
-def _mmse_pass(ch, A, g, power):
-    """Uplink SIC pass over the users in encoding order with MMSE receive
-    vectors; ``power(i, gain, den)`` sets user i's power (see
-    :func:`model.uplink_sic`).  Returns vectors and powers keyed by user."""
-    u, q, _ = model.uplink_sic(
-        A, [(i, g[i]) for i in ch.encoding_order], power,
-        vanishing=lambda i: InfeasibleTargets(f"user {i}: zero effective channel"))
-    return u, q
+def _mmse_pass(A, users, links, power):
+    """Uplink SIC pass over the streams in encoding order with MMSE receive
+    vectors; ``power(s, gain, den)`` sets stream s's power (see
+    :func:`model.uplink_sic`).  Returns the receivers and powers."""
+    return model.uplink_sic(A, links, power, _zero_gain(users))[:2]
 
 
-def _link_gains(ch, A, g, u):
-    """b[i][k] = |u_i^H g_k|^2 for earlier-encoded k, c_i = u_i^H A u_i."""
-    U = np.array([u[i] for i in range(ch.K)])
-    pos = np.argsort(ch.encoding_order)
-    b = np.abs(U.conj() @ np.array(g).T) ** 2 * (pos[None, :] < pos[:, None])
-    return b, np.einsum("ij,jk,ik->i", U.conj(), A, U).real
-
-
-def _powers_for_ratio(ch, targets, a, b, c, alpha):
-    """Uplink powers meeting SINR_i = alpha * gamma_i exactly, filled in
-    encoding order (each user only sees earlier-encoded interference)."""
-    q = np.zeros(ch.K)
-    for i in ch.encoding_order:
-        q[i] = alpha * targets.gamma[i] * (c[i] + b[i] @ q) / a[i]
-    return q
-
-
-def _balanced_ratio(ch, targets, a, b, c, budget):
-    """The ratio alpha whose powers (:func:`_powers_for_ratio`) spend the
-    budget.  With D = diag(gamma / a) those powers are
-    q(alpha) = sum_k alpha^k (D B)^(k-1) D c, B strictly triangular in
-    encoding order, so sigma^2 . q(alpha) = sum_k s_k alpha^k has
-    nonnegative coefficients: it is convex and increasing for alpha >= 0,
-    and Newton's method from the upper bound min_k (budget / s_k)^(1/k)
-    descends onto the root monotonically."""
+def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
+    """The ratio alpha whose uplink powers (:func:`model.sinr_powers` at
+    targets alpha * gamma, noise c) spend the budget.  With D =
+    diag(gamma / diag(M)) and B = triu(M, 1)^T, those powers are
+    q(alpha) = sum_k alpha^k (D B)^(k-1) D c, so sigma^2 . q(alpha) =
+    sum_k s_k alpha^k has nonnegative coefficients: it is convex and
+    increasing for alpha >= 0, and Newton's method from the upper bound
+    min_k (budget / s_k)^(1/k) descends onto the root monotonically."""
+    a = np.diag(M)
     if np.any(a <= 0):
-        raise InfeasibleTargets(f"user {int(np.argmax(a <= 0))}: zero effective channel gain")
-    d = targets.gamma / a
-    s, x = np.zeros(ch.K), d * c
-    for k in range(ch.K):
-        s[k] = ch.sigma2 @ x
-        x = d * (b @ x)
-    k = np.arange(1, ch.K + 1)
+        raise degenerate(int(np.argmax(a <= 0)))
+    K = len(gamma)
+    d, B = gamma / a, M.T * (np.arange(K)[:, None] > np.arange(K))  # triu(M, 1).T
+    s, x = np.zeros(K), d * c
+    for k in range(K):
+        s[k] = sigma2 @ x
+        x = d * (B @ x)
+    k = np.arange(1, K + 1)
     alpha = float(np.min((budget / s[s > 0]) ** (1.0 / k[s > 0])))
     for _ in range(100):
         powers = alpha ** k
@@ -335,19 +323,20 @@ def _balanced_ratio(ch, targets, a, b, c, budget):
     return alpha
 
 
-def _downlink_receiver_update(ch, A, u, v, q):
-    """Refresh user-side vectors as downlink MMSE receivers.
+def _downlink_receivers(ch, u, p):
+    """User-side vectors refreshed as downlink MMSE receivers of the beams u
+    at powers p (one stream per user, in encoding order).  Downlink
+    receivers interfere with nobody, so this weakly improves every SINR."""
+    pos = np.argsort(ch.encoding_order)
+    return [vi.reshape(1, -1) for vi in model.bc_mmse_receivers(ch, u[pos], p[pos])]
 
-    The SINR-preserving map to the downlink keeps the vectors and reproduces
-    every SINR; downlink receive vectors interfere with nobody, so replacing
-    them by MMSE weakly improves every stream and the next uplink rebalance
-    can only raise the balanced ratio.
-    """
-    from . import transforms
 
-    bf_bc = transforms.sinr_to_bc(ch, _single_stream(ch, u, v, q), A)
-    vnew = model.bc_mmse_receivers(ch, [ui[0] for ui in bf_bc.u], [pi[0] for pi in bf_bc.p])
-    return [vi.reshape(1, -1) for vi in vnew]
+def _power_min_receivers(ch, users, links, u, gamma):
+    """:func:`_downlink_receivers` after a power minimization sweep that met
+    the targets gamma with receivers u on ``links`` (in encoding order), at
+    the downlink powers meeting gamma against the sweep's stream gains."""
+    return _downlink_receivers(ch, u, model.sinr_powers(
+        model.stream_gains(links, u), gamma, ch.sigma2[users], model.BC, _zero_gain(users)))
 
 
 def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None):
@@ -359,11 +348,13 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     triangular system, and the ratio exhausting the budget is the root of a
     polynomial (:func:`_balanced_ratio`).  When users have several antennas
     the user-side vectors are refreshed as downlink MMSE receivers through
-    the SINR-preserving transformation, which keeps the iteration monotone.
-    Starts from ``init``, its powers rescaled to ``budget``, or from scratch
-    (see the module docstring).  At return every ratio equals alpha to
-    rounding.
+    the SINR-preserving transformation of the rebalanced powers, which keeps
+    the iteration monotone.  Starts from ``init``, its powers rescaled to
+    ``budget``, or from scratch (see the module docstring).  At return every
+    ratio equals alpha to rounding.
     """
+    from . import transforms
+
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=settings.pd_floor, name="uplink noise covariance")
@@ -372,28 +363,26 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     if not (budget > 0):
         raise InvalidInput("budget must be positive")
     v, q = _start(ch, init)
+    users = np.array(ch.encoding_order)
+    gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)
     if q.any():
-        q *= budget / float(ch.sigma2 @ q)
-    a = np.zeros(ch.K)  # a_i = |u_i^H g_i|^2, recorded by the SIC pass
-
-    def current_power(i, gain, den):
-        a[i] = gain
-        return q[i]
-
+        q *= budget / float(sigma2 @ q)
     alpha, move = 0.0, np.inf
     for it in range(settings.max_iters):
-        g = _mac_links(ch, v)
-        u, _ = _mmse_pass(ch, A, g, current_power)
-        b, c = _link_gains(ch, A, g, u)
-        new_alpha = _balanced_ratio(ch, targets, a, b, c, budget)
-        new_q = _powers_for_ratio(ch, targets, a, b, c, new_alpha)
+        _, links = model.stream_links(ch, v)
+        u, _ = _mmse_pass(A, users, links, lambda s, gain, den: q[s])
+        M, c = model.stream_gains(links, u), model.uplink_noise(u, A)
+        new_alpha = _balanced_ratio(gamma, M, c, sigma2, budget, zero_gain)
+        new_q = model.sinr_powers(M, new_alpha * gamma, c, model.MAC, zero_gain)
         last, move = move, _move(new_q, q)
         stalled = move > STALL * last and abs(new_alpha - alpha) <= settings.tol * new_alpha
         alpha, q = new_alpha, new_q
         if it > 0 and (move <= POWER_RTOL or stalled):
             break
         if ch.nr > 1:
-            v = _downlink_receiver_update(ch, A, u, v, q)
+            # the sweep's receivers are MMSE under the old powers, not q
+            bf = transforms.sinr_to_bc(ch, _single_stream(ch, u, v, q), A)
+            v = _downlink_receivers(ch, model.stream_order(ch, bf.u), model.stream_order(ch, bf.p))
     else:
         raise MaxItersExceeded("SINR balancing did not converge")
     return alpha, _single_stream(ch, u, v, q)
@@ -406,8 +395,10 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     The successive-decoding structure makes the minimum a forward pass: each
     user's power is set to meet its target exactly against already-fixed
     earlier interference, with MMSE receive vectors recomputed each sweep.
-    Starts from the user-side vectors of ``init`` or from scratch (see the
-    module docstring).  Power growth beyond 1e12 raises InfeasibleTargets.
+    Multi-antenna users' vectors are then refreshed from the sweep's own
+    receivers (:func:`_power_min_receivers`).  Starts from the user-side
+    vectors of ``init`` or from scratch (see the module docstring).  Power
+    growth beyond 1e12 raises InfeasibleTargets.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
@@ -415,26 +406,27 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v, q = _start(ch, init)
+    users = np.array(ch.encoding_order)
+    gamma = targets.gamma[users]
 
-    def target_power(i, gain, den):
+    def target_power(s, gain, den):
         # met exactly against the interference of already-updated earlier users
         if gain <= 0:
-            raise InfeasibleTargets(f"user {i}: zero effective channel gain")
-        qi = targets.gamma[i] * den / gain
-        if qi > 1e12:
+            raise _zero_gain(users)(s)
+        qs = gamma[s] * den / gain
+        if qs > 1e12:
             raise InfeasibleTargets("power fixed point diverged")
-        return qi
+        return qs
 
     for it in range(settings.max_iters):
-        # Gauss-Seidel sweep: receive vector, then power, user by user
-        u, new_q = _mmse_pass(ch, A, _mac_links(ch, v), target_power)
-        new_q = np.array([new_q[i] for i in range(ch.K)])
+        # Gauss-Seidel sweep: receive vector, then power, stream by stream
+        _, links = model.stream_links(ch, v)
+        u, new_q = _mmse_pass(A, users, links, target_power)
         move, q = _move(new_q, q), new_q
         if it > 0 and move <= POWER_RTOL:
             break
         if ch.nr > 1:
-            v = _downlink_receiver_update(ch, A, u, v, q)
+            v = _power_min_receivers(ch, users, links, u, gamma)
     else:
         raise MaxItersExceeded("power minimization did not converge")
-    total = float(sum(ch.sigma2[i] * q[i] for i in range(ch.K)))
-    return total, _single_stream(ch, u, v, q)
+    return float(ch.sigma2[users] @ q), _single_stream(ch, u, v, q)

@@ -9,6 +9,15 @@ decoded last and sees no interference.
 
 Rates are natural-log (nats per channel use) throughout the library; the CLI
 converts to bits on output.
+
+Beamforming SINRs of both links come from one matrix of stream gains,
+M[s, t] = |g_s^H u_t|^2 over streams in encoding order, g_s = H_i^H v_s the
+uplink link of stream s (of user i), u_t the base-station vector of t:
+
+    downlink (DPC):  SINR_s = p_s M_ss / (sigma_i^2 + sum_{t>s} M_st p_t),
+    uplink:          SINR_s = q_s M_ss / (u_s^H A u_s + sum_{t<s} M_ts q_t),
+
+both triangular, so the powers meeting given SINRs are one pass.
 """
 
 from dataclasses import dataclass, field
@@ -327,14 +336,56 @@ def mac_rates(ch, cov, noise):
     return rates
 
 
-def _stream_order(ch, bf):
-    """Global stream sequence in encoding order: (user, stream) pairs."""
-    seq = []
-    for m in range(ch.K):
-        i = ch.encoding_order[m]
-        for j in range(bf.u[i].shape[0]):
-            seq.append((i, j))
-    return seq
+def stream_order(ch, per_user):
+    """Per-user stream arrays (rows of u or v, entries of p or q) stacked
+    over every stream in encoding order."""
+    return np.concatenate([np.asarray(per_user[i]) for i in ch.encoding_order])
+
+
+def per_user(ch, counts, x):
+    """Values stacked over streams in encoding order split back into per-user
+    arrays, ``counts[i]`` the stream count of user i (the inverse of
+    :func:`stream_order`)."""
+    out, start = [None] * ch.K, 0
+    for i in ch.encoding_order:
+        out[i], start = x[start:start + counts[i]], start + counts[i]
+    return out
+
+
+def stream_links(ch, v):
+    """The user of every stream and its uplink link g = H_i^H v, stacked
+    (S, Nt) in encoding order; ``v`` lists each user's (S_i, Nr) vectors."""
+    order = ch.encoding_order
+    return (np.array([i for i in order for _ in range(len(v[i]))], dtype=int),
+            np.concatenate([v[i] @ ch.H[i].conj() for i in order]))
+
+
+def stream_gains(links, u):
+    """M[s, t] = |g_s^H u_t|^2 between links g_s and base-station vectors
+    u_t, both stacked (S, Nt) in encoding order (see the module docstring)."""
+    return np.abs(links.conj() @ u.T) ** 2
+
+
+def uplink_noise(u, A):
+    """u_s^H A u_s for base-station vectors stacked (S, Nt)."""
+    return np.einsum("si,ij,sj->s", u.conj(), A, u).real
+
+
+def sinr_powers(M, gamma, noise, side, degenerate):
+    """Powers meeting SINR_s = gamma_s exactly against the gains M on the
+    downlink (side BC) or the uplink (MAC), by substitution from the last
+    stream or the first (see the module docstring).  A zero target gets zero
+    power; a positive one on a zero gain raises ``degenerate(s)``."""
+    rows = M if side == BC else M.T
+    x = np.zeros(len(gamma))
+    for s in (range(len(x) - 1, -1, -1) if side == BC else range(len(x))):
+        if gamma[s] == 0:
+            continue
+        if not M[s, s] > 0:
+            raise degenerate(s)
+        # entries not yet filled are zero, so only solved streams interfere
+        x[s] = gamma[s] * (noise[s] + rows[s] @ x) / M[s, s]
+    return x
 
 
 def bc_sinr(ch, bf, scheme="dpc"):
@@ -346,26 +397,11 @@ def bc_sinr(ch, bf, scheme="dpc"):
     """
     if scheme not in ("dpc", "linear"):
         raise InvalidInput("scheme must be 'dpc' or 'linear'")
-    seq = _stream_order(ch, bf)
-    gains = {}
-    for (i, j) in seq:
-        # receive vector of stream (i,j) against every transmit beam
-        vij = bf.v[i][j]
-        row = {}
-        for (k, l) in seq:
-            row[(k, l)] = abs(np.vdot(vij, ch.H[i] @ bf.u[k][l])) ** 2
-        gains[(i, j)] = row
-    out = [np.zeros(bf.u[i].shape[0]) for i in range(ch.K)]
-    for pos, (i, j) in enumerate(seq):
-        row = gains[(i, j)]
-        sig = bf.p[i][j] * row[(i, j)]
-        if scheme == "dpc":
-            others = seq[pos + 1:]
-        else:
-            others = [s for s in seq if s != (i, j)]
-        interf = sum(bf.p[k][l] * row[(k, l)] for (k, l) in others)
-        out[i][j] = sig / (interf + ch.sigma2[i])
-    return out
+    users, links = stream_links(ch, bf.v)
+    M = stream_gains(links, stream_order(ch, bf.u))
+    p = stream_order(ch, bf.p)
+    others = np.triu(M, 1) if scheme == "dpc" else M - np.diag(np.diag(M))
+    return per_user(ch, bf.streams(), p * np.diag(M) / (ch.sigma2[users] + others @ p))
 
 
 def whitened_channels(ch, A, floor=linalg.PD_FLOOR):
@@ -375,41 +411,32 @@ def whitened_channels(ch, A, floor=linalg.PD_FLOOR):
     return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
 
 
-def uplink_sic(A, links, power, receivers=None, vanishing=None):
+def uplink_sic(A, links, power, vanishing):
     """Successive interference cancellation on the dual uplink.
 
-    ``links`` lists (key, g) pairs in encoding order, g = H_i^H v; each is
-    decoded against C = A plus the links listed before it, with receive
-    vector ``receivers[key]`` or else the unit-norm MMSE vector C^{-1} g
-    normalized (raising ``vanishing(key)`` if it vanishes).  Its power is
-    ``power(key, gain, den)`` with gain = |u^H g|^2, den = u^H C u.  Returns
-    dicts by key of receive vectors, powers and SINRs q gain / den.
+    ``links`` stacks the streams' links g = H_i^H v, (S, Nt), in encoding
+    order; stream s is decoded against C = A plus the streams before it,
+    with the unit-norm MMSE vector C^{-1} g normalized (raising
+    ``vanishing(s)`` if it vanishes).  Its power is ``power(s, gain, den)``
+    with gain = |u^H g|^2, den = u^H C u.  Returns the receive vectors
+    stacked (S, Nt), the powers and the SINRs q gain / den.
     """
     C = A.astype(np.complex128)
-    u, q, sinr = {}, {}, {}
-    for key, g in links:
-        if receivers is None:
-            x = np.linalg.solve(C, g)
-            n = np.linalg.norm(x)
-            if n <= 0:
-                raise vanishing(key)
-            x = x / n
-        else:
-            x = receivers[key]
+    u, q, sinr = [], [], []
+    for s, g in enumerate(links):
+        x = np.linalg.solve(C, g)
+        n = np.linalg.norm(x)
+        if n <= 0:
+            raise vanishing(s)
+        x = x / n
         gain = abs(np.vdot(x, g)) ** 2
         den = float(np.real(x.conj() @ C @ x))
-        qk = power(key, gain, den)
-        u[key], q[key], sinr[key] = x, qk, qk * gain / den
-        C = C + qk * np.outer(g, g.conj())
-    return u, q, sinr
-
-
-def stream_links(ch, bf):
-    """(stream, H_i^H v_ij) uplink links of a beamforming solution in
-    encoding order, for :func:`uplink_sic`, and the stream powers q_ij."""
-    seq = _stream_order(ch, bf)
-    links = [((i, j), ch.H[i].conj().T @ bf.v[i][j]) for (i, j) in seq]
-    return links, (lambda s, gain, den: bf.q[s[0]][s[1]])
+        qs = power(s, gain, den)
+        u.append(x)
+        q.append(qs)
+        sinr.append(qs * gain / den)
+        C = C + qs * np.outer(g, g.conj())
+    return np.array(u).reshape(links.shape), np.array(q, dtype=float), np.array(sinr)
 
 
 def mac_sinr(ch, bf, noise):
@@ -418,12 +445,10 @@ def mac_sinr(ch, bf, noise):
     plus the base-station noise covariance."""
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
-    links, power = stream_links(ch, bf)
-    _, _, sinr = uplink_sic(A, links, power, {s: bf.u[s[0]][s[1]] for s, _ in links})
-    out = [np.zeros(bf.u[i].shape[0]) for i in range(ch.K)]
-    for (i, j), val in sinr.items():
-        out[i][j] = val
-    return out
+    _, links = stream_links(ch, bf.v)
+    u, q = stream_order(ch, bf.u), stream_order(ch, bf.q)
+    M = stream_gains(links, u)
+    return per_user(ch, bf.streams(), q * np.diag(M) / (uplink_noise(u, A) + np.triu(M, 1).T @ q))
 
 
 def constraint_value(cov, c):

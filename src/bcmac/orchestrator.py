@@ -62,7 +62,6 @@ from .macsolver import (
 )
 
 LAMBDA_FLOOR = 1e-7
-NOISE_JITTER = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +125,14 @@ class NonlinearResult:
 
 
 def _merged_matrix(lam, mats):
-    """sum_l lam_l A_l, jittered positive definite."""
-    A = sum(l * M for l, M in zip(lam, mats))
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= NOISE_JITTER:
-        A = A + NOISE_JITTER * np.eye(A.shape[0])
-    return linalg.hermitian_part(A)
+    """sum_l lam_l A_l: at least the multiplier floor times sum_l A_l, so
+    positive definite whenever that sum is, as configs must make it."""
+    return linalg.hermitian_part(sum(l * M for l, M in zip(lam, mats)))
 
 
 def combined_constraint(constraints, lam):
-    """Merged single constraint: noise matrix sum_l lam_l A_l (jittered PD)
-    and budget sum_l lam_l P_l."""
+    """Merged single constraint: noise matrix sum_l lam_l A_l and budget
+    sum_l lam_l P_l."""
     lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
     if len(constraints) != lam.values.size:
         raise InvalidInput("multiplier count must match constraint count")
@@ -381,9 +377,8 @@ class TraceSpaceConstraint:
         raise NotImplementedError
 
     def merged(self, lam):
-        """Noise matrix sum_l c_l A_l (jittered PD, as in
-        ``combined_constraint``) and budget h(c) at the normal ``lam``, a
-        ``DualWeights``."""
+        """Noise matrix sum_l c_l A_l (as in ``combined_constraint``) and
+        budget h(c) at the normal ``lam``, a ``DualWeights``."""
         c = lam.values
         return _merged_matrix(c, self.mats), float(c @ self.support_point(c))
 

@@ -238,14 +238,18 @@ def load_config(path):
     basename = str(_section(doc, "output", ("basename",)).get("basename", objective))
     solver = _parse_settings(doc, "solver", SolverSettings())
     heuristic = bool(doc.get("heuristic", False))
+    # a constraint set bounds the transmit power only if its matrices sum to
+    # a positive definite one; the heuristic solves under constraints[0] alone
     if heuristic and objective == "wsr_region":
-        # the heuristic solves under constraints[0] alone, which is unbounded
-        # unless its matrix is positive definite
-        try:
-            linalg.assert_pd(constraints[0].A, floor=solver.pd_floor,
-                             name="heuristic: constraints[0] matrix")
-        except SingularConstraintMatrix as exc:
-            raise ConfigError(str(exc)) from exc
+        bounded, name = constraints[0].A, "heuristic: constraints[0] matrix"
+    elif objective == "nonlinear_wsr":
+        bounded, name = sum(nonlinear.mats), "sum of the nonlinear.a matrices"
+    else:
+        bounded, name = sum(c.A for c in constraints), "sum of the constraint matrices"
+    try:
+        linalg.assert_pd(bounded, floor=solver.pd_floor, name=name)
+    except SingularConstraintMatrix as exc:
+        raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
         objective=objective,
         channels=ch,

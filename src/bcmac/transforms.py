@@ -13,7 +13,14 @@ and sigma^2 = 1.
 The rate-preserving construction whitens the constraint (channels H_k A^{-1/2},
 identity noise), then flips each user's covariance through the SVD of its
 effective channel, walking users from the last encoding position to the
-first so each step sees the interference it needs.
+first so each step sees the interference it needs.  A flip pairs column k
+of the left singular vectors with column k of the right ones, so whatever
+phases the SVD picks cancel.
+
+The SINR-preserving construction keeps the user-side vectors and uplink
+powers, takes MMSE base-station vectors and solves the downlink powers
+against the stream gains of ``model.stream_gains``, a triangular system
+in encoding order.
 """
 
 from dataclasses import dataclass
@@ -35,29 +42,6 @@ class TransformReport:
     constraint_slack: float
 
 
-def _svd_phase_fixed(G):
-    """SVD with a deterministic phase convention: the largest-magnitude entry
-    of each left singular vector is made real positive, with the matching
-    right vector rotated to compensate."""
-    R, d, Lh = np.linalg.svd(G)
-    L = Lh.conj().T
-    m = min(G.shape)
-    for k in range(R.shape[1]):
-        idx = int(np.argmax(np.abs(R[:, k])))
-        a = R[idx, k]
-        if abs(a) > 0:
-            phase = a / abs(a)
-            R[:, k] = R[:, k] / phase
-            if k < m:
-                L[:, k] = L[:, k] / phase
-    for k in range(m, L.shape[1]):
-        idx = int(np.argmax(np.abs(L[:, k])))
-        a = L[idx, k]
-        if abs(a) > 0:
-            L[:, k] = L[:, k] / (a / abs(a))
-    return R, d, L
-
-
 def _roots(M):
     """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
     of its Hermitian part (M is a sum of products, Hermitian up to roundoff)."""
@@ -75,7 +59,8 @@ def _flip(Phi, Om, Hhat, Q_src, to_bc):
     Phi_s, Phi_is = _roots(Phi)
     Om_s, Om_is = _roots(Om)
     G = Om_is @ Hhat @ Phi_is
-    R, _, L = _svd_phase_fixed(G)
+    R, _, Lh = np.linalg.svd(G)
+    L = Lh.conj().T
     if to_bc:
         S = R.conj().T @ Om_s @ Q_src @ Om_s @ R
         Sp = np.zeros((nt, nt), dtype=np.complex128)
@@ -158,36 +143,20 @@ def sinr_to_bc(ch, bf_mac, A):
     ``A``, for solver loops that validated it once on entry."""
     if bf_mac.q is None:
         raise InvalidInput("uplink powers required")
-    K = ch.K
-    links, power = model.stream_links(ch, bf_mac)
-    seq = [s for s, _ in links]
-    u_mmse, _, sinr_mac = model.uplink_sic(
-        A, links, power, vanishing=lambda s: DegenerateTransform(
-            f"stream ({s[0]},{s[1]}): vanishing receive vector"))
-    u = [np.zeros((bf_mac.v[i].shape[0], ch.nt), dtype=np.complex128) for i in range(K)]
-    for (i, j), uij in u_mmse.items():
-        u[i][j] = uij
-    # downlink powers from the SINR equalities, solved in reverse encoding
-    # order (each equation only involves powers of later-encoded streams)
-    p = [np.zeros(bf_mac.v[i].shape[0]) for i in range(K)]
-    for pos in range(len(seq) - 1, -1, -1):
-        i, j = seq[pos]
-        vij = bf_mac.v[i][j]
-        gain = abs(np.vdot(vij, ch.H[i] @ u[i][j])) ** 2
-        interf_bc = ch.sigma2[i]
-        for (k, l) in seq[pos + 1:]:
-            interf_bc += p[k][l] * abs(np.vdot(vij, ch.H[i] @ u[k][l])) ** 2
-        target = sinr_mac[(i, j)]
-        if target == 0.0:
-            p[i][j] = 0.0
-            continue
-        if gain <= 0:
-            raise DegenerateTransform(
-                f"stream ({i},{j}): zero gain with positive target SINR"
-            )
-        p[i][j] = target * interf_bc / gain
-    return model.BeamformingSolution.built(u, [vi.copy() for vi in bf_mac.v], p,
-                                           [np.array(qi) for qi in bf_mac.q])
+    users, links = model.stream_links(ch, bf_mac.v)
+    q = model.stream_order(ch, bf_mac.q)
+
+    def degenerate(s):
+        return DegenerateTransform(f"stream {s} (user {users[s]}) in encoding order: zero gain")
+
+    u, _, sinr = model.uplink_sic(A, links, lambda s, gain, den: q[s], degenerate)
+    # downlink powers meeting the uplink SINRs, from the last-encoded stream
+    p = model.sinr_powers(model.stream_gains(links, u), sinr, ch.sigma2[users], model.BC,
+                          degenerate)
+    counts = bf_mac.streams()
+    return model.BeamformingSolution.built(
+        model.per_user(ch, counts, u), [vi.copy() for vi in bf_mac.v],
+        model.per_user(ch, counts, p), [np.array(qi) for qi in bf_mac.q])
 
 
 def verify_capacity_transform(ch, cov_mac, cov_bc, A):
@@ -203,20 +172,8 @@ def verify_capacity_transform(ch, cov_mac, cov_bc, A):
 def verify_sinr_transform(ch, bf, A):
     """Audit record for an SINR-preserving transformation: per-stream SINR gap
     and the weighted-power identity residual sum p u^H A u - sum sigma^2 q."""
-    s_bc = model.bc_sinr(ch, bf, scheme="dpc")
-    s_mac = model.mac_sinr(ch, bf, A)
-    gap = 0.0
-    for i in range(ch.K):
-        if s_bc[i].size:
-            gap = max(gap, float(np.max(np.abs(s_bc[i] - s_mac[i]))))
-    lhs = sum(
-        float(bf.p[i][j] * np.real(bf.u[i][j].conj() @ A @ bf.u[i][j]))
-        for i in range(ch.K)
-        for j in range(bf.u[i].shape[0])
-    )
-    rhs = sum(
-        float(ch.sigma2[i] * bf.q[i][j])
-        for i in range(ch.K)
-        for j in range(bf.q[i].shape[0])
-    )
-    return TransformReport(model.MAC, model.BC, gap, rhs - lhs)
+    gaps = [np.abs(b - m) for b, m in zip(model.bc_sinr(ch, bf), model.mac_sinr(ch, bf, A))]
+    used = model.stream_order(ch, bf.p) @ model.uplink_noise(model.stream_order(ch, bf.u), A)
+    budget = sum(s2 * np.sum(qi) for s2, qi in zip(ch.sigma2, bf.q))
+    return TransformReport(model.MAC, model.BC, float(np.max(np.concatenate([[0.0]] + gaps))),
+                           float(budget - used))

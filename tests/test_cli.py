@@ -44,7 +44,9 @@ def _args(command, config, out):
     (_region_doc(heuristic=True), "not positive definite"),
     (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
                  nonlinear=dict(BALL, a=[[[1.0]]])), "need one or more 2x2 matrices"),
-], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size"])
+    (_region_doc(constraints=PER_ANTENNA[:1]), "not positive definite"),
+], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size",
+        "single_per_antenna"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2

@@ -8,8 +8,10 @@ from bcmac import (
     LinearConstraint,
     SinrTargets,
     SolverSettings,
+    bc_mmse_receivers,
     mac_rates,
     mac_sinr,
+    mac_to_bc_sinr,
     solve_power_min_mac,
     solve_sinr_balance_mac,
     solve_wsr_mac,
@@ -445,19 +447,21 @@ def test_warm_start_from_a_nearby_multiplier_matches_the_cold_solve(monkeypatch,
 
 def test_balanced_ratio_matches_a_bisection(rng):
     """The closed-form ratio spends the budget: it matches a tight bisection
-    of the powers' total over alpha, for fixed receivers."""
+    of the powers' total over alpha, for fixed receivers (stream gains M,
+    receiver noise c, streams in encoding order)."""
+    def zero_gain(s):
+        return InfeasibleTargets(f"user {s}: zero gain")
+
     for K in (2, 3, 4):
         for _ in range(4):
-            ch = ChannelSet(rand_channels(rng, K, 1, 2), sigma2=rng.uniform(0.5, 2.0, K),
-                            encoding_order=rng.permutation(K))
-            gam = SinrTargets(rng.uniform(0.5, 2.0, K))
-            a, c = rng.uniform(0.1, 2.0, K), rng.uniform(0.5, 2.0, K)
-            pos = np.argsort(ch.encoding_order)
-            b = rng.uniform(0.0, 1.0, (K, K)) * (pos[None, :] < pos[:, None])
+            gam, sigma2 = rng.uniform(0.5, 2.0, K), rng.uniform(0.5, 2.0, K)
+            M = rng.uniform(0.0, 1.0, (K, K))  # the uplink reads its upper triangle
+            np.fill_diagonal(M, rng.uniform(0.1, 2.0, K))
+            c = rng.uniform(0.5, 2.0, K)
             budget = float(rng.uniform(1.0, 10.0))
 
             def total(al):
-                return float(ch.sigma2 @ macsolver._powers_for_ratio(ch, gam, a, b, c, al))
+                return float(sigma2 @ model.sinr_powers(M, al * gam, c, model.MAC, zero_gain))
 
             lo, hi = 0.0, 1.0
             while total(hi) < budget:
@@ -465,12 +469,32 @@ def test_balanced_ratio_matches_a_bisection(rng):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
-            alpha = macsolver._balanced_ratio(ch, gam, a, b, c, budget)
+            alpha = macsolver._balanced_ratio(gam, M, c, sigma2, budget, zero_gain)
             assert alpha == pytest.approx(lo, rel=1e-12)
             assert total(alpha) == pytest.approx(budget, rel=1e-12)
-    a[1] = 0.0
+    M[1, 1] = 0.0
     with pytest.raises(InfeasibleTargets, match="user 1"):
-        macsolver._balanced_ratio(ch, gam, a, b, c, budget)
+        macsolver._balanced_ratio(gam, M, c, sigma2, budget, zero_gain)
+
+
+@pytest.mark.parametrize("nr", [2, 3])
+def test_power_min_refresh_matches_the_sinr_transform(rng, nr):
+    """Power minimization refreshes its user-side vectors from its own
+    sweep: they equal the downlink MMSE receivers of mac_to_bc_sinr's
+    output for the sweep's solution."""
+    ch = ChannelSet(rand_channels(rng, 3, nr, 3), sigma2=rng.uniform(0.5, 2.0, 3),
+                    encoding_order=[2, 0, 1])
+    A, gam = rand_pd(rng, 3), SinrTargets(rng.uniform(0.5, 2.0, 3))
+    v = [x / np.linalg.norm(x) for x in rand_channels(rng, 3, 1, nr)]
+    users = np.array(ch.encoding_order)
+    gamma = gam.gamma[users]
+    _, links = model.stream_links(ch, v)
+    u, q = macsolver._mmse_pass(A, users, links, lambda s, gain, den: gamma[s] * den / gain)
+    got = macsolver._power_min_receivers(ch, users, links, u, gamma)
+    bf = mac_to_bc_sinr(ch, macsolver._single_stream(ch, u, v, q), A)
+    want = bc_mmse_receivers(ch, [ui[0] for ui in bf.u], [pi[0] for pi in bf.p])
+    for gi, wi in zip(got, want):
+        assert np.max(np.abs(gi[0] - wi)) <= 1e-12
 
 
 def test_sinr_balance_stops_where_its_receiver_updates_stall():

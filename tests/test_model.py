@@ -136,13 +136,30 @@ def test_bc_sinr_orthogonal_streams():
     assert np.allclose(s_lin, [2.0, 3.0])
 
 
+def _oracle_cases(rng):
+    """K=3 in a permuted order with stream counts (1, 3, 2), then with a user
+    that has no streams (as mac_eigenbeams can leave one); the first stream
+    of user 2 has zero power on both links."""
+    for counts in ([1, 3, 2], [2, 0, 2]):
+        ch = ChannelSet(rand_channels(rng, 3, 3, 4), sigma2=[0.7, 1.3, 1.1],
+                        encoding_order=[2, 0, 1])
+        bf = _random_bf(rng, ch, 3)
+        bf = BeamformingSolution(*([x[:n] for x, n in zip(getattr(bf, f), counts)]
+                                   for f in "uvpq"))
+        bf.p[2][0] = bf.q[2][0] = 0.0
+        yield ch, bf
+
+
 def test_bc_sinr_vs_loop_oracle(rng):
     ch = ChannelSet(rand_channels(rng, 2, 1, 3), sigma2=[0.7, 1.3])
-    bf = _random_bf(rng, ch, 1)
-    got = bc_sinr(ch, bf, "dpc")
-    ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, bf.u, bf.v, bf.p)
-    for (i, j), val in ref.items():
-        assert got[i][j] == pytest.approx(val, rel=1e-12)
+    for ch, bf in [(ch, _random_bf(rng, ch, 1))] + list(_oracle_cases(rng)):
+        for scheme in ("dpc", "linear"):
+            got = bc_sinr(ch, bf, scheme)
+            assert [len(x) for x in got] == bf.streams()
+            ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, bf.u, bf.v, bf.p,
+                                  linear=scheme == "linear")
+            for (i, j), val in ref.items():
+                assert got[i][j] == pytest.approx(val, rel=1e-12)
 
 
 def test_bc_sinr_linear_includes_all_interference(rng):
@@ -196,12 +213,13 @@ def test_mac_rates_rejects_singular_noise(rng):
 
 def test_mac_sinr_vs_loop_oracle(rng):
     ch = ChannelSet(rand_channels(rng, 2, 2, 3), sigma2=[1.0, 2.0])
-    bf = _random_bf(rng, ch, 2)
-    A = rand_pd(rng, 3)
-    got = mac_sinr(ch, bf, A)
-    ref = ref_mac_sinr(ch.H, ch.encoding_order, bf.u, bf.v, bf.q, A)
-    for (i, j), val in ref.items():
-        assert got[i][j] == pytest.approx(val, rel=1e-12)
+    for ch, bf in [(ch, _random_bf(rng, ch, 2))] + list(_oracle_cases(rng)):
+        A = rand_pd(rng, ch.nt)
+        got = mac_sinr(ch, bf, A)
+        assert [len(x) for x in got] == bf.streams()
+        ref = ref_mac_sinr(ch.H, ch.encoding_order, bf.u, bf.v, bf.q, A)
+        for (i, j), val in ref.items():
+            assert got[i][j] == pytest.approx(val, rel=1e-12)
 
 
 def test_constraint_value_cases(rng):

@@ -18,7 +18,7 @@ from bcmac import (
     verify_sinr_transform,
 )
 from bcmac import model
-from bcmac.errors import InvalidInput, SingularConstraintMatrix
+from bcmac.errors import DegenerateTransform, InvalidInput, SingularConstraintMatrix
 from bcmac.orchestrator import combined_constraint
 
 from conftest import (
@@ -203,6 +203,22 @@ def test_sinr_transform_zero_powers(rng):
     )
     bf = mac_to_bc_sinr(ch, bf_mac, rand_pd(rng, 2))
     assert all(np.allclose(p, 0) for p in bf.p)
+
+
+def test_sinr_transform_zero_gain_and_zero_target(rng):
+    """A stream whose link vanishes raises DegenerateTransform however much
+    power it has; a stream with zero uplink power (zero target SINR) gets
+    zero downlink power while the other keeps its SINR."""
+    h = rand_complex(rng, (1, 3))
+    ch = ChannelSet([rand_complex(rng, (2, 3)), np.vstack([h, h])], sigma2=[0.8, 1.2])
+    A = rand_pd(rng, 3)
+    u, e1 = [np.eye(3)[:1].astype(complex)] * 2, np.eye(2)[:1].astype(complex)
+    null = np.array([[1.0, -1.0]], dtype=complex) / np.sqrt(2.0)  # H_1^H null = 0
+    with pytest.raises(DegenerateTransform):
+        mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, null], q=[[1.0], [2.0]]), A)
+    bf = mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, e1], q=[[0.0], [2.0]]), A)
+    assert bf.p[0][0] == 0.0 and bf.p[1][0] > 0
+    assert verify_sinr_transform(ch, bf, A).rate_or_sinr_gap <= 1e-12
 
 
 def test_sinr_transform_matches_both_sides(rng):
