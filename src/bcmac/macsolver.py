@@ -65,7 +65,9 @@ class SolverSettings:
     passed as ``outer``.
 
     ``tol``: the weighted-sum-rate ascent stops once its Frank-Wolfe gap is
-    at most tol * |objective|; for the multiplier search it is the certified
+    at most tol * |objective| (min(tol, outer.tol / 10) * |objective| inside a
+    multiplier search over two or more constraints, whose few evaluations
+    need each bound tight); for the multiplier search it is the certified
     relative gap that counts as converged.  The beamforming fixed points
     stop on POWER_RTOL instead, SINR balancing on ``tol`` only where it
     stalls (see the module docstring).  ``max_iters`` caps iterations

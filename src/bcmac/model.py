@@ -473,18 +473,13 @@ def feasible_scale(cov, constraints):
 def bc_mmse_receivers(ch, u, p):
     """Unit-norm MMSE receive vectors for single-stream-per-user downlink
     beams under the DPC interference structure (user at position m interfered
-    by positions > m).  u: list of K unit Nt-vectors, p: K powers."""
-    K = ch.K
-    v = [None] * K
-    pos_of = {ch.encoding_order[m]: m for m in range(K)}
-    for i in range(K):
-        Hi = ch.H[i]
-        C = ch.sigma2[i] * np.eye(ch.nr, dtype=np.complex128)
-        for k in range(K):
-            if pos_of[k] > pos_of[i]:
-                g = Hi @ u[k]
-                C += p[k] * np.outer(g, g.conj())
-        vi = np.linalg.solve(C, Hi @ u[i])
-        n = np.linalg.norm(vi)
-        v[i] = vi / n if n > 0 else np.eye(ch.nr)[0].astype(np.complex128)
-    return v
+    by positions > m).  u: list of K unit Nt-vectors, p: K powers.  The K
+    interference-plus-noise covariances are built and solved as one stack."""
+    G = np.einsum("irt,kt->ikr", np.array(ch.H), np.asarray(u, dtype=np.complex128))
+    pos = np.argsort(ch.encoding_order)
+    load = (pos[None, :] > pos[:, None]) * np.asarray(p, dtype=float)  # [i, k]: k hurts i
+    C = ch.sigma2[:, None, None] * np.eye(ch.nr) + np.einsum("ik,ikr,iks->irs", load, G, G.conj())
+    v = np.linalg.solve(C, np.einsum("iir->ir", G)[..., None])[..., 0]
+    n = np.linalg.norm(v, axis=1)
+    v[n == 0] = np.eye(ch.nr)[0]
+    return list(v / np.where(n > 0, n, 1.0)[:, None])

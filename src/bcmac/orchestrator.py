@@ -23,31 +23,32 @@ a weighted sum rate the inner objective plus its Frank-Wolfe gap, so the
 bound holds however inexact the solve) and a subgradient, whose direction
 cuts the simplex through the evaluated multipliers: the optimum lies on the
 side the bound decreases (increases, for power balancing).  Over two
-multipliers lam = (x, 1 - x) the search bisects on the sign of the slope
-sub_1 - sub_2 along x; over three or more it takes the centre of the largest
-ball the cuts leave room for, with its centre on the simplex (Elzinga and
-Moore's central cutting planes, 1975, one LP on scipy's HiGHS, imported on
-that branch only); between two cuts on a line that centre is the bisection's
-midpoint.  The cuts use only directions, so they hold for the quasi-convex
-bounds of balancing too.
+multipliers lam = (x, 1 - x) the sign of the slope sub_1 - sub_2 along x
+brackets the optimum, and the search steps by Illinois regula falsi on that
+slope kept inside ITP's bound, so it takes at most ``ITP_N0`` evaluations
+more than bisection (``_bracket_step``); over three or more it takes the
+centre of the largest ball the cuts leave room for, with its centre on the
+simplex (Elzinga and Moore's central cutting planes, 1975, one LP on scipy's
+HiGHS, imported on that branch only).  The cuts use only directions, so they
+hold for the quasi-convex bounds of balancing too.
 
 Either way the search names the evaluations that locate the optimum, with
 weights under which their subgradients cancel along the simplex: the last
-evaluation on each side of the bisection bracket, or the LP's dual weights
-on its cuts.  Each caller builds its point from them and repairs it last.
-A weighted sum rate time-shares their covariances and scales the result
-into every constraint (min(1, P_l / tr(Q A_l)), or the ball's radius over
+evaluation on each side of the bracket (or the one whose slope is exactly
+zero), or the LP's dual weights on its cuts.  Each caller builds its point
+from them and repairs it last.  A weighted sum rate time-shares their
+covariances and scales the result into every constraint (min(1, P_l / tr(Q A_l)), or the ball's radius over
 |p|); balancing, whose beamformers cannot be time-shared, emits the best of
 those evaluations, SINR balancing after scaling its powers into every
 constraint, power balancing as it is (achievable).  The certified gap is the
 relative distance from the best bound to the value of that repaired point,
 and ``trace.converged`` says whether it is at most ``outer.tol``.  The
-central search stops there; bisection goes on until its bracket collapses to
-rounding.  Both stop when their next multipliers repeat evaluated ones or
-after ``outer.max_iters`` evaluations.
+central search stops there; the two-multiplier search goes on to an exact
+zero slope or to a bracket collapsed to rounding.  Both stop when their next
+multipliers repeat evaluated ones or after ``outer.max_iters`` evaluations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -62,6 +63,9 @@ from .macsolver import (
 )
 
 LAMBDA_FLOOR = 1e-7
+ITP_EPS = 2.0 ** -53  # bracket width the two-multiplier search resolves
+ITP_N0 = 4  # evaluations it may take beyond bisection's count
+OUTER = SolverSettings(max_iters=120)  # the search's settings when none are given
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,24 +158,43 @@ def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None,
     return sol.objective, cov_bc, sol
 
 
-def _bisect(trace, sign):
+def _bracket_step(trace, sign):
     """Two multipliers lam = (x, 1 - x): the slope sign * (sub_1 - sub_2)
     of the searched bound along x says on which side of each evaluation the
-    optimum lies.  Returns the midpoint of the bracket and the bracket's two
-    ends (the last evaluation on each side) weighted so that their slopes
-    cancel, or the one end there is."""
+    optimum lies.  Returns the next multipliers and the bracket's two ends
+    (the last evaluation on each side) weighted so that their slopes cancel,
+    or the one end there is; after an exact zero slope, no next multipliers
+    and that evaluation alone.
+
+    A one-sided bracket is bisected toward its open edge.  A two-sided one
+    takes the regula-falsi point of the ends' slopes, an end's slope weighted
+    by 2^-k when the last k + 1 evaluations fell on the other side (Illinois;
+    Dowell and Jarratt, 1971), projected into ITP's ball around the midpoint
+    (Oliveira and Takahashi, 2020), whose radius shrinks so that the search
+    takes at most ITP_N0 evaluations more than bisection would."""
     x = np.array([lam[0] for lam in trace.lam])
     slope = sign * np.array([s[0] - s[1] for s in trace.subgrad])
-    left, right = np.nonzero(slope <= 0)[0], np.nonzero(slope > 0)[0]
+    n = len(x)
+    if slope[-1] == 0:
+        return None, {n - 1: 1.0}
+    left, right = np.nonzero(slope < 0)[0], np.nonzero(slope > 0)[0]
     lo = left[np.argmax(x[left])] if left.size else None
     hi = right[np.argmin(x[right])] if right.size else None
     x_lo = 0.0 if lo is None else x[lo]
     x_hi = 1.0 if hi is None else x[hi]
-    nxt = np.array([0.5 * (x_lo + x_hi), 1.0 - 0.5 * (x_lo + x_hi)])
+    mid = 0.5 * (x_lo + x_hi)
     if lo is None or hi is None:
-        return nxt, {hi if lo is None else lo: 1.0}
+        return np.array([mid, 1.0 - mid]), {hi if lo is None else lo: 1.0}
+    f_lo, f_hi = (slope[k] * 0.5 ** max(n - 2 - k, 0) for k in (lo, hi))
+    first = max(left[0], right[0])  # the evaluation that closed the bracket
+    j = n - 1 - first  # steps taken from a two-sided bracket
+    width0 = np.min(x[right[right <= first]]) - np.max(x[left[left <= first]])
+    n_max = np.ceil(np.log2(width0 / (2 * ITP_EPS))) + ITP_N0
+    r = max(ITP_EPS * 2.0 ** (n_max - j) - 0.5 * (x_hi - x_lo), 0.0)
+    nxt = np.clip(x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi), mid - r, mid + r)
+    nxt = nxt if x_lo < nxt < x_hi else mid
     theta = slope[hi] / (slope[hi] - slope[lo])
-    return nxt, {lo: theta, hi: 1.0 - theta}
+    return np.array([nxt, 1.0 - nxt]), {lo: theta, hi: 1.0 - theta}
 
 
 def _center(trace, sign):
@@ -180,8 +203,8 @@ def _center(trace, sign):
     the largest ball the cuts leave room for (Elzinga and Moore's central
     cutting planes, 1975), one LP.  The cuts use only the subgradients'
     directions, so they stay valid for the quasi-convex bounds of
-    balancing; between two cuts on a line the centre is their midpoint,
-    the bisection's step.  Returns the centre and the LP's dual weights on
+    balancing; between two cuts on a line the centre is their midpoint.
+    Returns the centre and the LP's dual weights on
     the cuts, scaled so that the weighted subgradients cancel along the
     simplex."""
     from scipy.optimize import linprog  # scipy only loads for L >= 3
@@ -223,7 +246,7 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
     emitted point from the evaluations' results and the search's weights
     ``theta`` (evaluation index: weight).  Returns (value, result,
     multipliers of the best bound, trace)."""
-    outer = outer or SolverSettings(max_iters=120)
+    outer = outer or OUTER
     if L < 1:
         raise InvalidInput("need at least one constraint")
     sign = 1.0 if sense == "min" else -1.0
@@ -234,28 +257,34 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
         bound, sub, result = evaluate(nxt, *merge(nxt))
         trace.record(nxt.values, bound, sub)
         results.append(result)
-        lam, theta = (None, {0: 1.0}) if L == 1 else (_bisect if L == 2 else _center)(trace, sign)
+        step = _bracket_step if L == 2 else _center
+        lam, theta = (None, {0: 1.0}) if L == 1 else step(trace, sign)
         value, out = recover(results, theta)
         best = trace.best_index = int(np.argmin(sign * np.array(trace.value)))
         trace.gap = sign * (trace.value[best] - value) / max(abs(trace.value[best]), 1e-300)
         trace.converged = bool(trace.gap <= outer.tol)
-        # a bisection step costs one warm-started evaluation and halves the
-        # bracket, so it does not stop at the tolerance: the bracket ends,
-        # which balancing emits, meet at the optimal multipliers to
-        # rounding, and the inner solves' Frank-Wolfe gaps keep closing
+        # the two-multiplier search does not stop at the tolerance: its
+        # superlinear steps reach rounding in a few more warm-started
+        # evaluations, where the bracket ends, which balancing emits, meet at
+        # the optimal multipliers and the inner solves' Frank-Wolfe gaps close
         nxt = None if lam is None else DualWeights(lam)
         if nxt is None or trace.iterations >= outer.max_iters or (L > 2 and trace.converged) \
                 or any(np.array_equal(nxt.values, p.values) for p in points):
             return value, out, points[best], trace
 
 
-def _wsr_evaluate(ch, weights, inner, slacks):
+def _wsr_evaluate(ch, weights, inner, slacks, L, outer):
     """``evaluate`` of a weighted-sum-rate search: the merged constraint's
     solve, warm-started from the previous evaluation; its bound is the
     objective plus the Frank-Wolfe gap, and its subgradient is
     mu * ``slacks(lam, cov_bc)`` with mu the merged budget's own multiplier
     (without the mu factor the direction is the same but the subgradient
-    inequality fails)."""
+    inequality fails).  Over L >= 2 multipliers the solves stop on a gap of
+    min(inner.tol, outer.tol / 10) relative: the search makes few evaluations,
+    so each bound must be tight on its own."""
+    inner = inner or SolverSettings()
+    if L >= 2:
+        inner = replace(inner, tol=min(inner.tol, (outer or OUTER).tol / 10))
     warm = [None]  # uplink covariances of the previous evaluation
 
     def evaluate(lam, A, budget):
@@ -292,7 +321,8 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
     _, cov_bc, lam, trace = _multiplier_loop(
         partial(combined_constraint, constraints), len(constraints), outer, "min",
         _wsr_evaluate(ch, weights, inner,
-                      lambda lam, cov: model.constraint_slacks(cov, constraints)),
+                      lambda lam, cov: model.constraint_slacks(cov, constraints),
+                      len(constraints), outer),
         _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)))
     return cov_bc, lam, trace
 
@@ -451,6 +481,7 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     _, cov_bc, lam, trace = _multiplier_loop(
         f.merged, len(f.mats), outer, "min",
         _wsr_evaluate(ch, weights, inner,
-                      lambda lam, cov: f.support_point(lam.values) - f.traces(cov)),
+                      lambda lam, cov: f.support_point(lam.values) - f.traces(cov),
+                      len(f.mats), outer),
         _wsr_recover(ch, weights, lambda cov: min(1.0, f.room(f.traces(cov)))))
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

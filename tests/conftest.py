@@ -91,6 +91,23 @@ def ref_bc_sinr_dpc(H, sigma2, order, u, v, p, linear=False):
     return out
 
 
+def ref_bc_mmse_receivers(H, sigma2, order, u, p):
+    """Unit-norm downlink MMSE receivers, one stream per user, by an explicit
+    loop: user i's covariance adds the beams of later-encoded users."""
+    pos = {k: m for m, k in enumerate(order)}
+    v = []
+    for i, Hi in enumerate(H):
+        C = sigma2[i] * np.eye(Hi.shape[0], dtype=complex)
+        for k in range(len(H)):
+            if pos[k] > pos[i]:
+                g = Hi @ u[k]
+                C = C + p[k] * np.outer(g, g.conj())
+        vi = np.linalg.solve(C, Hi @ u[i])
+        n = np.linalg.norm(vi)
+        v.append(vi / n if n > 0 else np.eye(Hi.shape[0], dtype=complex)[0])
+    return v
+
+
 def ref_mac_sinr(H, order, u, v, q, noise):
     """Per-stream uplink SINRs by explicit scalar loops: stream (i, j) sees
     earlier-encoded streams plus the noise covariance."""

@@ -22,6 +22,7 @@ from conftest import (
     rand_pd,
     rand_psd,
     random_mac_cov,
+    ref_bc_mmse_receivers,
     ref_bc_rates,
     ref_bc_sinr_dpc,
     ref_mac_rates,
@@ -248,6 +249,22 @@ def test_constraint_value_linear_in_q(rng):
     assert v12 == pytest.approx(v1 + v2, rel=1e-12)
     v_scaled = constraint_value(CovarianceSet("bc", [3 * Q1, 3 * Q2]), c)
     assert v_scaled == pytest.approx(3 * v12, rel=1e-12)
+
+
+@pytest.mark.parametrize("nr", [1, 3])
+def test_bc_mmse_receivers_vs_loop_oracle(rng, nr):
+    """The stacked solve gives the loop's receivers: K=3 in order (2, 0, 1),
+    a zero-power beam, and a user whose beam its channel nulls (the first
+    unit vector stands in)."""
+    H = rand_channels(rng, 3, nr, 2)
+    H[1][:, 0] = 0.0
+    u = [x / np.linalg.norm(x) for x in rand_complex(rng, (3, 2))]
+    u[1] = np.array([1.0, 0.0], dtype=complex)
+    p, sigma2, order = [0.0, 0.8, 1.3], [1.0, 1.5, 0.7], (2, 0, 1)
+    got = bc_mmse_receivers(ChannelSet(H, sigma2=sigma2, encoding_order=order), u, p)
+    want = ref_bc_mmse_receivers(H, sigma2, order, u, p)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got[1], np.eye(nr)[0])
 
 
 def test_rate_sinr_consistency_with_mmse(rng):

@@ -407,28 +407,66 @@ def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80):
     return out, seen
 
 
-def test_multiplier_search_bisects_and_time_shares_the_bracket():
-    """Bisection on the slope's sign: every evaluation is the midpoint of
-    the bracket left by the earlier ones until the bracket collapses to
-    rounding, the certified gap is within tolerance, and recovery gets the
-    last evaluation on each side, weighted so that their slopes cancel."""
-    (value, theta, lam, trace), seen = _stub_multiplier_loop(
-        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 1.0)
+def _assert_inside_brackets(seen, slope):
+    """Every evaluation lies strictly inside the bracket the earlier ones
+    left; only the last may have a zero slope."""
     lo, hi = 0.0, 1.0
-    for x in seen:
-        assert x == pytest.approx(0.5 * (lo + hi), abs=1e-15)
-        lo, hi = (x, hi) if x <= 0.3 else (lo, x)
+    for k, x in enumerate(seen):
+        assert lo < x < hi
+        assert slope(x) != 0 or k == len(seen) - 1
+        lo, hi = (x, hi) if slope(x) < 0 else (lo, x)
+
+
+def test_multiplier_search_brackets_and_time_shares_the_ends():
+    """A linear slope is met exactly by the bracket's first regula-falsi step,
+    whose zero slope certifies the optimum on its own; on a nonlinear slope
+    the bracket collapses to rounding and recovery gets the last evaluation
+    on each side, weighted so that their slopes cancel."""
+    slope = lambda x: 2.0 * (x - 0.3)
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 + (x - 0.3) ** 2, slope(x)), 1.0)
+    _assert_inside_brackets(seen, slope)
     assert trace.converged and 0 <= trace.gap <= 1e-8
     assert trace.gap == pytest.approx(min(trace.value) - 1.0, rel=1e-12)
-    assert trace.iterations == len(seen) < 80
+    assert trace.iterations == len(seen) <= 4
     assert trace.best_index == int(np.argmin(trace.value))
     assert lam.values[0] == seen[trace.best_index]
     assert abs(seen[-1] - 0.3) <= 1e-15
-    left = max((k for k, x in enumerate(seen) if x <= 0.3), key=lambda k: seen[k])
-    right = min((k for k, x in enumerate(seen) if x > 0.3), key=lambda k: seen[k])
-    assert set(theta) == {left, right}
+    assert theta == {len(seen) - 1: 1.0}
+
+    slope = lambda x: x * x - 0.15
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(lambda x: (1.0, slope(x)), 1.0)
+    _assert_inside_brackets(seen, slope)
+    left = max((k for k, x in enumerate(seen) if slope(x) < 0), key=lambda k: seen[k])
+    right = min((k for k, x in enumerate(seen) if slope(x) > 0), key=lambda k: seen[k])
+    assert set(theta) == {left, right} and seen[right] - seen[left] <= 1e-15
     assert sum(theta.values()) == pytest.approx(1.0, abs=1e-15)
-    assert abs(sum(t * (seen[k] - 0.3) for k, t in theta.items())) <= 1e-15
+    assert abs(sum(t * slope(seen[k]) for k, t in theta.items())) <= 1e-18
+    assert trace.iterations == len(seen) <= 14  # plain regula falsi: 19
+
+
+def _bisection_count(slope):
+    """Evaluations a bisection of [0, 1] on the slope's sign takes until its
+    midpoint repeats an end."""
+    lo, hi, n = 0.0, 1.0, 0
+    while lo < 0.5 * (lo + hi) < hi:
+        x, n = 0.5 * (lo + hi), n + 1
+        lo, hi = (x, hi) if slope(x) < 0 else (lo, x)
+    return n
+
+
+@pytest.mark.parametrize("slope", [
+    lambda x: 1e3 * (x - 0.3) if x > 0.3 else 1e-3 * (x - 0.3),
+    lambda x: 1.0 if x >= 0.3 else -1.0,
+    lambda x: (x - 0.3) ** 3,
+], ids=["lopsided", "step", "cubic"])
+def test_multiplier_search_worst_case(slope):
+    """Slopes that stall regula falsi still converge within bisection's
+    count plus ITP_N0 evaluations, every one inside the bracket."""
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(lambda x: (1.0, slope(x)), 1.0)
+    _assert_inside_brackets(seen, slope)
+    assert trace.iterations <= _bisection_count(slope) + orchestrator.ITP_N0
+    assert all(abs(seen[k] - 0.3) <= 1e-15 for k in theta)
 
 
 def test_multiplier_search_maximizes_with_the_sign_flipped():
@@ -441,13 +479,14 @@ def test_multiplier_search_maximizes_with_the_sign_flipped():
 
 def test_multiplier_search_reports_an_open_gap():
     """A recovered value that never meets the bound leaves the gap open and
-    the search unconverged, and it stops at its evaluation budget."""
+    the search unconverged, and it stops at its evaluation budget (a cubic
+    slope, which the search is still closing in on at ten evaluations)."""
     (value, theta, lam, trace), seen = _stub_multiplier_loop(
         lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 0.5)
     assert not trace.converged
     assert trace.gap == pytest.approx((min(trace.value) - 0.5) / min(trace.value))
     (value, theta, lam, trace), seen = _stub_multiplier_loop(
-        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 0.5, max_iters=10)
+        lambda x: (1.0 + (x - 0.3) ** 4, 4.0 * (x - 0.3) ** 3), 0.5, max_iters=10)
     assert not trace.converged and trace.iterations == 10
 
 
