@@ -8,14 +8,15 @@ Subcommands map to the config objectives:
     bcmac nonlinear --config cfg.yaml --out DIR    (nonlinear_wsr)
     bcmac validate  --config cfg.yaml
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure (partial results
-are still written and flagged in the metadata sidecar).
+Every setting comes from the config; besides ``--config`` and ``--out`` the
+only flag is ``--log-level``.  Exit codes: 0 success, 2 invalid config or
+usage, 3 solver failure (partial results are still written and flagged in
+the metadata sidecar).
 """
 
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 import yaml
 
@@ -36,11 +37,6 @@ def _add_common(p, with_out=True):
     p.add_argument("--config", required=True, help="scenario config (YAML)")
     if with_out:
         p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override inner solver tolerance")
-    p.add_argument("--max-iters", type=int, default=None,
-                   help="override inner solver iteration budget")
     p.add_argument("--log-level", default="WARNING",
                    help="logging level (DEBUG, INFO, WARNING, ...)")
 
@@ -58,27 +54,12 @@ def build_parser():
     return parser
 
 
-def _load(args):
-    cfg = scenario.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-        cfg.raw = dict(cfg.raw or {}, seed=args.seed)
-    overrides = {}
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if overrides:
-        cfg = replace(cfg, solver=replace(cfg.solver, **overrides))
-    return cfg
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = _load(args)
+        cfg = scenario.load_config(args.config)
     except (scenario.ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

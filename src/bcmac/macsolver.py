@@ -57,12 +57,15 @@ from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
 # stalled (see the module docstring).
 POWER_RTOL = 1e-11
 STALL = 0.99
+ARMIJO_BETA = 0.5  # the ascent's backtracking shrinks its step by this factor
+ARMIJO_C = 0.1  # until the step gains this share of its first-order progress
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Settings of the dual-uplink solvers, and of the multiplier search when
-    passed as ``outer``.
+    passed as ``outer`` (default ``orchestrator.OUTER``).  Configs set only
+    ``tol`` and ``max_iters``; ARMIJO_BETA, ARMIJO_C and PD_FLOOR are fixed.
 
     ``tol``: the weighted-sum-rate ascent stops once its Frank-Wolfe gap is
     at most tol * |objective| (min(tol, outer.tol / 10) * |objective| inside a
@@ -72,24 +75,18 @@ class SolverSettings:
     stop on POWER_RTOL instead, SINR balancing on ``tol`` only where it
     stalls (see the module docstring).  ``max_iters`` caps iterations
     (evaluations, for the search).  ``seed`` and ``restarts`` do nothing:
-    the ascent makes one deterministic start.  They are still accepted
-    because the benchmark's scripts (``perfbench/workloads.py``,
-    ``perfbench/make_refs.py``) pass them; scenario configs reject them.
+    the ascent makes one deterministic start; ``perfbench/`` passes them,
+    and configs reject them.
     """
 
     max_iters: int = 4000
     tol: float = 1e-6
-    armijo_beta: float = 0.5
-    armijo_c: float = 0.1
-    pd_floor: float = 1e-8
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise InvalidInput("tol must be positive")
-        if not (0 < self.armijo_beta < 1 and 0 < self.armijo_c < 1):
-            raise InvalidInput("Armijo parameters must lie in (0, 1)")
 
 
 @dataclass
@@ -211,11 +208,11 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
                 return Z, obj, iters, gap, top
             cand_mats = _cum_mats(ch, Ghat, cand)
             new_obj = _objective(ch, Ghat, coeffs, cand, cand_mats)
-            if new_obj >= obj + settings.armijo_c * progress:
+            if new_obj >= obj + ARMIJO_C * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
                 t = min(t * 2.0, 1e8)
                 break
-            t *= settings.armijo_beta
+            t *= ARMIJO_BETA
         else:
             return Z, obj, iters, gap, top
         iters += 1
@@ -245,7 +242,7 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     if not (budget >= 0):
         raise InvalidInput("budget must be nonnegative")
     noise = linalg.check_hermitian(noise, name="noise")
-    whitened = model.whitened_channels(ch, noise, settings.pd_floor)
+    whitened = model.whitened_channels(ch, noise)
     coeffs = _rate_coeffs(ch, weights)
     if np.any(coeffs < 0):
         raise InvalidInput("weights must be nonincreasing along the encoding order")
@@ -359,7 +356,7 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
 
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=settings.pd_floor, name="uplink noise covariance")
+    linalg.assert_pd(A, floor=linalg.PD_FLOOR, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
     if not (budget > 0):
@@ -404,7 +401,7 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=settings.pd_floor, name="uplink noise covariance")
+    linalg.assert_pd(A, floor=linalg.PD_FLOOR, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v, q = _start(ch, init)

@@ -9,14 +9,15 @@ larger), the bound is convex and scale-invariant in the multipliers, and it
 is tight at the optimal multipliers, so the search minimizes it over the
 unit simplex (power balancing maximizes a lower bound instead).
 
-A convex constraint phi(p) <= 0 on the trace values p_l = tr(Q A_l) merges
-the same way: at a normal c >= 0 the single constraint
-tr(Q sum_l c_l A_l) <= h(c), with h the support function of {phi <= 0},
-contains the feasible set, so its weighted sum rate bounds the optimum for
-every c and meets it at the optimal normal.  Linear constraints are the case
-h(c) = c . P.
+A quadratic ball |p| <= r on the trace values p_l = tr(Q A_l)
+(``QuadraticBall``) merges the same way: at a normal c >= 0 the single
+constraint tr(Q sum_l c_l A_l) <= h(c) = r |c|, with h the ball's support
+function, contains the feasible set, so its weighted sum rate bounds the
+optimum for every c and meets it at the optimal normal.  Linear constraints
+are the case h(c) = c . P, and an affine one a . p <= offset is the linear
+constraint with matrix sum_l a_l A_l.
 
-Weighted sum rate (under linear or trace-space constraints), SINR balancing
+Weighted sum rate (under linear constraints or a ball), SINR balancing
 and power balancing share one search (``_multiplier_loop``).  Each
 evaluation solves the merged problem and returns a bound on the optimum (for
 a weighted sum rate the inner objective plus its Frank-Wolfe gap, so the
@@ -24,7 +25,8 @@ bound holds however inexact the solve) and a subgradient, whose direction
 cuts the simplex through the evaluated multipliers: the optimum lies on the
 side the bound decreases (increases, for power balancing).  Over two
 multipliers lam = (x, 1 - x) the sign of the slope sub_1 - sub_2 along x
-brackets the optimum, and the search steps by Illinois regula falsi on that
+brackets the optimum (a bracket still open after two evaluations takes its
+open simplex vertex), and the search steps by Illinois regula falsi on that
 slope kept inside ITP's bound, so it takes at most ``ITP_N0`` evaluations
 more than bisection (``_bracket_step``); over three or more it takes the
 centre of the largest ball the cuts leave room for, with its centre on the
@@ -65,17 +67,17 @@ from .macsolver import (
 LAMBDA_FLOOR = 1e-7
 ITP_EPS = 2.0 ** -53  # bracket width the two-multiplier search resolves
 ITP_N0 = 4  # evaluations it may take beyond bisection's count
-OUTER = SolverSettings(max_iters=120)  # the search's settings when none are given
+OUTER = SolverSettings(max_iters=80)  # the search's settings when none are given
 
 
 @dataclass(frozen=True, eq=False)
 class DualWeights:
     """Nonnegative multipliers over constraints, normalized to the unit
-    simplex with a small floor keeping every entry strictly positive."""
+    simplex with a floor, LAMBDA_FLOOR, keeping every entry positive."""
 
     values: np.ndarray
 
-    def __init__(self, values, floor=LAMBDA_FLOOR):
+    def __init__(self, values):
         lam = np.asarray(values, dtype=float).reshape(-1)
         if lam.size == 0 or np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise InvalidInput("multipliers must be nonnegative and finite")
@@ -83,7 +85,7 @@ class DualWeights:
             raise InvalidInput("multipliers must not all be zero")
         lam = lam / lam.sum()
         # floor slightly inflated so entries stay >= floor after renormalizing
-        eff = floor / max(1.0 - lam.size * floor, 0.5)
+        eff = LAMBDA_FLOOR / max(1.0 - lam.size * LAMBDA_FLOOR, 0.5)
         lam = np.maximum(lam, eff)
         lam = lam / lam.sum()
         object.__setattr__(self, "values", lam)
@@ -119,7 +121,7 @@ class OuterTrace:
 
 @dataclass
 class NonlinearResult:
-    """Certificate of a trace-space constraint solve: ``cuts`` holds the one
+    """Certificate of a quadratic-ball solve: ``cuts`` holds the one
     merged linear constraint at the normal ``lam`` of the best bound, which
     contains the feasible set; ``trace`` is the multiplier search's."""
 
@@ -135,24 +137,20 @@ def _merged_matrix(lam, mats):
 
 
 def combined_constraint(constraints, lam):
-    """Merged single constraint: noise matrix sum_l lam_l A_l and budget
-    sum_l lam_l P_l."""
-    lam = lam if isinstance(lam, DualWeights) else DualWeights(lam)
+    """Merged single constraint at the multipliers ``lam``, a
+    ``DualWeights``: noise matrix sum_l lam_l A_l and budget sum_l lam_l P_l."""
     if len(constraints) != lam.values.size:
         raise InvalidInput("multiplier count must match constraint count")
     budget = float(sum(l * c.P for l, c in zip(lam.values, constraints)))
     return _merged_matrix(lam.values, [c.A for c in constraints]), budget
 
 
-def eval_wsr_relaxation(ch, constraints, lam, weights, inner=None, init=None,
-                        merged=None):
-    """Value and downlink covariance of the merged-constraint weighted sum
-    rate at multipliers ``lam``, and the inner solution, whose objective plus
-    gap bounds the multi-constraint optimum for every ``lam``.  ``merged`` is
-    the merged constraint (A, budget) when already computed; ``constraints``
-    is then not read.  A is whitened once, by the solve, for the transform
-    too."""
-    A, budget = merged or combined_constraint(constraints, lam)
+def eval_wsr_relaxation(ch, A, budget, weights, inner=None, init=None):
+    """Value and downlink covariance of the weighted sum rate under the
+    merged constraint tr(Q A) <= budget (``combined_constraint`` or
+    ``QuadraticBall.merged`` at some multipliers), and the inner solution,
+    whose objective plus gap bounds the multi-constraint optimum for every
+    multiplier.  A is whitened once, by the solve, for the transform too."""
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
     cov_bc = transforms.mac_to_bc_capacity(ch, sol.cov, A, sol.whitened)
     return sol.objective, cov_bc, sol
@@ -166,7 +164,11 @@ def _bracket_step(trace, sign):
     or the one end there is; after an exact zero slope, no next multipliers
     and that evaluation alone.
 
-    A one-sided bracket is bisected toward its open edge.  A two-sided one
+    A one-sided bracket is bisected toward its open edge once; still
+    one-sided after two evaluations, it takes that edge, the simplex vertex
+    ``DualWeights`` floors, which either closes the bracket or repeats as the
+    optimum (a constraint inactive at the optimum leaves every slope one
+    sign).  A two-sided one
     takes the regula-falsi point of the ends' slopes, an end's slope weighted
     by 2^-k when the last k + 1 evaluations fell on the other side (Illinois;
     Dowell and Jarratt, 1971), projected into ITP's ball around the midpoint
@@ -184,7 +186,8 @@ def _bracket_step(trace, sign):
     x_hi = 1.0 if hi is None else x[hi]
     mid = 0.5 * (x_lo + x_hi)
     if lo is None or hi is None:
-        return np.array([mid, 1.0 - mid]), {hi if lo is None else lo: 1.0}
+        nxt = mid if n < 2 else x_lo if lo is None else x_hi  # the open edge
+        return np.array([nxt, 1.0 - nxt]), {hi if lo is None else lo: 1.0}
     f_lo, f_hi = (slope[k] * 0.5 ** max(n - 2 - k, 0) for k in (lo, hi))
     first = max(left[0], right[0])  # the evaluation that closed the bracket
     j = n - 1 - first  # steps taken from a two-sided bracket
@@ -288,8 +291,7 @@ def _wsr_evaluate(ch, weights, inner, slacks, L, outer):
     warm = [None]  # uplink covariances of the previous evaluation
 
     def evaluate(lam, A, budget):
-        g, cov_bc, sol = eval_wsr_relaxation(ch, None, lam, weights, inner, warm[0],
-                                             (A, budget))
+        g, cov_bc, sol = eval_wsr_relaxation(ch, A, budget, weights, inner, warm[0])
         warm[0] = sol.cov
         return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc
 
@@ -384,27 +386,29 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
                                                        key=lambda out: out[0]))
 
 
-class TraceSpaceConstraint:
-    """Convex constraint f(Q) = phi(p) <= 0 on the trace values
-    p_l = tr(Q A_l) (A_l PSD, so p >= 0), with phi nondecreasing on the
-    nonnegative orthant and the origin strictly feasible (phi(0) < 0).
+class QuadraticBall:
+    """Convex constraint (tr(Q A_1))^2 + ... + (tr(Q A_L))^2 <= radius_sq on
+    the trace values p_l = tr(Q A_l) (A_l PSD, so p >= 0).
 
-    At a normal c >= 0 its support function h(c) = sup{c . p : phi(p) <= 0,
-    p >= 0} is attained at ``support_point(c)``, and ``merged(c)`` is the
+    At a normal c >= 0 its support function h(c) = sup{c . p : |p|^2 <=
+    radius_sq} is attained at ``support_point(c)``, and ``merged(c)`` is the
     single linear constraint tr(Q sum_l c_l A_l) <= h(c), which every
-    feasible Q meets.  ``room(p)`` is the largest t with phi(t p) <= 0."""
+    feasible Q meets.  ``room(p)`` is the largest t with t p in the ball.
+    An affine constraint a . p <= offset needs no class of its own: it is
+    ``LinearConstraint(sum_l a_l A_l, offset)``."""
 
-    def __init__(self, mats):
+    def __init__(self, mats, radius_sq):
         self.mats = [linalg.check_hermitian(A, name="constraint matrix") for A in mats]
-
-    def phi(self, p):
-        raise NotImplementedError
+        if not (radius_sq > 0):
+            raise InvalidInput("radius_sq must be positive")
+        self.radius_sq = float(radius_sq)
 
     def support_point(self, c):
-        raise NotImplementedError
+        c = np.asarray(c, dtype=float)
+        return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
 
     def room(self, p):
-        raise NotImplementedError
+        return float(np.sqrt(self.radius_sq) / max(np.linalg.norm(p), 1e-300))
 
     def merged(self, lam):
         """Noise matrix sum_l c_l A_l (as in ``combined_constraint``) and
@@ -417,58 +421,14 @@ class TraceSpaceConstraint:
         return np.array([float(np.real(np.trace(tot @ A))) for A in self.mats])
 
     def value(self, cov_bc):
-        return float(self.phi(self.traces(cov_bc)))
-
-
-class QuadraticBall(TraceSpaceConstraint):
-    """(tr(Q A_1))^2 + ... + (tr(Q A_L))^2 <= radius_sq."""
-
-    def __init__(self, mats, radius_sq):
-        super().__init__(mats)
-        if not (radius_sq > 0):
-            raise InvalidInput("radius_sq must be positive")
-        self.radius_sq = float(radius_sq)
-
-    def phi(self, p):
-        return float(np.sum(np.asarray(p) ** 2) - self.radius_sq)
-
-    def support_point(self, c):
-        c = np.asarray(c, dtype=float)
-        return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
-
-    def room(self, p):
-        return float(np.sqrt(self.radius_sq) / max(np.linalg.norm(p), 1e-300))
-
-
-class AffineHalfspace(TraceSpaceConstraint):
-    """a . (tr(Q A_1), ...) <= offset, the already-linear degenerate case."""
-
-    def __init__(self, mats, coeffs, offset):
-        super().__init__(mats)
-        self.coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-        if np.any(self.coeffs < 0) or not (offset > 0):
-            raise InvalidInput("need nonnegative coefficients and positive offset")
-        self.offset = float(offset)
-
-    def phi(self, p):
-        return float(self.coeffs @ np.asarray(p) - self.offset)
-
-    def support_point(self, c):
-        """The vertex (offset / a_k) e_k at k = argmax_l c_l / a_l."""
-        c = np.asarray(c, dtype=float)
-        if np.any((c > 0) & (self.coeffs == 0)):
-            raise InvalidInput("a trace value with zero coefficient is unbounded on the halfspace")
-        k = int(np.argmax(np.divide(c, self.coeffs, out=np.zeros_like(c),
-                                    where=self.coeffs > 0)))
-        return self.offset / self.coeffs[k] * np.eye(c.size)[k]
-
-    def room(self, p):
-        return self.offset / max(float(self.coeffs @ np.asarray(p)), 1e-300)
+        """phi(p) = |p|^2 - radius_sq at the trace values of ``cov_bc``."""
+        return float(np.sum(self.traces(cov_bc) ** 2) - self.radius_sq)
 
 
 def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
-    """Weighted sum rate maximization under a convex trace-space constraint
-    f(Q) <= 0.
+    """Weighted sum rate maximization under a ``QuadraticBall`` ``f`` on the
+    trace values p_l = tr(Q A_l); other constraint types raise InvalidInput
+    (an affine one is a ``LinearConstraint`` for :func:`solve_wsr_multi`).
 
     The multiplier search minimizes, over normals c on the simplex, the
     bound of the merged constraint ``f.merged(c)``; its subgradient is
@@ -476,8 +436,8 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     covariance is the time-shared one scaled by min(1, ``f.room(p)``) into
     the constraint.  Returns it and a ``NonlinearResult``.
     """
-    if not isinstance(f, TraceSpaceConstraint):
-        raise InvalidInput("constraint must expose trace-space structure")
+    if not isinstance(f, QuadraticBall):
+        raise InvalidInput("constraint must be a QuadraticBall")
     _, cov_bc, lam, trace = _multiplier_loop(
         f.merged, len(f.mats), outer, "min",
         _wsr_evaluate(ch, weights, inner,

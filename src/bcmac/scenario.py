@@ -7,7 +7,9 @@ sha256 content hash of the CSV, so identical config + seed give byte-identical
 outputs.  Rates are bits/channel use in files, nats internally.  A config key
 the program does not read is an error; ``workers`` is still accepted and does
 nothing, and ``seed`` is only echoed to the sidecar (the solvers are
-deterministic).
+deterministic).  The ``solver:`` (inner solves) and ``outer:`` (multiplier
+search, default ``orchestrator.OUTER``) sections each take ``tol`` and
+``max_iters``, the only settings a run has.
 
 A region row's ``g_gap`` is its certified gap in nats: the least bound the
 multiplier search evaluated (inner objective plus Frank-Wolfe gap) minus the
@@ -30,7 +32,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -59,7 +61,7 @@ class ScenarioConfig:
     targets: SinrTargets = None
     resolution: int = 20
     solver: SolverSettings = field(default_factory=SolverSettings)
-    outer: SolverSettings = field(default_factory=lambda: SolverSettings(max_iters=80))
+    outer: SolverSettings = orchestrator.OUTER
     seed: int = 0
     basename: str = "result"
     heuristic: bool = False
@@ -180,14 +182,12 @@ def _parse_nonlinear(doc, nt):
         raise ConfigError(f"nonlinear: {exc}") from exc
 
 
-# seed and restarts are SolverSettings fields that nothing reads
-SETTING_TYPES = {f.name: f.type for f in fields(SolverSettings)
-                 if f.name not in ("seed", "restarts")}
-OUTER_KEYS = ("tol", "max_iters")  # all the multiplier search reads
+# all that the solvers and the multiplier search read of SolverSettings
+SETTING_TYPES = {"max_iters": int, "tol": float}
 
 
-def _parse_settings(doc, key, default, names=tuple(SETTING_TYPES)):
-    section = _section(doc, key, names, "setting")
+def _parse_settings(doc, key, default):
+    section = _section(doc, key, tuple(SETTING_TYPES), "setting")
     try:
         return replace(default, **{name: SETTING_TYPES[name](value)
                                    for name, value in section.items()})
@@ -247,7 +247,7 @@ def load_config(path):
     else:
         bounded, name = sum(c.A for c in constraints), "sum of the constraint matrices"
     try:
-        linalg.assert_pd(bounded, floor=solver.pd_floor, name=name)
+        linalg.assert_pd(bounded, floor=linalg.PD_FLOOR, name=name)
     except SingularConstraintMatrix as exc:
         raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
@@ -259,7 +259,7 @@ def load_config(path):
         targets=targets,
         resolution=resolution,
         solver=solver,
-        outer=_parse_settings(doc, "outer", SolverSettings(max_iters=80), OUTER_KEYS),
+        outer=_parse_settings(doc, "outer", orchestrator.OUTER),
         seed=int(doc.get("seed", 0)),
         basename=basename,
         heuristic=heuristic,

@@ -42,10 +42,11 @@ class TransformReport:
     constraint_slack: float
 
 
-def _roots(M):
+def _roots(M, floor=1e-14):
     """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
-    of its Hermitian part (M is a sum of products, Hermitian up to roundoff)."""
-    r, V = linalg.pd_roots(M, floor=1e-14)
+    of its Hermitian part (M is a sum of products, Hermitian up to roundoff);
+    an eigenvalue at most ``floor`` raises SingularConstraintMatrix."""
+    r, V = linalg.pd_roots(M, floor)
     return (V * r) @ V.conj().T, (V / r) @ V.conj().T
 
 
@@ -112,8 +113,7 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     if cov_bc.side != model.BC or cov_bc.K != ch.K:
         raise InvalidInput("expected downlink covariances matching the channel set")
-    r, V = linalg.pd_roots(A, linalg.PD_FLOOR)  # A^{1/2} and A^{-1/2}, one eigh
-    As, W = (V * r) @ V.conj().T, (V / r) @ V.conj().T
+    As, W = _roots(A, linalg.PD_FLOOR)
     Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
     Z = np.zeros((ch.K, ch.nr, ch.nr), dtype=np.complex128)

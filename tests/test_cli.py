@@ -176,11 +176,25 @@ def test_two_constraint_region_does_not_import_scipy(tmp_path):
     (_region_doc(outer={"restarts": 3}), "unknown setting 'restarts'"),
     (_region_doc(solver={"restarts": 2}), "unknown setting 'restarts'"),
     (_region_doc(solver={"seed": 7}), "unknown setting 'seed'"),
-], ids=["unknown_solver_key", "outer_key_the_loop_ignores", "solver_restarts", "solver_seed"])
+    (_region_doc(solver={"armijo_beta": 0.5}), "unknown setting 'armijo_beta'"),
+    (_region_doc(solver={"pd_floor": 1e-8}), "unknown setting 'pd_floor'"),
+], ids=["unknown_solver_key", "outer_key_the_loop_ignores", "solver_restarts", "solver_seed",
+        "solver_armijo_beta", "solver_pd_floor"])
 def test_inert_settings_are_config_errors(tmp_path, capsys, doc, message):
     assert cli.main(_args("validate", _write(tmp_path, doc), "")) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iters", "5"], ["--seed", "3"]],
+                         ids=["tol", "max_iters", "seed"])
+def test_settings_are_not_command_line_flags(tmp_path, capsys, flag):
+    """Settings come from the config only: a setting flag is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_args("region", _write(tmp_path, _region_doc()), str(tmp_path / "out")) + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc, message", [

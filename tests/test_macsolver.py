@@ -266,8 +266,6 @@ def test_beamforming_solvers_validate_noise(noise, error):
 def test_settings_validation():
     with pytest.raises(InvalidInput):
         SolverSettings(tol=0.0)
-    with pytest.raises(InvalidInput):
-        SolverSettings(armijo_beta=1.5)
 
 
 # Stacked layout of the WSR solver (user-order stacks, cumulative matrices in

@@ -18,7 +18,6 @@ from bcmac import (
 from bcmac import model, orchestrator
 from bcmac.errors import InvalidInput
 from bcmac.orchestrator import (
-    AffineHalfspace,
     DualWeights,
     QuadraticBall,
     combined_constraint,
@@ -58,7 +57,8 @@ def test_combined_constraint_jitters_singular():
 def test_relaxation_single_constraint_reduction(rng):
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
     c = LinearConstraint(rand_pd(rng, 2), 3.0)
-    g, cov, sol = eval_wsr_relaxation(ch, [c], DualWeights([1.0]), [1, 1], INNER)
+    merged = combined_constraint([c], DualWeights([1.0]))
+    g, cov, sol = eval_wsr_relaxation(ch, *merged, [1, 1], INNER)
     direct = solve_wsr_mac(ch, c.A, c.P, [1, 1], INNER)
     assert g == pytest.approx(direct.objective, abs=1e-7)
 
@@ -87,7 +87,8 @@ def test_relaxation_upper_bounds_multi(rng):
     cov, lam, tr = solve_wsr_multi(ch, cons, [1, 1], OUTER, INNER)
     final = float(np.sum(bc_rates_dpc(ch, cov)))
     for lam_try in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
-        g, _, _ = eval_wsr_relaxation(ch, cons, DualWeights(lam_try), [1, 1], INNER)
+        merged = combined_constraint(cons, DualWeights(lam_try))
+        g, _, _ = eval_wsr_relaxation(ch, *merged, [1, 1], INNER)
         assert g >= final - 1e-6
 
 
@@ -96,11 +97,12 @@ def test_subgradient_inequality(rng):
     cons = [LinearConstraint(rand_pd(rng, 2), 2.0),
             LinearConstraint(rand_pd(rng, 2), 1.5)]
     w = [1.5, 1.0]
+    merged = partial(combined_constraint, cons)
     for _ in range(10):
         lam = DualWeights(rng.dirichlet([1.5, 1.5])).values
         lam2 = DualWeights(rng.dirichlet([1.5, 1.5])).values
-        g1, cov1, sol1 = eval_wsr_relaxation(ch, cons, DualWeights(lam), w, INNER)
-        g2, _, _ = eval_wsr_relaxation(ch, cons, DualWeights(lam2), w, INNER)
+        g1, cov1, sol1 = eval_wsr_relaxation(ch, *merged(DualWeights(lam)), w, INNER)
+        g2, _, _ = eval_wsr_relaxation(ch, *merged(DualWeights(lam2)), w, INNER)
         sub = sol1.multiplier * model.constraint_slacks(cov1, cons)  # mu (P_l - tr(Q A_l))
         assert g2 >= g1 + float(sub @ (lam2 - lam)) - 1e-5
 
@@ -110,10 +112,11 @@ def test_bound_convexity_midpoint(rng):
     cons = [LinearConstraint(rand_pd(rng, 2), 2.0),
             LinearConstraint(rand_pd(rng, 2), 1.5)]
     w = [1.0, 1.0]
+    merged = partial(combined_constraint, cons)
     for _ in range(5):
         lam = rng.dirichlet([2, 2])
         lam2 = rng.dirichlet([2, 2])
-        g = lambda l: eval_wsr_relaxation(ch, cons, DualWeights(l), w, INNER)[0]
+        g = lambda l: eval_wsr_relaxation(ch, *merged(DualWeights(l)), w, INNER)[0]
         assert g(0.5 * (lam + lam2)) <= 0.5 * (g(lam) + g(lam2)) + 1e-5
 
 
@@ -278,19 +281,14 @@ def test_support_points():
     mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     ball = QuadraticBall(mats, 25.0)
     assert ball.support_point([3.0, 4.0]) == pytest.approx([3.0, 4.0], rel=1e-15)
-    half = AffineHalfspace(mats, [2.0, 1.0], 4.0)
-    assert half.support_point([0.3, 0.7]) == pytest.approx([0.0, 4.0])  # 0.7/1 > 0.3/2
-    assert half.support_point([0.9, 0.1]) == pytest.approx([2.0, 0.0])
-    A, budget = half.merged(DualWeights([0.9, 0.1]))
-    assert budget == pytest.approx(0.9 * 2.0, rel=1e-6)
-    assert np.allclose(A, np.diag([0.9, 0.1]), atol=1e-6)
 
 
 def test_nonlinear_halfspace_matches_linear_solve():
-    """A one-matrix halfspace is the linear constraint itself: one evaluation
-    of the same merged constraint as the direct sum-power solve."""
+    """A one-matrix ball (tr Q)^2 <= 100 is the linear constraint tr Q <= 10
+    itself: one evaluation of the same merged constraint as the direct
+    sum-power solve."""
     ch = ChannelSet([H1_CAP, H2_CAP])
-    lin = AffineHalfspace([np.eye(2)], [1.0], 10.0)
+    lin = QuadraticBall([np.eye(2)], 100.0)
     cov, result = solve_wsr_nonlinear(ch, lin, [1, 1], outer=OUTER, inner=INNER)
     direct, _, _ = solve_wsr_multi(ch, [LinearConstraint.sum_power(2, 10.0)],
                                    [1, 1], OUTER, INNER)
@@ -326,38 +324,25 @@ def test_nonlinear_quadratic_ball_certified():
             assert constraint_value(CovarianceSet("bc", Q), cut) <= cut.P * (1 + 1e-12)
 
 
-def test_nonlinear_zero_coefficient_halfspace_rejected():
-    """x_1 <= 1 leaves x_2 unbounded: every normal with c_2 > 0 has no
-    finite support value."""
-    ch = ChannelSet([H1_CAP, H2_CAP])
-    half = AffineHalfspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 0.0], 1.0)
-    with pytest.raises(InvalidInput, match="unbounded"):
-        solve_wsr_nonlinear(ch, half, [1, 1], outer=OUTER, inner=INNER)
-
-
 SIMPLEX_NORMAL = st.floats(0.0, 1.0)
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), t=SIMPLEX_NORMAL, shape=st.sampled_from(["ball", "half"]))
-def test_merged_bound_dominates_feasible_rates(seed, t, shape):
+@given(seed=st.integers(0, 2 ** 32 - 1), t=SIMPLEX_NORMAL)
+def test_merged_bound_dominates_feasible_rates(seed, t):
     """For every normal c, the merged constraint's value V(c) is at least the
     weighted sum rate of any feasible downlink covariance."""
     rng = np.random.default_rng(seed)
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
     w = np.sort(rng.uniform(0.1, 1.0, 2))[::-1]  # nonincreasing along the order
     mats = [rand_psd(rng, 2) for _ in range(2)]
-    if shape == "ball":
-        f = QuadraticBall(mats, 4.0)
-    else:
-        f = AffineHalfspace(mats, rng.uniform(0.5, 2.0, 2), 2.0)
+    f = QuadraticBall(mats, 4.0)
     Q = [rand_psd(rng, 2) for _ in range(2)]
-    p = f.traces(CovarianceSet("bc", Q))
-    room = 2.0 / np.linalg.norm(p) if shape == "ball" else f.offset / (f.coeffs @ p)
+    room = 2.0 / np.linalg.norm(f.traces(CovarianceSet("bc", Q)))
     cov = CovarianceSet("bc", [rng.uniform(0.2, 1.0) * room * X for X in Q])
     assert f.value(cov) <= 1e-12
     lam = DualWeights([t, 1.0 - t])
-    bound, _, _ = eval_wsr_relaxation(ch, None, lam, w, INNER, merged=f.merged(lam))
+    bound, _, _ = eval_wsr_relaxation(ch, *f.merged(lam), w, INNER)
     assert bound >= _wsr(ch, cov, w) - 1e-9
 
 
@@ -467,6 +452,21 @@ def test_multiplier_search_worst_case(slope):
     _assert_inside_brackets(seen, slope)
     assert trace.iterations <= _bisection_count(slope) + orchestrator.ITP_N0
     assert all(abs(seen[k] - 0.3) <= 1e-15 for k in theta)
+
+
+def test_multiplier_search_takes_the_vertex_of_an_open_bracket():
+    """A slope that never changes sign (a constraint inactive at the optimum)
+    leaves the bracket open: after two evaluations the search takes the
+    open edge's vertex, floored by DualWeights, and stops when it repeats
+    (halving toward the edge took 26 evaluations)."""
+    for bound, vertex in ((lambda x: (1.0 + (1.0 - x) ** 2, -2.0 * (1.0 - x)), [1.0, 0.0]),
+                          (lambda x: (1.0 + x * x, 2.0 * x), [0.0, 1.0])):
+        (value, theta, lam, trace), seen = _stub_multiplier_loop(bound, 1.0)
+        assert trace.iterations == len(seen) <= 4
+        _assert_inside_brackets(seen, lambda x: bound(x)[1])
+        assert seen[-1] == DualWeights(vertex).values[0]
+        assert theta == {len(seen) - 1: 1.0} and lam.values[0] == seen[-1]
+        assert trace.converged and 0 <= trace.gap <= 1e-8
 
 
 def test_multiplier_search_maximizes_with_the_sign_flipped():

@@ -19,7 +19,7 @@ from bcmac import (
 )
 from bcmac import model
 from bcmac.errors import DegenerateTransform, InvalidInput, SingularConstraintMatrix
-from bcmac.orchestrator import combined_constraint
+from bcmac.orchestrator import DualWeights, combined_constraint
 
 from conftest import (
     rand_channels,
@@ -131,7 +131,7 @@ def test_capacity_round_trip_under_ill_conditioned_merge(seed, K, nr, nt, expone
     ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
                     tuple(rng.permutation(K)))
     A, _ = combined_constraint([LinearConstraint.per_antenna(nt, a, 1.0) for a in range(nt)],
-                               10.0 ** np.array(exponents[:nt]))
+                               DualWeights(10.0 ** np.array(exponents[:nt])))
     w = np.linalg.eigvalsh(A)
     tol = 1e-13 * w[-1] / w[0]
     cov_mac = random_mac_cov(rng, K, nr, float(rng.uniform(0.5, 4.0)))
