@@ -73,11 +73,12 @@ def inv_sqrt(M, floor=PD_FLOOR):
 
 
 def logdet_psd(M):
-    """log-determinant (nats) of a positive definite Hermitian matrix."""
+    """log-determinant (nats) of a positive definite Hermitian matrix, or of
+    every block of a stack (..., n, n) from one batched ``eigh``."""
     w = np.linalg.eigh(hermitian_part(M))[0]
-    if w[0] <= 0:
-        raise NotPositiveDefinite(f"matrix has eigenvalue {w[0]:g} <= 0")
-    return float(np.sum(np.log(w)))
+    if np.any(w[..., 0] <= 0):
+        raise NotPositiveDefinite(f"matrix has eigenvalue {np.min(w[..., 0]):g} <= 0")
+    return np.sum(np.log(w), axis=-1)
 
 
 def assert_pd(M, floor=0.0, name="matrix"):

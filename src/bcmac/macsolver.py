@@ -20,13 +20,18 @@ also the budget's Lagrange multiplier.
 The weighted-sum-rate solver holds its per-user blocks as stacked arrays,
 whitened channels ``Ghat`` (K, Nr, Nt) and covariances ``Z`` (K, Nr, Nr),
 so the objective, gradient, projection and gap are each a few batched
-calls.  The stacks stay in user order; only the cumulative
-matrices Phi_m are taken in encoding order, by one permutation of the
-stacked terms on the way in and one on the way back.  Every sum over
-blocks therefore adds its terms in user order whatever the encoding order,
-which matters for the projection's budget test: a warm start meets the
-budget with equality, and the order of the sum decides which side of it
-the rounding falls on.
+calls.  The stacks stay in user order; only the cumulative matrices Phi_m
+are taken in encoding order, by one permutation of the stacked terms on the
+way in and one on the way back.  Every sum over blocks therefore adds its
+terms in user order whatever the encoding order, which matters for the
+projection's budget test: a warm start meets the budget with equality, and
+the order of the sum decides which side of it the rounding falls on.
+
+The objective is telescoped, sum_m c_m logdet(Phi_m) with c_m = w_(m) -
+w_(m+1) along the encoding order, and only the Phi_m whose c_m is nonzero
+are factorized and inverted.  Tied neighbours drop out, so for the sum rate
+an evaluation takes the one log|I + sum_i Ghat_i^H Z_i Ghat_i| of
+sum-capacity iterative water-filling (Jindal et al., IEEE Trans. IT 2005).
 
 SINR balancing and power minimization are fixed points of MMSE receivers
 and a power update (Schubert and Boche, 2004), one stream per user in
@@ -116,39 +121,46 @@ def _lsum(x):
 
 
 def _rate_coeffs(ch, weights):
-    """Coefficients c_m of the telescoped objective
-    sum_i w_i r_i = sum_m c_m logdet(Phi_m) over encoding positions."""
+    """sum_i w_i r_i = sum_m c_m logdet(Phi_m) as (nz, c[nz], slot): the
+    encoding positions with c_m nonzero (always the last, c_(K-1) = w_last > 0),
+    their c_m, and per user the index in nz of the first at or after its own."""
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape != (ch.K,):
         raise InvalidInput(f"weights must have length {ch.K}")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InvalidInput("weights must be positive and finite")
     ordered = w[list(ch.encoding_order)]
-    return ordered - np.append(ordered[1:], 0.0)
+    c = ordered - np.append(ordered[1:], 0.0)
+    nz = np.flatnonzero(c)
+    return nz, c[nz], np.searchsorted(nz, np.argsort(ch.encoding_order))
 
 
-def _cum_mats(ch, Ghat, Z):
+def _cum_mats(ch, Ghat, Z, nz):
     """Phi_m = I + sum of Ghat_i^H Z_i Ghat_i over the users encoded at
-    positions 0..m, for every position m."""
+    positions 0..m, at the positions m in nz."""
     terms = (_ctrans(Ghat) @ Z @ Ghat)[list(ch.encoding_order)]
     terms[0] += np.eye(Ghat.shape[2])
-    return np.cumsum(terms, axis=0)
+    return np.cumsum(terms, axis=0)[nz]
 
 
 def _objective(ch, Ghat, coeffs, Z, mats=None):
-    """sum_m c_m logdet(Phi_m); -inf off the positive definite cone."""
-    sign, ld = np.linalg.slogdet(_cum_mats(ch, Ghat, Z) if mats is None else mats)
+    """sum_m c_m logdet(Phi_m) over the nonzero c_m of ``coeffs`` (see
+    :func:`_rate_coeffs`); -inf off the positive definite cone."""
+    nz, c, _ = coeffs
+    sign, ld = np.linalg.slogdet(_cum_mats(ch, Ghat, Z, nz) if mats is None else mats)
     if np.any(sign.real <= 0):
         return -np.inf
-    return _lsum(coeffs * ld)
+    return _lsum(c * ld)
 
 
 def _gradient(ch, Ghat, coeffs, Z, mats=None):
-    """d(objective)/dZ_i = sum_{m >= pos(i)} c_m Ghat_i Phi_m^{-1} Ghat_i^H."""
-    mats = _cum_mats(ch, Ghat, Z) if mats is None else mats
-    terms = coeffs[:, None, None] * np.linalg.inv(mats)
-    suffix = np.cumsum(terms[::-1], axis=0)[::-1]
-    g = Ghat @ suffix[np.argsort(ch.encoding_order)] @ _ctrans(Ghat)
+    """d(objective)/dZ_i = sum_{m >= pos(i)} c_m Ghat_i Phi_m^{-1} Ghat_i^H,
+    summed over the nonzero c_m only: user i takes the suffix sum from the
+    first nonzero position at or after its own."""
+    nz, c, slot = coeffs
+    mats = _cum_mats(ch, Ghat, Z, nz) if mats is None else mats
+    suffix = np.cumsum((c[:, None, None] * np.linalg.inv(mats))[::-1], axis=0)[::-1]
+    g = Ghat @ suffix[slot] @ _ctrans(Ghat)
     return linalg.hermitian_part(g)
 
 
@@ -179,11 +191,6 @@ def _project_blocks(mats, budget):
     return (V * z[:, None, :]) @ _ctrans(V)
 
 
-def _used(Z):
-    """Total trace, summed user by user."""
-    return sum(np.trace(Z, axis1=1, axis2=2).real.tolist())
-
-
 def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     """Projected gradient ascent with Armijo backtracking from Z0, stopped
     once the Frank-Wolfe gap is at most tol * |objective| after at least one
@@ -191,7 +198,7 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     the iterate, its objective, the accepted steps, the gap and
     max_i lambda_max(G_i)."""
     Z = _project_blocks(Z0, budget)
-    mats = _cum_mats(ch, Ghat, Z)
+    mats = _cum_mats(ch, Ghat, Z, coeffs[0])
     obj = _objective(ch, Ghat, coeffs, Z, mats)
     t = 1.0
     iters = 0
@@ -206,7 +213,7 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
             progress = _lsum(np.trace(_ctrans(grads) @ (cand - Z), axis1=1, axis2=2).real)
             if progress <= 1e-18 * max(1.0, abs(obj)):
                 return Z, obj, iters, gap, top
-            cand_mats = _cum_mats(ch, Ghat, cand)
+            cand_mats = _cum_mats(ch, Ghat, cand, coeffs[0])
             new_obj = _objective(ch, Ghat, coeffs, cand, cand_mats)
             if new_obj >= obj + ARMIJO_C * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
@@ -222,7 +229,8 @@ def budget_multiplier_wsr(Z, top, budget):
     """Lagrange multiplier of the trace budget at whitened covariances Z:
     ``top`` = max_i lambda_max(G_i) where the budget binds, zero where it is
     slack (the KKT conditions at an optimum)."""
-    return top if _used(Z) >= budget * (1.0 - 1e-9) else 0.0
+    used = sum(np.trace(Z, axis1=1, axis2=2).real.tolist())  # summed user by user
+    return top if used >= budget * (1.0 - 1e-9) else 0.0
 
 
 def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
@@ -244,7 +252,7 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     noise = linalg.check_hermitian(noise, name="noise")
     whitened = model.whitened_channels(ch, noise)
     coeffs = _rate_coeffs(ch, weights)
-    if np.any(coeffs < 0):
+    if np.any(coeffs[1] < 0):
         raise InvalidInput("weights must be nonincreasing along the encoding order")
     K, nr = ch.K, ch.nr
     if init is not None:

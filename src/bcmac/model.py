@@ -295,22 +295,16 @@ def bc_rates_dpc(ch, cov):
     encoding: the user at encoding position m is interfered only by users at
     positions > m."""
     _check_bc_dims(ch, cov)
-    K = ch.K
-    rates = np.zeros(K)
-    # suffix sums of covariances over encoding positions
-    suffix = np.zeros((ch.nt, ch.nt), dtype=np.complex128)
-    suffixes = [None] * (K + 1)
-    suffixes[K] = suffix
-    for m in range(K - 1, -1, -1):
-        suffix = suffix + cov.Q[ch.encoding_order[m]]
-        suffixes[m] = suffix
-    for m in range(K):
-        i = ch.encoding_order[m]
-        Hi = ch.H[i]
-        noise = ch.sigma2[i] * np.eye(ch.nr)
-        num = linalg.logdet_psd(noise + Hi @ suffixes[m] @ Hi.conj().T)
-        den = linalg.logdet_psd(noise + Hi @ suffixes[m + 1] @ Hi.conj().T)
-        rates[i] = num - den
+    order = list(ch.encoding_order)
+    H = np.asarray(ch.H)[order]
+    Hh = H.conj().swapaxes(1, 2)
+    # covariances encoded at positions >= m (own[m]) and > m (later[m])
+    own = np.cumsum(cov.Q[order[::-1]], axis=0)[::-1]
+    later = np.concatenate([own[1:], np.zeros_like(own[:1])])
+    noise = ch.sigma2[order, None, None] * np.eye(ch.nr)
+    rates = np.zeros(ch.K)
+    rates[order] = (linalg.logdet_psd(noise + H @ own @ Hh)
+                    - linalg.logdet_psd(noise + H @ later @ Hh))
     return rates
 
 
@@ -324,15 +318,12 @@ def mac_rates(ch, cov, noise):
         raise InvalidInput("covariance dimensions do not match the channel set")
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
+    order = list(ch.encoding_order)
+    H = np.asarray(ch.H)[order]
+    # A, then A plus the terms of the users encoded at positions 0..m
+    terms = np.concatenate([A[None], H.conj().swapaxes(1, 2) @ cov.Q[order] @ H])
     rates = np.zeros(ch.K)
-    cum = A.astype(np.complex128)
-    prev = linalg.logdet_psd(cum)
-    for m in range(ch.K):
-        i = ch.encoding_order[m]
-        cum = cum + ch.H[i].conj().T @ cov.Q[i] @ ch.H[i]
-        cur = linalg.logdet_psd(cum)
-        rates[i] = cur - prev
-        prev = cur
+    rates[order] = np.diff(linalg.logdet_psd(np.cumsum(terms, axis=0)))
     return rates
 
 
@@ -404,10 +395,11 @@ def bc_sinr(ch, bf, scheme="dpc"):
     return per_user(ch, bf.streams(), p * np.diag(M) / (ch.sigma2[users] + others @ p))
 
 
-def whitened_channels(ch, A, floor=linalg.PD_FLOOR):
+def whitened_channels(ch, A):
     """Channels of the equivalent identity-noise problem, (H_i / sigma_i)
-    A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}."""
-    W = linalg.inv_sqrt(A, floor=floor)
+    A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}; an
+    eigenvalue of A at most ``linalg.PD_FLOOR`` raises SingularConstraintMatrix."""
+    W = linalg.inv_sqrt(A)
     return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
 
 

@@ -15,7 +15,9 @@ identity noise), then flips each user's covariance through the SVD of its
 effective channel, walking users from the last encoding position to the
 first so each step sees the interference it needs.  A flip pairs column k
 of the left singular vectors with column k of the right ones, so whatever
-phases the SVD picks cancel.
+phases the SVD picks cancel.  The downlink-side interference of a user is
+the sum of the whitened downlink covariances encoded after it, a running
+sum (MAC to BC) or one suffix cumsum (BC to MAC): O(K) products per transform.
 
 The SINR-preserving construction keeps the user-side vectors and uplink
 powers, takes MMSE base-station vectors and solves the downlink powers
@@ -75,17 +77,6 @@ def _flip(Phi, Om, Hhat, Q_src, to_bc):
     return linalg.hermitian_part(out)
 
 
-def _omega(ch, Hhat, Qw, pos):
-    """Downlink-side cumulative interference of the user at encoding
-    position ``pos``: I + its whitened channel through every later-encoded
-    whitened downlink covariance."""
-    i = ch.encoding_order[pos]
-    Om = np.eye(ch.nr, dtype=np.complex128)
-    for j in ch.encoding_order[pos + 1:]:
-        Om += Hhat[i] @ Qw[j] @ Hhat[i].conj().T
-    return Om
-
-
 def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     """Map dual-uplink covariances to downlink covariances achieving the same
     per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m)).
@@ -102,9 +93,12 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     for j in order[:-1]:
         Phis.append(Phis[-1] + Hhat[j].conj().T @ Z[j] @ Hhat[j])
     Qw = np.zeros((ch.K, ch.nt, ch.nt), dtype=np.complex128)  # whitened downlink
+    later = np.zeros((ch.nt, ch.nt), dtype=np.complex128)  # sum of Qw encoded after pos
     for pos in range(ch.K - 1, -1, -1):
         i = order[pos]
-        Qw[i] = _flip(Phis[pos], _omega(ch, Hhat, Qw, pos), Hhat[i], Z[i], to_bc=True)
+        Om = np.eye(ch.nr) + Hhat[i] @ later @ Hhat[i].conj().T
+        Qw[i] = _flip(Phis[pos], Om, Hhat[i], Z[i], to_bc=True)
+        later = later + Qw[i]
     return model.CovarianceSet.built(model.BC, W @ Qw @ W)
 
 
@@ -115,11 +109,16 @@ def bc_to_mac_capacity(ch, cov_bc, A):
         raise InvalidInput("expected downlink covariances matching the channel set")
     As, W = _roots(A, linalg.PD_FLOOR)
     Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
+    order = list(ch.encoding_order)
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
+    # later[pos] = sum of Qw over the users encoded after pos
+    later = np.zeros_like(Qw)
+    later[:-1] = np.cumsum(Qw[order[:0:-1]], axis=0)[::-1]
     Z = np.zeros((ch.K, ch.nr, ch.nr), dtype=np.complex128)
     Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
-    for pos, i in enumerate(ch.encoding_order):
-        Z[i] = _flip(Phi, _omega(ch, Hhat, Qw, pos), Hhat[i], Qw[i], to_bc=False)
+    for pos, i in enumerate(order):
+        Om = np.eye(ch.nr) + Hhat[i] @ later[pos] @ Hhat[i].conj().T
+        Z[i] = _flip(Phi, Om, Hhat[i], Qw[i], to_bc=False)
         Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
     return model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
 

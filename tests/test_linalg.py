@@ -108,3 +108,12 @@ def test_logdet_vs_lu_oracle(rng):
 def test_logdet_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         linalg.logdet_psd(np.diag([1.0, 0.0]))
+
+
+def test_logdet_of_a_stack_matches_each_block(rng):
+    M = np.array([rand_psd(rng, 3) + 0.2 * np.eye(3) for _ in range(5)])
+    want = [linalg.logdet_psd(Mi) for Mi in M]
+    np.testing.assert_array_equal(linalg.logdet_psd(M), want)
+    M[3] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(NotPositiveDefinite):
+        linalg.logdet_psd(M)

@@ -93,7 +93,7 @@ def test_wsr_rejects_singular_noise(rng):
 def test_wsr_monotone_iterates(rng):
     """Armijo-accepted steps never decrease the objective."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
-    Ghat = model.whitened_channels(ch, np.eye(2), 1e-8)[0]
+    Ghat = model.whitened_channels(ch, np.eye(2))[0]
     coeffs = macsolver._rate_coeffs(ch, [1.5, 1.0])
     Z = [np.zeros((2, 2), dtype=complex) for _ in range(2)]
     obj = macsolver._objective(ch, Ghat, coeffs, Z)
@@ -111,7 +111,7 @@ def test_gradient_matches_finite_differences(rng):
         K = int(rng.integers(1, 3))
         ch = ChannelSet(rand_channels(rng, K, 2, 2))
         A = rand_pd(rng, 2)
-        Ghat = model.whitened_channels(ch, A, 1e-8)[0]
+        Ghat = model.whitened_channels(ch, A)[0]
         w = rng.uniform(0.5, 2.0, K)
         coeffs = macsolver._rate_coeffs(ch, w)
         Z = [rand_pd(rng, 2, 0.5) for _ in range(K)]
@@ -332,20 +332,43 @@ def _rank_one_mac_cov(rng, K, nr, total):
     return CovarianceSet("mac", [M * (total / tr) for M in mats])
 
 
-def test_stacked_objective_and_gradient_match_per_block(rng):
-    ch, A = _stack_instance(rng)
+def _assert_objective_and_gradient_match(rng, ch, A, w):
+    """The stacked objective and gradient against mac_rates and the
+    per-block reference gradient, to 1e-12 relative."""
     G = _ref_whitened(ch, A)
-    Ghat = model.whitened_channels(ch, A, 1e-8)[0]
+    Ghat = model.whitened_channels(ch, A)[0]
     np.testing.assert_allclose(Ghat, np.array(G), rtol=1e-12, atol=0)
-    coeffs = macsolver._rate_coeffs(ch, STACK_W)
+    coeffs = macsolver._rate_coeffs(ch, w)
     for _ in range(3):
-        cov = random_mac_cov(rng, 4, 2, 2.5)
-        Z = np.array([ch.sigma2[i] * cov.Q[i] for i in range(4)])
-        ref_obj = float(STACK_W @ mac_rates(ch, cov, A))
+        cov = random_mac_cov(rng, ch.K, ch.nr, 2.5)
+        Z = np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
+        ref_obj = float(w @ mac_rates(ch, cov, A))
         assert macsolver._objective(ch, Ghat, coeffs, Z) == pytest.approx(ref_obj, rel=1e-12)
         grads = macsolver._gradient(ch, Ghat, coeffs, Z)
-        for i, g_ref in enumerate(_ref_gradient(ch, G, STACK_W, Z)):
+        for i, g_ref in enumerate(_ref_gradient(ch, G, w, Z)):
             assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def test_stacked_objective_and_gradient_match_per_block(rng):
+    ch, A = _stack_instance(rng)
+    _assert_objective_and_gradient_match(rng, ch, A, STACK_W)
+
+
+# weights in user order; STACK_ORDER encodes users 2, 0, 3, 1
+@pytest.mark.parametrize("w, nz", [
+    (np.ones(4), [3]),                             # sum rate: the last position only
+    (np.array([1.4, 0.6, 2.1, 1.4]), [0, 2, 3]),   # tie at positions 1 and 2
+    (np.array([2.0, 1.0, 2.0, 1.0]), [1, 3]),      # ties at positions 0, 1 and 2, 3
+])
+def test_tied_weights_factorize_only_nonzero_coefficients(rng, w, nz):
+    ch, A = _stack_instance(rng)
+    assert macsolver._rate_coeffs(ch, w)[0].tolist() == nz
+    _assert_objective_and_gradient_match(rng, ch, A, w)
+
+
+def test_single_user_objective_and_gradient(rng):
+    ch = ChannelSet(rand_channels(rng, 1, 2, 3), [0.7])
+    _assert_objective_and_gradient_match(rng, ch, rand_pd(rng, 3), np.array([1.3]))
 
 
 def test_stacked_projection_matches_per_block(rng):

@@ -119,6 +119,38 @@ def test_bc_to_mac_roundtrip(rng):
         assert np.allclose(bc_rates_dpc(ch, cov_bc2), r_in, atol=1e-6)
 
 
+def test_capacity_transforms_at_eight_users(rng):
+    """Both capacity transforms at K = 8, random encoding order and noise
+    powers, against the determinant references: mac_to_bc keeps the rates and
+    (Nr <= Nt) spends the budget exactly; bc_to_mac keeps the rates both ways."""
+    for _ in range(5):
+        ch = _random_instance(rng, K=8, nt=4, nr=2, sigma=True)
+        A = rand_pd(rng, ch.nt)
+
+        def uplink_rates(cov):
+            return ref_mac_rates([Hi / np.sqrt(s) for Hi, s in zip(ch.H, ch.sigma2)],
+                                 ch.encoding_order,
+                                 [ch.sigma2[i] * cov.Q[i] for i in range(ch.K)], A)
+
+        cov_mac = random_mac_cov(rng, ch.K, ch.nr, float(rng.uniform(0.5, 4.0)))
+        r_mac = uplink_rates(cov_mac)
+        cov_bc = mac_to_bc_capacity(ch, cov_mac, A)
+        r_bc = ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc.Q))
+        np.testing.assert_allclose(r_bc, r_mac, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bc_rates_dpc(ch, cov_bc), r_bc, rtol=0, atol=1e-12)
+        budget = sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(ch.K))
+        assert constraint_value(cov_bc, LinearConstraint(A, budget)) == pytest.approx(
+            budget, rel=1e-9)
+
+        cov_bc_in = CovarianceSet(
+            "bc", [rand_psd(rng, ch.nt, float(rng.uniform(0.1, 1))) for _ in range(ch.K)])
+        r_in = ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc_in.Q))
+        back = bc_to_mac_capacity(ch, cov_bc_in, A)
+        np.testing.assert_allclose(uplink_rates(back), r_in, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bc_rates_dpc(ch, mac_to_bc_capacity(ch, back, A)), r_in,
+                                   rtol=0, atol=1e-8)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 3), nr=st.integers(1, 3),
        nt=st.integers(1, 4), exponents=st.lists(st.floats(-8.0, 0.0), min_size=4, max_size=4))
