@@ -33,13 +33,6 @@ from .macsolver import (
     solve_sinr_balance_mac,
     solve_wsr_mac,
 )
-from .transforms import (
-    TransformReport,
-    bc_to_mac_capacity,
-    mac_to_bc_capacity,
-    mac_to_bc_sinr,
-    verify_capacity_transform,
-    verify_sinr_transform,
-)
+from .transforms import bc_to_mac_capacity, mac_to_bc_capacity, mac_to_bc_sinr
 
 __version__ = "0.1.0"

@@ -29,9 +29,15 @@ the order of the sum decides which side of it the rounding falls on.
 
 The objective is telescoped, sum_m c_m logdet(Phi_m) with c_m = w_(m) -
 w_(m+1) along the encoding order, and only the Phi_m whose c_m is nonzero
-are factorized and inverted.  Tied neighbours drop out, so for the sum rate
-an evaluation takes the one log|I + sum_i Ghat_i^H Z_i Ghat_i| of
-sum-capacity iterative water-filling (Jindal et al., IEEE Trans. IT 2005).
+are formed, factorized and inverted.  Tied neighbours drop out: the
+positions between two nonzero c_m form a run, whose terms enter every later
+Phi_m only as their sum, one GEMM over the run's stacked rows.  For the sum
+rate the K users are one run, and an evaluation takes the one
+log|I + sum_i Ghat_i^H Z_i Ghat_i| of sum-capacity iterative water-filling
+(Jindal et al., IEEE Trans. IT 2005) with no per-user Nt x Nt term.
+Weights with no tie keep one batched product of the K terms and a cumsum:
+there every run is one user, and a loop of K small GEMMs costs more in
+per-call overhead than it saves.
 
 SINR balancing and power minimization are fixed points of MMSE receivers
 and a power update (Schubert and Boche, 2004), one stream per user in
@@ -123,7 +129,8 @@ def _lsum(x):
 def _rate_coeffs(ch, weights):
     """sum_i w_i r_i = sum_m c_m logdet(Phi_m) as (nz, c[nz], slot): the
     encoding positions with c_m nonzero (always the last, c_(K-1) = w_last > 0),
-    their c_m, and per user the index in nz of the first at or after its own."""
+    their c_m, and per user the index in nz of the first at or after its own,
+    which is the index of its run (positions nz[r-1] + 1 .. nz[r])."""
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape != (ch.K,):
         raise InvalidInput(f"weights must have length {ch.K}")
@@ -137,10 +144,27 @@ def _rate_coeffs(ch, weights):
 
 def _cum_mats(ch, Ghat, Z, nz):
     """Phi_m = I + sum of Ghat_i^H Z_i Ghat_i over the users encoded at
-    positions 0..m, at the positions m in nz."""
-    terms = (_ctrans(Ghat) @ Z @ Ghat)[list(ch.encoding_order)]
-    terms[0] += np.eye(Ghat.shape[2])
-    return np.cumsum(terms, axis=0)[nz]
+    positions 0..m, at the positions m in nz.
+
+    With a tie, each run of positions nz[r-1] + 1 .. nz[r] adds its terms as
+    one GEMM over its rows stacked in encoding order, Ghat_run^H (Z Ghat)_run
+    of shape (Nt x K_run Nr)(K_run Nr x Nt), and the len(nz) run sums are
+    accumulated; the sum rate is one GEMM.  With no tie (nz holds every
+    position) the K terms are one batched product and a cumsum, which costs
+    less per call than K one-user GEMMs (see the module docstring)."""
+    nt = Ghat.shape[2]
+    if len(nz) == ch.K:
+        terms = (_ctrans(Ghat) @ Z @ Ghat)[list(ch.encoding_order)]
+        terms[0] += np.eye(nt)
+        return np.cumsum(terms, axis=0)
+    order = np.array(ch.encoding_order)
+    G, ZG = Ghat[order].reshape(-1, nt), (Z @ Ghat)[order].reshape(-1, nt)
+    mats = np.empty((len(nz), nt, nt), dtype=np.complex128)
+    acc, start = np.eye(nt), 0
+    for r, stop in enumerate((nz + 1) * ch.nr):
+        acc = acc + G[start:stop].conj().T @ ZG[start:stop]
+        mats[r], start = acc, stop
+    return mats
 
 
 def _objective(ch, Ghat, coeffs, Z, mats=None):

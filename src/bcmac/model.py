@@ -283,10 +283,13 @@ def mac_eigenbeams(cov, drop_tol=1e-12):
     return v, q
 
 
-def _check_bc_dims(ch, cov):
-    if cov.side != BC:
-        raise InvalidInput("expected downlink covariances")
-    if cov.Q.shape != (ch.K, ch.nt, ch.nt):
+def _check_dims(ch, cov, side):
+    """Raise InvalidInput unless ``cov`` holds K covariances of ``side``
+    sized for the channel set: Nt x Nt downlink, Nr x Nr uplink."""
+    if cov.side != side:
+        raise InvalidInput(f"expected {'downlink' if side == BC else 'uplink'} covariances")
+    n = ch.nt if side == BC else ch.nr
+    if cov.Q.shape != (ch.K, n, n):
         raise InvalidInput("covariance dimensions do not match the channel set")
 
 
@@ -294,7 +297,7 @@ def bc_rates_dpc(ch, cov):
     """Per-user downlink rates (nats) under sequential known-interference
     encoding: the user at encoding position m is interfered only by users at
     positions > m."""
-    _check_bc_dims(ch, cov)
+    _check_dims(ch, cov, BC)
     order = list(ch.encoding_order)
     H = np.asarray(ch.H)[order]
     Hh = H.conj().swapaxes(1, 2)
@@ -312,10 +315,7 @@ def mac_rates(ch, cov, noise):
     """Per-user rates (nats) of the dual uplink with base-station noise
     covariance ``noise``; decode order is the reverse of the encoding order,
     so the user at encoding position m is interfered by positions < m."""
-    if cov.side != MAC:
-        raise InvalidInput("expected uplink covariances")
-    if cov.Q.shape != (ch.K, ch.nr, ch.nr):
-        raise InvalidInput("covariance dimensions do not match the channel set")
+    _check_dims(ch, cov, MAC)
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
     order = list(ch.encoding_order)

@@ -110,10 +110,6 @@ class OuterTrace:
         self.value.append(float(value))
         self.subgrad.append(np.array(subgrad))
 
-    def running_best(self, sense="min"):
-        agg = np.minimum if sense == "min" else np.maximum
-        return agg.accumulate(np.asarray(self.value, dtype=float))
-
     @property
     def iterations(self):
         return len(self.value)

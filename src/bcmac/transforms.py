@@ -18,6 +18,10 @@ of the left singular vectors with column k of the right ones, so whatever
 phases the SVD picks cancel.  The downlink-side interference of a user is
 the sum of the whitened downlink covariances encoded after it, a running
 sum (MAC to BC) or one suffix cumsum (BC to MAC): O(K) products per transform.
+The uplink-side interference Phi (Nt x Nt) enters a flip only through a
+factor F with F F^H = Phi^{-1}, and every such factor gives the same
+covariance, so F comes from Phi's Cholesky factor: only the Nr x Nr
+downlink side is eigendecomposed.
 
 The SINR-preserving construction keeps the user-side vectors and uplink
 powers, takes MMSE base-station vectors and solves the downlink powers
@@ -25,23 +29,10 @@ against the stream gains of ``model.stream_gains``, a triangular system
 in encoding order.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, model
 from .errors import DegenerateTransform, InvalidInput
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    """Audit record for a transformation: worst per-user rate (or per-stream
-    SINR) gap and the slack of the transferred power constraint."""
-
-    side_from: str
-    side_to: str
-    rate_or_sinr_gap: float
-    constraint_slack: float
 
 
 def _roots(M, floor=1e-14):
@@ -54,23 +45,32 @@ def _roots(M, floor=1e-14):
 
 def _flip(Phi, Om, Hhat, Q_src, to_bc):
     """Flip one user's covariance through the SVD of the effective channel
-    G = Om^{-1/2} Hhat Phi^{-1/2}.  Phi is the (Nt,Nt) uplink-side cumulative
+    G = Om^{-1/2} Hhat F.  Phi is the (Nt,Nt) uplink-side cumulative
     interference, Om the (Nr,Nr) downlink-side one.  Rates only pass through
-    the leading min(Nr,Nt) block, which both directions keep intact."""
+    the leading min(Nr,Nt) block, which both directions keep intact.
+
+    Phi enters only through a factor F with F F^H = Phi^{-1}, and any such
+    factor gives the same flip: F U (U unitary) turns G into G U and the
+    right singular vectors L into U^H L, so F L, and with it the flipped
+    covariance, is unchanged.  So F = C^{-H} from the Cholesky factor
+    Phi = C C^H serves, at a fraction of an eigendecomposition's cost.  F is
+    not Hermitian, so the right-hand factor is F^H, and the flip to the
+    uplink maps Q through F^{-1} Q F^{-H} = C^H Q C."""
     nr, nt = Hhat.shape
     m = min(nr, nt)
-    Phi_s, Phi_is = _roots(Phi)
+    C = np.linalg.cholesky(Phi)
+    F = np.linalg.inv(C).conj().T
     Om_s, Om_is = _roots(Om)
-    G = Om_is @ Hhat @ Phi_is
+    G = Om_is @ Hhat @ F
     R, _, Lh = np.linalg.svd(G)
     L = Lh.conj().T
     if to_bc:
         S = R.conj().T @ Om_s @ Q_src @ Om_s @ R
         Sp = np.zeros((nt, nt), dtype=np.complex128)
         Sp[:m, :m] = S[:m, :m]
-        out = Phi_is @ L @ Sp @ L.conj().T @ Phi_is
+        out = F @ L @ Sp @ L.conj().T @ F.conj().T
     else:
-        T = L.conj().T @ Phi_s @ Q_src @ Phi_s @ L
+        T = L.conj().T @ C.conj().T @ Q_src @ C @ L
         Tp = np.zeros((nr, nr), dtype=np.complex128)
         Tp[:m, :m] = T[:m, :m]
         out = Om_is @ R @ Tp @ R.conj().T @ Om_is
@@ -82,8 +82,7 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m)).
     ``whitened`` is ``model.whitened_channels(ch, A)`` when the caller has it
     already (a weighted-sum-rate solve returns it)."""
-    if cov_mac.side != model.MAC or cov_mac.K != ch.K:
-        raise InvalidInput("expected uplink covariances matching the channel set")
+    model._check_dims(ch, cov_mac, model.MAC)
     Hhat, W = whitened or model.whitened_channels(ch, A)
     order = ch.encoding_order
     # absorb the per-user noise weights so the budget is a plain trace
@@ -105,8 +104,7 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
 def bc_to_mac_capacity(ch, cov_bc, A):
     """Mirror of :func:`mac_to_bc_capacity`: downlink covariances to uplink
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
-    if cov_bc.side != model.BC or cov_bc.K != ch.K:
-        raise InvalidInput("expected downlink covariances matching the channel set")
+    model._check_dims(ch, cov_bc, model.BC)
     As, W = _roots(A, linalg.PD_FLOOR)
     Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
     order = list(ch.encoding_order)
@@ -156,23 +154,3 @@ def sinr_to_bc(ch, bf_mac, A):
     return model.BeamformingSolution.built(
         model.per_user(ch, counts, u), [vi.copy() for vi in bf_mac.v],
         model.per_user(ch, counts, p), [np.array(qi) for qi in bf_mac.q])
-
-
-def verify_capacity_transform(ch, cov_mac, cov_bc, A):
-    """Audit record for a rate-preserving transformation pair."""
-    r_mac = model.mac_rates(ch, cov_mac, A)
-    r_bc = model.bc_rates_dpc(ch, cov_bc)
-    gap = float(np.max(np.abs(r_mac - r_bc)))
-    budget = float(sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(ch.K)))
-    used = model.constraint_value(cov_bc, model.LinearConstraint(A, max(budget, 1e-300)))
-    return TransformReport(model.MAC, model.BC, gap, budget - used)
-
-
-def verify_sinr_transform(ch, bf, A):
-    """Audit record for an SINR-preserving transformation: per-stream SINR gap
-    and the weighted-power identity residual sum p u^H A u - sum sigma^2 q."""
-    gaps = [np.abs(b - m) for b, m in zip(model.bc_sinr(ch, bf), model.mac_sinr(ch, bf, A))]
-    used = model.stream_order(ch, bf.p) @ model.uplink_noise(model.stream_order(ch, bf.u), A)
-    budget = sum(s2 * np.sum(qi) for s2, qi in zip(ch.sigma2, bf.q))
-    return TransformReport(model.MAC, model.BC, float(np.max(np.concatenate([[0.0]] + gaps))),
-                           float(budget - used))

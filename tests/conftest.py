@@ -2,12 +2,17 @@
 
 The reference evaluators here are deliberately separate implementations
 (plain slogdet chains and explicit scalar loops) so tests never validate the
-library against its own code paths.
+library against its own code paths.  The transform audits and the running
+best of a search trace at the end are test helpers built on the library's
+own rate and SINR functions.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from bcmac import model
 from bcmac.model import BC, MAC, CovarianceSet
 
 
@@ -134,3 +139,40 @@ def random_mac_cov(rng, K, nr, total):
     mats = [rand_psd(rng, nr, 1.0) for _ in range(K)]
     tr = sum(float(np.trace(M).real) for M in mats)
     return CovarianceSet(MAC, [M * (total / tr) for M in mats])
+
+
+@dataclass(frozen=True)
+class TransformReport:
+    """Audit record for a transformation: worst per-user rate (or per-stream
+    SINR) gap and the slack of the transferred power constraint."""
+
+    side_from: str
+    side_to: str
+    rate_or_sinr_gap: float
+    constraint_slack: float
+
+
+def verify_capacity_transform(ch, cov_mac, cov_bc, A):
+    """Audit record for a rate-preserving transformation pair."""
+    r_mac = model.mac_rates(ch, cov_mac, A)
+    r_bc = model.bc_rates_dpc(ch, cov_bc)
+    gap = float(np.max(np.abs(r_mac - r_bc)))
+    budget = float(sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(ch.K)))
+    used = model.constraint_value(cov_bc, model.LinearConstraint(A, max(budget, 1e-300)))
+    return TransformReport(model.MAC, model.BC, gap, budget - used)
+
+
+def verify_sinr_transform(ch, bf, A):
+    """Audit record for an SINR-preserving transformation: per-stream SINR gap
+    and the weighted-power identity residual sum p u^H A u - sum sigma^2 q."""
+    gaps = [np.abs(b - m) for b, m in zip(model.bc_sinr(ch, bf), model.mac_sinr(ch, bf, A))]
+    used = model.stream_order(ch, bf.p) @ model.uplink_noise(model.stream_order(ch, bf.u), A)
+    budget = sum(s2 * np.sum(qi) for s2, qi in zip(ch.sigma2, bf.q))
+    return TransformReport(model.MAC, model.BC, float(np.max(np.concatenate([[0.0]] + gaps))),
+                           float(budget - used))
+
+
+def running_best(trace, sense="min"):
+    """Running best of a multiplier search's recorded bounds."""
+    agg = np.minimum if sense == "min" else np.maximum
+    return agg.accumulate(np.asarray(trace.value, dtype=float))

@@ -366,6 +366,21 @@ def test_tied_weights_factorize_only_nonzero_coefficients(rng, w, nz):
     _assert_objective_and_gradient_match(rng, ch, A, w)
 
 
+# weights along the encoding order; ties make runs of several users at later
+# positions, which the STACK_ORDER instance above cannot
+@pytest.mark.parametrize("ordered, nz", [
+    ([3.0, 3.0, 3.0, 2.0, 1.5, 1.5, 1.5, 1.5], [2, 3, 7]),  # runs of 3, 1 and 4 positions
+    ([1.0] * 8, [7]),                                        # sum rate: one run of 8
+])
+def test_tied_runs_at_eight_users(rng, ordered, nz):
+    ch = ChannelSet(rand_channels(rng, 8, 2, 5), rng.uniform(0.5, 2.0, 8),
+                    tuple(rng.permutation(8)))
+    w = np.empty(8)
+    w[list(ch.encoding_order)] = ordered
+    assert macsolver._rate_coeffs(ch, w)[0].tolist() == nz
+    _assert_objective_and_gradient_match(rng, ch, rand_pd(rng, 5), w)
+
+
 def test_single_user_objective_and_gradient(rng):
     ch = ChannelSet(rand_channels(rng, 1, 2, 3), [0.7])
     _assert_objective_and_gradient_match(rng, ch, rand_pd(rng, 3), np.array([1.3]))

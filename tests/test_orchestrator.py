@@ -29,7 +29,7 @@ from bcmac.orchestrator import (
 )
 from bcmac.oracles import GridSpec, brute_power_min, brute_sinr_balance
 
-from conftest import rand_channels, rand_pd, rand_psd
+from conftest import rand_channels, rand_pd, rand_psd, running_best
 
 INNER = SolverSettings(tol=1e-8)
 OUTER = SolverSettings(max_iters=60, tol=1e-8)
@@ -142,7 +142,7 @@ def test_multi_constraint_feasible_and_complementary():
         assert used <= c.P + feas_tol
         assert abs(l * (used - c.P)) <= feas_tol
     assert tr.converged
-    rb = tr.running_best("min")
+    rb = running_best(tr, "min")
     assert np.all(np.diff(rb) <= 1e-12)
 
 
@@ -188,7 +188,7 @@ def test_balance_scenario_feasible_active():
     for c in cons:
         assert constraint_value(cov, c) <= c.P + 5e-5
     assert np.max(lam.values) > 1e-3  # at least one active multiplier
-    rb = tr.running_best("min")
+    rb = running_best(tr, "min")
     assert np.all(np.diff(rb) <= 1e-12)
 
 

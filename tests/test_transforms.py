@@ -14,8 +14,6 @@ from bcmac import (
     mac_rates,
     mac_to_bc_capacity,
     mac_to_bc_sinr,
-    verify_capacity_transform,
-    verify_sinr_transform,
 )
 from bcmac import model
 from bcmac.errors import DegenerateTransform, InvalidInput, SingularConstraintMatrix
@@ -29,6 +27,8 @@ from conftest import (
     random_mac_cov,
     ref_bc_rates,
     ref_mac_rates,
+    verify_capacity_transform,
+    verify_sinr_transform,
 )
 
 
@@ -149,6 +149,53 @@ def test_capacity_transforms_at_eight_users(rng):
         np.testing.assert_allclose(uplink_rates(back), r_in, rtol=0, atol=1e-9)
         np.testing.assert_allclose(bc_rates_dpc(ch, mac_to_bc_capacity(ch, back, A)), r_in,
                                    rtol=0, atol=1e-8)
+
+
+def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
+    """mac_to_bc_capacity at K = 6, Nr = 2, Nt = 16 under a merged A whose
+    multiplier sits at LAMBDA_FLOOR (condition number about 1e7) keeps the
+    rates to 1e-10 relative and the budget, and, given the whitened channels,
+    eigendecomposes no Nt x Nt matrix."""
+    K, nr, nt = 6, 2, 16
+    ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
+                    tuple(rng.permutation(K)))
+    all_but_first = LinearConstraint(np.diag(np.r_[0.0, np.ones(nt - 1)]), 1.0)
+    A, _ = combined_constraint([LinearConstraint.sum_power(nt, 1.0), all_but_first],
+                               DualWeights([0.0, 1.0]))
+    w = np.linalg.eigvalsh(A)
+    assert w[-1] / w[0] > 5e6
+    whitened = model.whitened_channels(ch, A)
+    eigh, shapes = np.linalg.eigh, []
+
+    def spy(M, *args, **kwargs):
+        shapes.append(np.shape(M)[-2:])
+        return eigh(M, *args, **kwargs)
+
+    for _ in range(3):
+        cov_mac = random_mac_cov(rng, K, nr, float(rng.uniform(0.5, 4.0)))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", spy)
+            cov_bc = mac_to_bc_capacity(ch, cov_mac, A, whitened)
+        r_mac = ref_mac_rates([Hi / np.sqrt(s) for Hi, s in zip(ch.H, ch.sigma2)],
+                              ch.encoding_order,
+                              [ch.sigma2[i] * cov_mac.Q[i] for i in range(K)], A)
+        r_bc = ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc.Q))
+        np.testing.assert_allclose(r_bc, r_mac, rtol=1e-10, atol=0)
+        budget = sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(K))
+        assert constraint_value(cov_bc, LinearConstraint(A, budget)) <= budget * (1 + 1e-12)
+    assert shapes and (nt, nt) not in shapes
+
+
+@pytest.mark.parametrize("transform, side", [(mac_to_bc_capacity, "mac"),
+                                             (bc_to_mac_capacity, "bc")])
+def test_capacity_transforms_reject_blocks_of_the_other_side(rng, transform, side):
+    """Uplink blocks sized Nt x Nt, or downlink blocks sized Nr x Nr, raise
+    the InvalidInput of the rate functions, not a matmul error."""
+    ch = _random_instance(rng, K=2, nt=3, nr=2)
+    n = ch.nt if side == "mac" else ch.nr
+    cov = CovarianceSet(side, [rand_psd(rng, n) for _ in range(ch.K)])
+    with pytest.raises(InvalidInput, match="covariance dimensions do not match"):
+        transform(ch, cov, rand_pd(rng, ch.nt))
 
 
 @settings(max_examples=200, deadline=None)
