@@ -22,7 +22,6 @@ from .model import (
     bc_rates_dpc,
     bc_sinr,
     constraint_value,
-    mac_eigenbeams,
     mac_rates,
     mac_sinr,
 )

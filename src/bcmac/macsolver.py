@@ -40,12 +40,14 @@ there every run is one user, and a loop of K small GEMMs costs more in
 per-call overhead than it saves.
 
 SINR balancing and power minimization are fixed points of MMSE receivers
-and a power update (Schubert and Boche, 2004), one stream per user in
-encoding order; for fixed receivers, the powers meeting given SINRs are
-one triangular solve (``model.sinr_powers``).  Multi-antenna users'
-vectors are refreshed as downlink MMSE receivers after each sweep: power
-minimization's from the sweep itself (its receivers are MMSE under the
-powers it set, its SINRs the targets), SINR balancing's through
+and a power update (Schubert and Boche, 2004) with one beam per user, stacked
+(K, ...) in user order in their solutions; a sweep is one uplink SIC pass
+(``model.uplink_sic``) over the users in encoding order, and for fixed
+receivers the powers meeting given SINRs are one triangular solve
+(``model.sinr_powers``).  Multi-antenna users' vectors are refreshed as
+downlink MMSE receivers (``model.bc_mmse_receivers``) after each sweep:
+power minimization's from the sweep itself (its receivers are MMSE under
+the powers it set, its SINRs the targets), SINR balancing's through
 ``transforms.sinr_to_bc``, as it rescales the powers after the sweep.
 Both take ``init``, the uplink solution of a nearby problem (the previous
 evaluation of a multiplier search), and start from its user-side vectors
@@ -290,23 +292,22 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
 
 
 def _start(ch, init):
-    """User-side unit vectors (per user) and powers (in encoding order) a
-    beamforming fixed point starts from: those of ``init`` (an uplink
-    solution with one stream per user), or else the top left singular vector
-    of each channel (for one receive antenna the scalar 1) and zero powers."""
+    """User-side unit vectors (K, Nr) in user order and powers in encoding
+    order a beamforming fixed point starts from: those of ``init`` (an uplink
+    solution), or else the top left singular vector of each channel (for one
+    receive antenna the scalar 1) and zero powers."""
     if init is None:
-        v = [np.ones((1, 1), dtype=np.complex128) if ch.nr == 1
-             else np.linalg.svd(ch.H[i])[0][:, :1].T for i in range(ch.K)]
+        v = np.ones((ch.K, 1), dtype=np.complex128) if ch.nr == 1 \
+            else np.linalg.svd(np.asarray(ch.H))[0][:, :, 0]
         return v, np.zeros(ch.K)
-    return [vi.copy() for vi in init.v], np.array([float(init.q[i][0]) for i in ch.encoding_order])
+    return init.v.copy(), init.q[list(ch.encoding_order)]
 
 
-def _single_stream(ch, u, v, q):
-    """Uplink solution with one stream per user from user-side vectors v (per
-    user) and receivers u and powers q (in encoding order)."""
-    ones = [1] * ch.K
-    return model.BeamformingSolution.built(model.per_user(ch, ones, u), v,
-                                           q=model.per_user(ch, ones, q))
+def _uplink_solution(ch, u, v, q):
+    """Uplink solution from user-side vectors v (in user order) and
+    receivers u and powers q (in encoding order)."""
+    pos = np.argsort(ch.encoding_order)
+    return model.BeamformingSolution.built(u[pos], v, q=q[pos])
 
 
 def _move(new_q, q):
@@ -315,15 +316,9 @@ def _move(new_q, q):
 
 
 def _zero_gain(users):
-    """The error of a stream whose effective channel vanishes."""
+    """The error of a user whose effective channel vanishes, ``users`` the
+    users in encoding order."""
     return lambda s: InfeasibleTargets(f"user {users[s]}: zero effective channel gain")
-
-
-def _mmse_pass(A, users, links, power):
-    """Uplink SIC pass over the streams in encoding order with MMSE receive
-    vectors; ``power(s, gain, den)`` sets stream s's power (see
-    :func:`model.uplink_sic`).  Returns the receivers and powers."""
-    return model.uplink_sic(A, links, power, _zero_gain(users))[:2]
 
 
 def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
@@ -354,25 +349,21 @@ def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
     return alpha
 
 
-def _downlink_receivers(ch, u, p):
-    """User-side vectors refreshed as downlink MMSE receivers of the beams u
-    at powers p (one stream per user, in encoding order).  Downlink
-    receivers interfere with nobody, so this weakly improves every SINR."""
-    pos = np.argsort(ch.encoding_order)
-    return [vi.reshape(1, -1) for vi in model.bc_mmse_receivers(ch, u[pos], p[pos])]
-
-
 def _power_min_receivers(ch, users, links, u, gamma):
-    """:func:`_downlink_receivers` after a power minimization sweep that met
-    the targets gamma with receivers u on ``links`` (in encoding order), at
-    the downlink powers meeting gamma against the sweep's stream gains."""
-    return _downlink_receivers(ch, u, model.sinr_powers(
-        model.stream_gains(links, u), gamma, ch.sigma2[users], model.BC, _zero_gain(users)))
+    """User-side vectors refreshed after a power minimization sweep that met
+    the targets gamma with receivers u on ``links`` (in encoding order): the
+    downlink MMSE receivers at the downlink powers meeting gamma against the
+    sweep's stream gains.  Downlink receivers interfere with nobody, so this
+    weakly improves every SINR."""
+    pos = np.argsort(ch.encoding_order)
+    p = model.sinr_powers(model.stream_gains(links, u), gamma, ch.sigma2[users], model.BC,
+                          _zero_gain(users))
+    return model.bc_mmse_receivers(ch, u[pos], p[pos])
 
 
 def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None):
     """Maximize the common ratio alpha = SINR_i / gamma_i on the dual uplink
-    under sum_i sigma_i^2 q_i = budget, one stream per user.
+    under sum_i sigma_i^2 q_i = budget, one beam per user.
 
     Alternates MMSE receive vectors at the base station with an exact power
     rebalance: for fixed vectors the powers meeting a common ratio are a
@@ -400,8 +391,8 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
         q *= budget / float(sigma2 @ q)
     alpha, move = 0.0, np.inf
     for it in range(settings.max_iters):
-        _, links = model.stream_links(ch, v)
-        u, _ = _mmse_pass(A, users, links, lambda s, gain, den: q[s])
+        links = model.stream_links(ch, v)
+        u, _ = model.uplink_sic(A, links, lambda s, gain, den: q[s], zero_gain)[:2]
         M, c = model.stream_gains(links, u), model.uplink_noise(u, A)
         new_alpha = _balanced_ratio(gamma, M, c, sigma2, budget, zero_gain)
         new_q = model.sinr_powers(M, new_alpha * gamma, c, model.MAC, zero_gain)
@@ -412,16 +403,16 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
             break
         if ch.nr > 1:
             # the sweep's receivers are MMSE under the old powers, not q
-            bf = transforms.sinr_to_bc(ch, _single_stream(ch, u, v, q), A)
-            v = _downlink_receivers(ch, model.stream_order(ch, bf.u), model.stream_order(ch, bf.p))
+            bf = transforms.sinr_to_bc(ch, _uplink_solution(ch, u, v, q), A)
+            v = model.bc_mmse_receivers(ch, bf.u, bf.p)
     else:
         raise MaxItersExceeded("SINR balancing did not converge")
-    return alpha, _single_stream(ch, u, v, q)
+    return alpha, _uplink_solution(ch, u, v, q)
 
 
 def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     """Minimize sum_i sigma_i^2 q_i on the dual uplink subject to
-    SINR_i >= gamma_i, one stream per user.
+    SINR_i >= gamma_i, one beam per user.
 
     The successive-decoding structure makes the minimum a forward pass: each
     user's power is set to meet its target exactly against already-fixed
@@ -450,9 +441,9 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
         return qs
 
     for it in range(settings.max_iters):
-        # Gauss-Seidel sweep: receive vector, then power, stream by stream
-        _, links = model.stream_links(ch, v)
-        u, new_q = _mmse_pass(A, users, links, target_power)
+        # Gauss-Seidel sweep: receive vector, then power, user by user
+        links = model.stream_links(ch, v)
+        u, new_q = model.uplink_sic(A, links, target_power, _zero_gain(users))[:2]
         move, q = _move(new_q, q), new_q
         if it > 0 and move <= POWER_RTOL:
             break
@@ -460,4 +451,4 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
             v = _power_min_receivers(ch, users, links, u, gamma)
     else:
         raise MaxItersExceeded("power minimization did not converge")
-    return float(ch.sigma2[users] @ q), _single_stream(ch, u, v, q)
+    return float(ch.sigma2[users] @ q), _uplink_solution(ch, u, v, q)

@@ -10,9 +10,11 @@ decoded last and sees no interference.
 Rates are natural-log (nats per channel use) throughout the library; the CLI
 converts to bits on output.
 
-Beamforming SINRs of both links come from one matrix of stream gains,
-M[s, t] = |g_s^H u_t|^2 over streams in encoding order, g_s = H_i^H v_s the
-uplink link of stream s (of user i), u_t the base-station vector of t:
+Beamforming carries one beam per user, stacked (K, ...) in user order
+(:class:`BeamformingSolution`).  The SINRs of both links come from one
+matrix of stream gains, M[s, t] = |g_s^H u_t|^2 over the users in encoding
+order, g_s = H_i^H v_i the uplink link of the user i at position s, u_t the
+base-station vector of the user at position t:
 
     downlink (DPC):  SINR_s = p_s M_ss / (sigma_i^2 + sum_{t>s} M_st p_t),
     uplink:          SINR_s = q_s M_ss / (u_s^H A u_s + sum_{t<s} M_ts q_t),
@@ -20,7 +22,7 @@ uplink link of stream s (of user i), u_t the base-station vector of t:
 both triangular, so the powers meeting given SINRs are one pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,52 +193,44 @@ class SinrTargets:
 
 @dataclass
 class BeamformingSolution:
-    """Per-stream beamvectors and powers.
+    """One beam per user, stacked (K, ...) in user order.
 
-    u[i]: (S_i, Nt) unit rows, base-station side vectors (transmit in the
+    u: (K, Nt) unit rows, base-station side vectors (transmit in the
         downlink, receive in the dual uplink).
-    v[i]: (S_i, Nr) unit rows, user-side vectors.
-    p[i]: downlink stream powers, q[i]: uplink stream powers; either may be
-        None before the corresponding side has been populated.
+    v: (K, Nr) unit rows, user-side vectors.
+    p: (K,) downlink powers, q: (K,) uplink powers; either may be None
+        before the corresponding side has been populated.
     Solutions the library builds skip the constructor's checks (:meth:`built`).
     """
 
-    u: list
-    v: list
-    p: list = None
-    q: list = None
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray = None
+    q: np.ndarray = None
 
     def __post_init__(self):
-        K = len(self.u)
-        if len(self.v) != K:
-            raise InvalidInput("u and v must list the same number of users")
-        for i in range(K):
-            self.u[i] = np.atleast_2d(np.asarray(self.u[i], dtype=np.complex128))
-            self.v[i] = np.atleast_2d(np.asarray(self.v[i], dtype=np.complex128))
-            if self.u[i].shape[0] != self.v[i].shape[0]:
-                raise InvalidInput(f"user {i}: u and v stream counts differ")
-            for name, mat in (("u", self.u[i]), ("v", self.v[i])):
-                norms = np.linalg.norm(mat, axis=1)
-                if mat.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-10:
-                    raise InvalidInput(f"user {i}: {name} rows must be unit norm")
+        self.u = np.asarray(self.u, dtype=np.complex128)
+        self.v = np.asarray(self.v, dtype=np.complex128)
+        if self.u.ndim != 2 or self.v.ndim != 2 or len(self.u) != len(self.v) or not len(self.u):
+            raise InvalidInput("u and v must stack one row per user")
+        for name, mat in (("u", self.u), ("v", self.v)):
+            if np.max(np.abs(np.linalg.norm(mat, axis=1) - 1.0)) > 1e-10:
+                raise InvalidInput(f"{name} rows must be unit norm")
         for name in ("p", "q"):
             vals = getattr(self, name)
             if vals is None:
                 continue
-            vals = [np.asarray(x, dtype=float).reshape(-1) for x in vals]
-            if len(vals) != K or any(
-                v.shape[0] != self.u[i].shape[0] for i, v in enumerate(vals)
-            ):
-                raise InvalidInput(f"{name} must match stream counts")
-            if any(np.any(v < 0) for v in vals):
+            vals = np.asarray(vals, dtype=float)
+            if vals.shape != (self.K,):
+                raise InvalidInput(f"{name} must hold one power per user")
+            if np.any(vals < 0):
                 raise InvalidInput(f"{name} powers must be nonnegative")
             setattr(self, name, vals)
 
     @classmethod
     def built(cls, u, v, p=None, q=None):
         """A solution the library computed, in the constructor's normal form
-        (2-D complex u[i], v[i] with unit rows; 1-D float nonnegative p[i],
-        q[i]) by construction."""
+        (complex u, v with unit rows; float nonnegative p, q) by construction."""
         bf = object.__new__(cls)
         bf.u, bf.v, bf.p, bf.q = u, v, p, q
         return bf
@@ -245,42 +239,12 @@ class BeamformingSolution:
     def K(self):
         return len(self.u)
 
-    def streams(self):
-        return [ui.shape[0] for ui in self.u]
-
     def bc_covariances(self):
-        """Q_i = sum_j p_ij u_ij u_ij^H (downlink side)."""
+        """Q_i = p_i u_i u_i^H (downlink side)."""
         if self.p is None:
             raise InvalidInput("downlink powers not set")
-        nt = self.u[0].shape[1]
-        out = np.zeros((self.K, nt, nt), dtype=np.complex128)
-        for i in range(self.K):
-            for j in range(self.u[i].shape[0]):
-                uj = self.u[i][j]
-                out[i] += self.p[i][j] * np.outer(uj, uj.conj())
-        return CovarianceSet.built(BC, out)
-
-
-def mac_eigenbeams(cov, drop_tol=1e-12):
-    """Eigendecompose uplink covariances into unit beams and powers.
-
-    Returns (v, q): per-user arrays of eigenvector rows and eigenvalues.
-    Zero-power eigenstreams (relative to the largest eigenvalue across users)
-    are dropped; they carry no rate and would only inject noise into
-    downstream transformations.
-    """
-    if cov.side != MAC:
-        raise InvalidInput("expected an uplink covariance set")
-    scale = max(float(np.linalg.eigvalsh(Q)[-1]) for Q in cov.Q)
-    v, q = [], []
-    nr = cov.Q[0].shape[0]
-    for Qi in cov.Q:
-        w, V = np.linalg.eigh(Qi)
-        keep = w > max(drop_tol * scale, 0.0)
-        vi = V[:, keep].T
-        v.append(vi if vi.size else np.zeros((0, nr), dtype=np.complex128))
-        q.append(w[keep])
-    return v, q
+        outer = self.u[:, :, None] * self.u.conj()[:, None, :]
+        return CovarianceSet.built(BC, self.p[:, None, None] * outer)
 
 
 def _check_dims(ch, cov, side):
@@ -327,45 +291,28 @@ def mac_rates(ch, cov, noise):
     return rates
 
 
-def stream_order(ch, per_user):
-    """Per-user stream arrays (rows of u or v, entries of p or q) stacked
-    over every stream in encoding order."""
-    return np.concatenate([np.asarray(per_user[i]) for i in ch.encoding_order])
-
-
-def per_user(ch, counts, x):
-    """Values stacked over streams in encoding order split back into per-user
-    arrays, ``counts[i]`` the stream count of user i (the inverse of
-    :func:`stream_order`)."""
-    out, start = [None] * ch.K, 0
-    for i in ch.encoding_order:
-        out[i], start = x[start:start + counts[i]], start + counts[i]
-    return out
-
-
 def stream_links(ch, v):
-    """The user of every stream and its uplink link g = H_i^H v, stacked
-    (S, Nt) in encoding order; ``v`` lists each user's (S_i, Nr) vectors."""
-    order = ch.encoding_order
-    return (np.array([i for i in order for _ in range(len(v[i]))], dtype=int),
-            np.concatenate([v[i] @ ch.H[i].conj() for i in order]))
+    """Uplink links g_i = H_i^H v_i of user-side vectors ``v`` (K, Nr) in
+    user order, stacked (K, Nt) in encoding order."""
+    order = list(ch.encoding_order)
+    return (v[order, None, :] @ np.asarray(ch.H)[order].conj())[:, 0]
 
 
 def stream_gains(links, u):
     """M[s, t] = |g_s^H u_t|^2 between links g_s and base-station vectors
-    u_t, both stacked (S, Nt) in encoding order (see the module docstring)."""
+    u_t, both stacked (K, Nt) in encoding order (see the module docstring)."""
     return np.abs(links.conj() @ u.T) ** 2
 
 
 def uplink_noise(u, A):
-    """u_s^H A u_s for base-station vectors stacked (S, Nt)."""
+    """u_s^H A u_s for base-station vectors stacked (K, Nt)."""
     return np.einsum("si,ij,sj->s", u.conj(), A, u).real
 
 
 def sinr_powers(M, gamma, noise, side, degenerate):
     """Powers meeting SINR_s = gamma_s exactly against the gains M on the
     downlink (side BC) or the uplink (MAC), by substitution from the last
-    stream or the first (see the module docstring).  A zero target gets zero
+    position or the first (see the module docstring).  A zero target gets zero
     power; a positive one on a zero gain raises ``degenerate(s)``."""
     rows = M if side == BC else M.T
     x = np.zeros(len(gamma))
@@ -374,25 +321,26 @@ def sinr_powers(M, gamma, noise, side, degenerate):
             continue
         if not M[s, s] > 0:
             raise degenerate(s)
-        # entries not yet filled are zero, so only solved streams interfere
+        # entries not yet filled are zero, so only solved users interfere
         x[s] = gamma[s] * (noise[s] + rows[s] @ x) / M[s, s]
     return x
 
 
 def bc_sinr(ch, bf, scheme="dpc"):
-    """Per-stream downlink SINRs.
+    """Downlink SINRs, (K,) in user order.
 
-    scheme="dpc": a stream is interfered only by streams encoded after it.
-    scheme="linear": every other stream interferes.
-    Returns a list of per-user arrays.
+    scheme="dpc": a user is interfered only by users encoded after it.
+    scheme="linear": every other user interferes.
     """
     if scheme not in ("dpc", "linear"):
         raise InvalidInput("scheme must be 'dpc' or 'linear'")
-    users, links = stream_links(ch, bf.v)
-    M = stream_gains(links, stream_order(ch, bf.u))
-    p = stream_order(ch, bf.p)
+    order = list(ch.encoding_order)
+    M = stream_gains(stream_links(ch, bf.v), bf.u[order])
+    p = bf.p[order]
     others = np.triu(M, 1) if scheme == "dpc" else M - np.diag(np.diag(M))
-    return per_user(ch, bf.streams(), p * np.diag(M) / (ch.sigma2[users] + others @ p))
+    sinr = np.empty(ch.K)
+    sinr[order] = p * np.diag(M) / (ch.sigma2[order] + others @ p)
+    return sinr
 
 
 def whitened_channels(ch, A):
@@ -406,12 +354,13 @@ def whitened_channels(ch, A):
 def uplink_sic(A, links, power, vanishing):
     """Successive interference cancellation on the dual uplink.
 
-    ``links`` stacks the streams' links g = H_i^H v, (S, Nt), in encoding
-    order; stream s is decoded against C = A plus the streams before it,
+    ``links`` stacks the users' links g = H_i^H v_i, (K, Nt), in encoding
+    order; position s is decoded against C = A plus the positions before it,
     with the unit-norm MMSE vector C^{-1} g normalized (raising
     ``vanishing(s)`` if it vanishes).  Its power is ``power(s, gain, den)``
     with gain = |u^H g|^2, den = u^H C u.  Returns the receive vectors
-    stacked (S, Nt), the powers and the SINRs q gain / den.
+    stacked (K, Nt), the powers and the SINRs q gain / den, all in encoding
+    order.
     """
     C = A.astype(np.complex128)
     u, q, sinr = [], [], []
@@ -432,15 +381,17 @@ def uplink_sic(A, links, power, vanishing):
 
 
 def mac_sinr(ch, bf, noise):
-    """Per-stream dual-uplink SINRs: stream (i,j) is decoded after everything
-    encoded later, so it sees interference from streams encoded before it
-    plus the base-station noise covariance."""
+    """Dual-uplink SINRs, (K,) in user order: a user is decoded after
+    everyone encoded later, so it sees interference from the users encoded
+    before it plus the base-station noise covariance."""
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
-    _, links = stream_links(ch, bf.v)
-    u, q = stream_order(ch, bf.u), stream_order(ch, bf.q)
-    M = stream_gains(links, u)
-    return per_user(ch, bf.streams(), q * np.diag(M) / (uplink_noise(u, A) + np.triu(M, 1).T @ q))
+    order = list(ch.encoding_order)
+    u, q = bf.u[order], bf.q[order]
+    M = stream_gains(stream_links(ch, bf.v), u)
+    sinr = np.empty(ch.K)
+    sinr[order] = q * np.diag(M) / (uplink_noise(u, A) + np.triu(M, 1).T @ q)
+    return sinr
 
 
 def constraint_value(cov, c):
@@ -463,9 +414,9 @@ def feasible_scale(cov, constraints):
 
 
 def bc_mmse_receivers(ch, u, p):
-    """Unit-norm MMSE receive vectors for single-stream-per-user downlink
-    beams under the DPC interference structure (user at position m interfered
-    by positions > m).  u: list of K unit Nt-vectors, p: K powers.  The K
+    """Unit-norm MMSE receive vectors, (K, Nr) in user order, of the downlink
+    beams u (K, Nt) at powers p (K,) under the DPC interference structure
+    (user at position m interfered by positions > m).  The K
     interference-plus-noise covariances are built and solved as one stack."""
     G = np.einsum("irt,kt->ikr", np.array(ch.H), np.asarray(u, dtype=np.complex128))
     pos = np.argsort(ch.encoding_order)
@@ -474,4 +425,4 @@ def bc_mmse_receivers(ch, u, p):
     v = np.linalg.solve(C, np.einsum("iir->ir", G)[..., None])[..., 0]
     n = np.linalg.norm(v, axis=1)
     v[n == 0] = np.eye(ch.nr)[0]
-    return list(v / np.where(n > 0, n, 1.0)[:, None])
+    return v / np.where(n > 0, n, 1.0)[:, None]

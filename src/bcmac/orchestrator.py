@@ -342,8 +342,8 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
 
     def repaired(bf):
         factor = model.feasible_scale(bf.bc_covariances(), constraints)
-        bf = model.BeamformingSolution.built(bf.u, bf.v, [factor * p for p in bf.p], bf.q)
-        return min(float(s[0]) / g for s, g in zip(model.bc_sinr(ch, bf), targets.gamma)), bf
+        bf = model.BeamformingSolution.built(bf.u, bf.v, factor * bf.p, bf.q)
+        return float(np.min(model.bc_sinr(ch, bf) / targets.gamma)), bf
 
     def recover(results, theta):
         return max((repaired(results[k]) for k in theta), key=lambda out: out[0])

@@ -79,6 +79,23 @@ class RegionPoint:
     g_gap: float
 
 
+def _converted(where, convert, value):
+    """``convert(value)``, the one path by which config values become
+    numbers and library objects: a value it rejects (TypeError, ValueError
+    or InvalidInput), or a missing one, is a ConfigError naming the field
+    ``where``."""
+    if value is None:
+        raise ConfigError(f"{where}: a value is required")
+    try:
+        return convert(value)
+    except (InvalidInput, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _floats(x):
+    return np.asarray(x, dtype=float).reshape(-1)
+
+
 def _entry_to_complex(x, where):
     if isinstance(x, (int, float)):
         return complex(x)
@@ -123,14 +140,12 @@ def _parse_channels(doc):
     if not isinstance(section, dict) or "h" not in section:
         raise ConfigError("channels.h is required")
     H = [_parse_matrix(rows, f"channels.h[{i}]") for i, rows in enumerate(section["h"])]
-    sigma2 = section.get("sigma2")
-    order = section.get("encoding_order")
-    if order is not None:
-        order = [int(i) - 1 for i in order]  # users are 1-based in files
-    try:
-        return ChannelSet(H, sigma2, order)
-    except InvalidInput as exc:
-        raise ConfigError(f"channels: {exc}") from exc
+    sigma2, order = section.get("sigma2"), section.get("encoding_order")
+    if sigma2 is not None:
+        sigma2 = _converted("channels.sigma2", _floats, sigma2)
+    if order is not None:  # users are 1-based in files
+        order = _converted("channels.encoding_order", lambda o: [int(i) - 1 for i in o], order)
+    return _converted("channels", lambda H: ChannelSet(H, sigma2, order), H)
 
 
 def _parse_constraints(doc, nt):
@@ -140,25 +155,19 @@ def _parse_constraints(doc, nt):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError(f"{where}: expected a mapping with a 'type'")
         kind = spec["type"]
-        try:
-            budget = float(spec["budget"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{where}: numeric 'budget' is required")
-        try:
-            if kind == "sum_power":
-                out.append(LinearConstraint.sum_power(nt, budget))
-            elif kind == "per_antenna":
-                ant = int(spec.get("antenna", 0)) - 1
-                if not (0 <= ant < nt):
-                    raise ConfigError(f"{where}: antenna must be in 1..{nt}")
-                out.append(LinearConstraint.per_antenna(nt, ant, budget))
-            elif kind == "matrix":
-                A = _parse_matrix(spec.get("a"), f"{where}.a")
-                out.append(LinearConstraint(A, budget))
-            else:
-                raise ConfigError(f"{where}: unknown type '{kind}'")
-        except InvalidInput as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        budget = _converted(f"{where}.budget", float, spec.get("budget"))
+        if kind == "sum_power":
+            A = np.eye(nt)
+        elif kind == "per_antenna":
+            ant = _converted(f"{where}.antenna", int, spec.get("antenna", 0))
+            if not 1 <= ant <= nt:
+                raise ConfigError(f"{where}: antenna must be in 1..{nt}")
+            A = np.diag(np.eye(nt)[ant - 1])
+        elif kind == "matrix":
+            A = _parse_matrix(spec.get("a"), f"{where}.a")
+        else:
+            raise ConfigError(f"{where}: unknown type '{kind}'")
+        out.append(_converted(where, lambda A: LinearConstraint(A, budget), A))
     return out
 
 
@@ -172,14 +181,8 @@ def _parse_nonlinear(doc, nt):
     mats = [_parse_matrix(m, f"nonlinear.a[{i}]") for i, m in enumerate(section.get("a") or [])]
     if not mats or any(m.shape != (nt, nt) for m in mats):
         raise ConfigError(f"nonlinear.a: need one or more {nt}x{nt} matrices")
-    try:
-        budget = float(section["budget"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("nonlinear.budget is required")
-    try:
-        return orchestrator.QuadraticBall(mats, budget)
-    except InvalidInput as exc:
-        raise ConfigError(f"nonlinear: {exc}") from exc
+    budget = _converted("nonlinear.budget", float, section.get("budget"))
+    return _converted("nonlinear", lambda m: orchestrator.QuadraticBall(m, budget), mats)
 
 
 # all that the solvers and the multiplier search read of SolverSettings
@@ -188,11 +191,8 @@ SETTING_TYPES = {"max_iters": int, "tol": float}
 
 def _parse_settings(doc, key, default):
     section = _section(doc, key, tuple(SETTING_TYPES), "setting")
-    try:
-        return replace(default, **{name: SETTING_TYPES[name](value)
-                                   for name, value in section.items()})
-    except (InvalidInput, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    return _converted(key, lambda s: replace(default, **{
+        name: SETTING_TYPES[name](value) for name, value in s.items()}), section)
 
 
 def load_config(path):
@@ -217,27 +217,27 @@ def load_config(path):
         raise ConfigError(f"wsr_region sweeps one or two users, config has {ch.K}")
     weights = doc.get("weights")
     if weights is not None:
-        weights = np.asarray(weights, dtype=float).reshape(-1)
+        weights = _converted("weights", _floats, weights)
         if weights.shape != (ch.K,) or np.any(weights <= 0):
             raise ConfigError(f"weights must be {ch.K} positive numbers")
     targets = doc.get("targets")
     if targets is not None:
-        try:
-            targets = SinrTargets(targets)
-        except InvalidInput as exc:
-            raise ConfigError(f"targets: {exc}") from exc
+        targets = _converted("targets", SinrTargets, targets)
         if targets.gamma.shape != (ch.K,):
             raise ConfigError(f"targets must list {ch.K} values")
     if objective in ("sinr_balance", "power_balance") and targets is None:
         raise ConfigError(f"objective {objective} requires 'targets'")
     if objective == "nonlinear_wsr" and weights is None:
         raise ConfigError("nonlinear_wsr requires 'weights'")
-    resolution = int(_section(doc, "sweep", ("resolution",)).get("resolution", 20))
+    resolution = _converted("sweep.resolution", int,
+                            _section(doc, "sweep", ("resolution",)).get("resolution", 20))
     if resolution < 1:
         raise ConfigError("sweep.resolution must be >= 1")
     basename = str(_section(doc, "output", ("basename",)).get("basename", objective))
     solver = _parse_settings(doc, "solver", SolverSettings())
-    heuristic = bool(doc.get("heuristic", False))
+    heuristic = doc.get("heuristic", False)
+    if not isinstance(heuristic, bool):
+        raise ConfigError(f"heuristic: expected true or false, got {heuristic!r}")
     # a constraint set bounds the transmit power only if its matrices sum to
     # a positive definite one; the heuristic solves under constraints[0] alone
     if heuristic and objective == "wsr_region":
@@ -260,7 +260,7 @@ def load_config(path):
         resolution=resolution,
         solver=solver,
         outer=_parse_settings(doc, "outer", orchestrator.OUTER),
-        seed=int(doc.get("seed", 0)),
+        seed=_converted("seed", int, doc.get("seed", 0)),
         basename=basename,
         heuristic=heuristic,
         raw=doc,

@@ -23,10 +23,11 @@ factor F with F F^H = Phi^{-1}, and every such factor gives the same
 covariance, so F comes from Phi's Cholesky factor: only the Nr x Nr
 downlink side is eigendecomposed.
 
-The SINR-preserving construction keeps the user-side vectors and uplink
-powers, takes MMSE base-station vectors and solves the downlink powers
-against the stream gains of ``model.stream_gains``, a triangular system
-in encoding order.
+The SINR-preserving construction works on beamforming solutions with one
+beam per user, stacked (K, ...) in user order.  It keeps the user-side
+vectors and uplink powers, takes MMSE base-station vectors and solves the
+downlink powers against the stream gains of ``model.stream_gains``, a
+triangular system in encoding order.
 """
 
 import numpy as np
@@ -125,9 +126,9 @@ def mac_to_bc_sinr(ch, bf_mac, A):
     """SINR-preserving transformation of an uplink beamforming solution.
 
     Keeps the user-side vectors v and uplink powers q, computes the MMSE
-    base-station receive vectors u stream by stream, then solves the
-    triangular system equating downlink and uplink SINRs for the downlink
-    powers p.  The result satisfies, stream by stream, SINR_bc = SINR_mac and
+    base-station receive vectors u user by user, then solves the triangular
+    system equating downlink and uplink SINRs for the downlink powers p.  The
+    result satisfies, user by user, SINR_bc = SINR_mac and
     sum p u^H A u = sum sigma^2 q.
     """
     A = linalg.check_hermitian(A, name="A")
@@ -140,17 +141,15 @@ def sinr_to_bc(ch, bf_mac, A):
     ``A``, for solver loops that validated it once on entry."""
     if bf_mac.q is None:
         raise InvalidInput("uplink powers required")
-    users, links = model.stream_links(ch, bf_mac.v)
-    q = model.stream_order(ch, bf_mac.q)
+    users = list(ch.encoding_order)
+    links, q = model.stream_links(ch, bf_mac.v), bf_mac.q[users]
 
     def degenerate(s):
-        return DegenerateTransform(f"stream {s} (user {users[s]}) in encoding order: zero gain")
+        return DegenerateTransform(f"user {users[s]} (encoding position {s}): zero gain")
 
     u, _, sinr = model.uplink_sic(A, links, lambda s, gain, den: q[s], degenerate)
-    # downlink powers meeting the uplink SINRs, from the last-encoded stream
+    # downlink powers meeting the uplink SINRs, from the last-encoded user
     p = model.sinr_powers(model.stream_gains(links, u), sinr, ch.sigma2[users], model.BC,
                           degenerate)
-    counts = bf_mac.streams()
-    return model.BeamformingSolution.built(
-        model.per_user(ch, counts, u), [vi.copy() for vi in bf_mac.v],
-        model.per_user(ch, counts, p), [np.array(qi) for qi in bf_mac.q])
+    pos = np.argsort(users)
+    return model.BeamformingSolution.built(u[pos], bf_mac.v.copy(), p[pos], bf_mac.q.copy())

@@ -45,8 +45,20 @@ def _args(command, config, out):
     (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
                  nonlinear=dict(BALL, a=[[[1.0]]])), "need one or more 2x2 matrices"),
     (_region_doc(constraints=PER_ANTENNA[:1]), "not positive definite"),
+    (_region_doc(seed="abc"), "seed: "),
+    (_region_doc(sweep={"resolution": "many"}), "sweep.resolution: "),
+    (_region_doc(constraints=[dict(PER_ANTENNA[0], antenna="first"), PER_ANTENNA[1]]),
+     "constraints[0].antenna: "),
+    (_region_doc(channels={"h": [H1_CAP, H2_CAP], "sigma2": ["low", 1.0]}), "channels.sigma2: "),
+    (_region_doc(channels={"h": [H1_CAP, H2_CAP], "encoding_order": ["b", "a"]}),
+     "channels.encoding_order: "),
+    (_region_doc(targets=["high", 1.0]), "targets: "),
+    (_region_doc(weights=[0.5, "half"]), "weights: "),
+    (_region_doc(heuristic="maybe"), "heuristic: expected true or false"),
 ], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size",
-        "single_per_antenna"])
+        "single_per_antenna", "seed_not_a_number", "resolution_not_a_number",
+        "antenna_not_a_number", "sigma2_not_numbers", "encoding_order_not_numbers",
+        "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2

@@ -197,11 +197,9 @@ def test_balance_equal_ratio_and_budget(rng):
         A = rand_pd(rng, 3)
         gam = SinrTargets(rng.uniform(0.5, 2.0, K))
         alpha, bf = solve_sinr_balance_mac(ch, A, 2.0, gam, TIGHT)
-        s = mac_sinr(ch, bf, A)
-        ratios = np.array([s[i][0] / gam.gamma[i] for i in range(K)])
+        ratios = mac_sinr(ch, bf, A) / gam.gamma
         assert np.max(np.abs(ratios - alpha)) <= 1e-6 * alpha
-        used = sum(ch.sigma2[i] * bf.q[i][0] for i in range(K))
-        assert used == pytest.approx(2.0, abs=1e-8)
+        assert ch.sigma2 @ bf.q == pytest.approx(2.0, abs=1e-8)
 
 
 def test_balance_scenario_channels_vs_grid():
@@ -239,9 +237,7 @@ def test_power_min_meets_targets_exactly(rng):
         A = rand_pd(rng, 3)
         gam = SinrTargets(rng.uniform(0.5, 3.0, K))
         tot, bf = solve_power_min_mac(ch, A, gam)
-        s = mac_sinr(ch, bf, A)
-        for i in range(K):
-            assert s[i][0] == pytest.approx(gam.gamma[i], rel=1e-8)
+        assert mac_sinr(ch, bf, A) == pytest.approx(gam.gamma, rel=1e-8)
 
 
 def test_power_min_infeasible_zero_channel():
@@ -459,22 +455,23 @@ BAL_H = [[[1.0, 0.0], [0.5, 0.6]], [[0.4, 0.0], [0.5, 1.5]]]
 def test_warm_start_from_a_nearby_multiplier_matches_the_cold_solve(monkeypatch, solve):
     """Started from the solution at a nearby multiplier, both fixed points
     reach the cold solve's value and total power to 1e-9 relative, in fewer
-    MMSE sweeps."""
+    uplink SIC passes (one a sweep, and SINR balancing's transform one more
+    between sweeps)."""
     ch, gam = ChannelSet(BAL_H), SinrTargets([1.0, 2.0])
     sweeps = [0]
-    real = macsolver._mmse_pass
+    real = model.uplink_sic
 
     def counted(*args):
         sweeps[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(macsolver, "_mmse_pass", counted)
+    monkeypatch.setattr(model, "uplink_sic", counted)
     _, near = solve(ch, 0.40, gam, None)
     runs = []
     for init in (None, near):
         sweeps[0] = 0
         value, bf = solve(ch, 0.42, gam, init)
-        runs.append((value, float(ch.sigma2 @ [qi[0] for qi in bf.q]), sweeps[0]))
+        runs.append((value, float(ch.sigma2 @ bf.q), sweeps[0]))
     (cold, cold_power, cold_sweeps), (warm, warm_power, warm_sweeps) = runs
     assert warm == pytest.approx(cold, rel=1e-9)
     assert warm_power == pytest.approx(cold_power, rel=1e-9)
@@ -521,16 +518,15 @@ def test_power_min_refresh_matches_the_sinr_transform(rng, nr):
     ch = ChannelSet(rand_channels(rng, 3, nr, 3), sigma2=rng.uniform(0.5, 2.0, 3),
                     encoding_order=[2, 0, 1])
     A, gam = rand_pd(rng, 3), SinrTargets(rng.uniform(0.5, 2.0, 3))
-    v = [x / np.linalg.norm(x) for x in rand_channels(rng, 3, 1, nr)]
+    v = np.array([x[0] / np.linalg.norm(x) for x in rand_channels(rng, 3, 1, nr)])
     users = np.array(ch.encoding_order)
     gamma = gam.gamma[users]
-    _, links = model.stream_links(ch, v)
-    u, q = macsolver._mmse_pass(A, users, links, lambda s, gain, den: gamma[s] * den / gain)
+    links = model.stream_links(ch, v)
+    u, q, _ = model.uplink_sic(A, links, lambda s, gain, den: gamma[s] * den / gain,
+                               macsolver._zero_gain(users))
     got = macsolver._power_min_receivers(ch, users, links, u, gamma)
-    bf = mac_to_bc_sinr(ch, macsolver._single_stream(ch, u, v, q), A)
-    want = bc_mmse_receivers(ch, [ui[0] for ui in bf.u], [pi[0] for pi in bf.p])
-    for gi, wi in zip(got, want):
-        assert np.max(np.abs(gi[0] - wi)) <= 1e-12
+    bf = mac_to_bc_sinr(ch, macsolver._uplink_solution(ch, u, v, q), A)
+    assert np.max(np.abs(got - bc_mmse_receivers(ch, bf.u, bf.p))) <= 1e-12
 
 
 def test_sinr_balance_stops_where_its_receiver_updates_stall():
@@ -543,5 +539,4 @@ def test_sinr_balance_stops_where_its_receiver_updates_stall():
     A = np.diag([1e-7, 1.0, 1e-7])
     alpha, bf = solve_sinr_balance_mac(ch, A, 3.0, SinrTargets([1.0, 1.0]),
                                        SolverSettings(max_iters=50))
-    s = mac_sinr(ch, bf, A)
-    assert [s[i][0] for i in range(2)] == pytest.approx([alpha, alpha], rel=1e-9)
+    assert mac_sinr(ch, bf, A) == pytest.approx([alpha, alpha], rel=1e-9)

@@ -104,73 +104,67 @@ def test_single_user_capacity_formula(rng):
         assert got == pytest.approx(float(want.real), abs=1e-10)
 
 
-def _random_bf(rng, ch, n_streams):
-    u, v, p, q = [], [], [], []
-    for i in range(ch.K):
-        ui = rand_complex(rng, (n_streams, ch.nt))
-        vi = rand_complex(rng, (n_streams, ch.nr))
-        ui /= np.linalg.norm(ui, axis=1, keepdims=True)
-        vi /= np.linalg.norm(vi, axis=1, keepdims=True)
-        u.append(ui)
-        v.append(vi)
-        p.append(rng.uniform(0.1, 2.0, n_streams))
-        q.append(rng.uniform(0.1, 2.0, n_streams))
-    return BeamformingSolution(u=u, v=v, p=p, q=q)
+def _random_bf(rng, ch):
+    u = rand_complex(rng, (ch.K, ch.nt))
+    v = rand_complex(rng, (ch.K, ch.nr))
+    return BeamformingSolution(u=u / np.linalg.norm(u, axis=1, keepdims=True),
+                               v=v / np.linalg.norm(v, axis=1, keepdims=True),
+                               p=rng.uniform(0.1, 2.0, ch.K), q=rng.uniform(0.1, 2.0, ch.K))
+
+
+def _streams(x):
+    """A stacked (K, ...) beam array as the per-user stream lists of the
+    conftest loop references."""
+    return x[:, None]
 
 
 def test_bc_sinr_single_stream_no_interference(rng):
     ch = ChannelSet([rand_complex(rng, (2, 2))], sigma2=[0.5])
-    bf = _random_bf(rng, ch, 1)
-    s = bc_sinr(ch, bf, "dpc")[0][0]
-    expect = bf.p[0][0] * abs(np.vdot(bf.v[0][0], ch.H[0] @ bf.u[0][0])) ** 2 / 0.5
-    assert s == pytest.approx(expect, rel=1e-12)
+    bf = _random_bf(rng, ch)
+    s = bc_sinr(ch, bf, "dpc")
+    expect = bf.p[0] * abs(np.vdot(bf.v[0], ch.H[0] @ bf.u[0])) ** 2 / 0.5
+    assert s.shape == (1,) and s[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_bc_sinr_orthogonal_streams():
-    ch = ChannelSet([np.eye(2)])
-    bf = BeamformingSolution(
-        u=[np.eye(2)], v=[np.eye(2)], p=[[2.0, 3.0]], q=[[0.0, 0.0]]
-    )
-    s = bc_sinr(ch, bf, "dpc")[0]
-    assert np.allclose(s, [2.0, 3.0])
-    s_lin = bc_sinr(ch, bf, "linear")[0]
-    assert np.allclose(s_lin, [2.0, 3.0])
+    """Two users on orthogonal antennas interfere with nobody, under either
+    scheme."""
+    ch = ChannelSet([np.eye(2)[:1], np.eye(2)[1:]])
+    bf = BeamformingSolution(u=np.eye(2), v=np.ones((2, 1)), p=[2.0, 3.0], q=[0.0, 0.0])
+    assert np.allclose(bc_sinr(ch, bf, "dpc"), [2.0, 3.0])
+    assert np.allclose(bc_sinr(ch, bf, "linear"), [2.0, 3.0])
 
 
 def _oracle_cases(rng):
-    """K=3 in a permuted order with stream counts (1, 3, 2), then with a user
-    that has no streams (as mac_eigenbeams can leave one); the first stream
-    of user 2 has zero power on both links."""
-    for counts in ([1, 3, 2], [2, 0, 2]):
-        ch = ChannelSet(rand_channels(rng, 3, 3, 4), sigma2=[0.7, 1.3, 1.1],
-                        encoding_order=[2, 0, 1])
-        bf = _random_bf(rng, ch, 3)
-        bf = BeamformingSolution(*([x[:n] for x, n in zip(getattr(bf, f), counts)]
-                                   for f in "uvpq"))
-        bf.p[2][0] = bf.q[2][0] = 0.0
-        yield ch, bf
+    """K=3 in the permuted encoding order (2, 0, 1), user 2 with zero power
+    on both links."""
+    ch = ChannelSet(rand_channels(rng, 3, 3, 4), sigma2=[0.7, 1.3, 1.1],
+                    encoding_order=[2, 0, 1])
+    bf = _random_bf(rng, ch)
+    bf.p[2] = bf.q[2] = 0.0
+    yield ch, bf
 
 
 def test_bc_sinr_vs_loop_oracle(rng):
+    """bc_sinr returns (K,) in user order, also under a permuted encoding
+    order."""
     ch = ChannelSet(rand_channels(rng, 2, 1, 3), sigma2=[0.7, 1.3])
-    for ch, bf in [(ch, _random_bf(rng, ch, 1))] + list(_oracle_cases(rng)):
+    for ch, bf in [(ch, _random_bf(rng, ch))] + list(_oracle_cases(rng)):
         for scheme in ("dpc", "linear"):
             got = bc_sinr(ch, bf, scheme)
-            assert [len(x) for x in got] == bf.streams()
-            ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, bf.u, bf.v, bf.p,
-                                  linear=scheme == "linear")
-            for (i, j), val in ref.items():
-                assert got[i][j] == pytest.approx(val, rel=1e-12)
+            assert got.shape == (ch.K,)
+            ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, _streams(bf.u),
+                                  _streams(bf.v), _streams(bf.p), linear=scheme == "linear")
+            assert sorted(ref) == [(i, 0) for i in range(ch.K)]
+            for (i, _), val in ref.items():
+                assert got[i] == pytest.approx(val, rel=1e-12)
 
 
 def test_bc_sinr_linear_includes_all_interference(rng):
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
-    bf = _random_bf(rng, ch, 2)
-    dpc = bc_sinr(ch, bf, "dpc")
-    lin = bc_sinr(ch, bf, "linear")
+    bf = _random_bf(rng, ch)
     # linear scheme sees at least as much interference
-    for i in range(2):
-        assert np.all(lin[i] <= dpc[i] + 1e-15)
+    assert np.all(bc_sinr(ch, bf, "linear") <= bc_sinr(ch, bf, "dpc") + 1e-15)
 
 
 def test_mac_rates_scalar():
@@ -213,14 +207,18 @@ def test_mac_rates_rejects_singular_noise(rng):
 
 
 def test_mac_sinr_vs_loop_oracle(rng):
+    """mac_sinr returns (K,) in user order, also under a permuted encoding
+    order."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 3), sigma2=[1.0, 2.0])
-    for ch, bf in [(ch, _random_bf(rng, ch, 2))] + list(_oracle_cases(rng)):
+    for ch, bf in [(ch, _random_bf(rng, ch))] + list(_oracle_cases(rng)):
         A = rand_pd(rng, ch.nt)
         got = mac_sinr(ch, bf, A)
-        assert [len(x) for x in got] == bf.streams()
-        ref = ref_mac_sinr(ch.H, ch.encoding_order, bf.u, bf.v, bf.q, A)
-        for (i, j), val in ref.items():
-            assert got[i][j] == pytest.approx(val, rel=1e-12)
+        assert got.shape == (ch.K,)
+        ref = ref_mac_sinr(ch.H, ch.encoding_order, _streams(bf.u), _streams(bf.v),
+                           _streams(bf.q), A)
+        assert sorted(ref) == [(i, 0) for i in range(ch.K)]
+        for (i, _), val in ref.items():
+            assert got[i] == pytest.approx(val, rel=1e-12)
 
 
 def test_constraint_value_cases(rng):
@@ -261,8 +259,9 @@ def test_bc_mmse_receivers_vs_loop_oracle(rng, nr):
     u = [x / np.linalg.norm(x) for x in rand_complex(rng, (3, 2))]
     u[1] = np.array([1.0, 0.0], dtype=complex)
     p, sigma2, order = [0.0, 0.8, 1.3], [1.0, 1.5, 0.7], (2, 0, 1)
-    got = bc_mmse_receivers(ChannelSet(H, sigma2=sigma2, encoding_order=order), u, p)
+    got = bc_mmse_receivers(ChannelSet(H, sigma2=sigma2, encoding_order=order), np.array(u), p)
     want = ref_bc_mmse_receivers(H, sigma2, order, u, p)
+    assert got.shape == (3, nr)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(got[1], np.eye(nr)[0])
 
@@ -270,40 +269,35 @@ def test_bc_mmse_receivers_vs_loop_oracle(rng, nr):
 def test_rate_sinr_consistency_with_mmse(rng):
     """sum_j log(1 + SINR_ij) with MMSE receivers matches the covariance rate."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 2), sigma2=[1.0, 1.5])
-    u = [rand_complex(rng, (2,)) for _ in range(2)]
-    u = [x / np.linalg.norm(x) for x in u]
-    p = [1.3, 0.8]
-    v = bc_mmse_receivers(ch, u, p)
-    bf = BeamformingSolution(
-        u=[u[0].reshape(1, -1), u[1].reshape(1, -1)],
-        v=[v[0].reshape(1, -1), v[1].reshape(1, -1)],
-        p=[[p[0]], [p[1]]],
-        q=[[0.0], [0.0]],
-    )
-    s = bc_sinr(ch, bf, "dpc")
-    rates_from_sinr = np.array([np.sum(np.log1p(s[i])) for i in range(2)])
-    cov = bf.bc_covariances()
-    rates = bc_rates_dpc(ch, cov)
+    u = rand_complex(rng, (2, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    p = np.array([1.3, 0.8])
+    bf = BeamformingSolution(u=u, v=bc_mmse_receivers(ch, u, p), p=p, q=[0.0, 0.0])
+    rates_from_sinr = np.log1p(bc_sinr(ch, bf, "dpc"))
+    rates = bc_rates_dpc(ch, bf.bc_covariances())
     assert np.allclose(rates_from_sinr, rates, atol=1e-6)
-
-
-def test_mac_eigenbeams_drops_zero_streams(rng):
-    Q = np.outer([1.0, 0.0], [1.0, 0.0])
-    cov = CovarianceSet("mac", [Q])
-    v, q = model.mac_eigenbeams(cov)
-    assert q[0].shape == (1,)
-    assert abs(abs(v[0][0, 0]) - 1.0) < 1e-12
 
 
 def test_beamforming_validation():
     with pytest.raises(InvalidInput, match="unit norm"):
-        BeamformingSolution(u=[np.array([[2.0, 0.0]])], v=[np.array([[1.0]])])
+        BeamformingSolution(u=[[2.0, 0.0]], v=[[1.0]])
     with pytest.raises(InvalidInput, match="nonnegative"):
-        BeamformingSolution(u=[[[1.0, 0.0]]], v=[[[1.0]]], q=[[-1.0]])
+        BeamformingSolution(u=[[1.0, 0.0]], v=[[1.0]], q=[-1.0])
     # a library-built solution is taken as it comes, unchecked
-    u = [np.array([[2.0, 0.0]], dtype=complex)]
-    bf = BeamformingSolution.built(u, [np.ones((1, 1), dtype=complex)], q=[np.array([-1.0])])
-    assert bf.u is u and bf.p is None and bf.q[0][0] == -1.0
+    u = np.array([[2.0, 0.0]], dtype=complex)
+    bf = BeamformingSolution.built(u, np.ones((1, 1), dtype=complex), q=np.array([-1.0]))
+    assert bf.u is u and bf.p is None and bf.q[0] == -1.0
+
+
+@pytest.mark.parametrize("u, v, p, message", [
+    (np.eye(2), np.ones((1, 1)), None, "one row per user"),
+    (np.eye(2)[None], np.ones((1, 2, 1)), None, "one row per user"),
+    (np.eye(2), np.ones((2, 1)), [1.0, 2.0, 3.0], "one power per user"),
+    (np.eye(2), np.ones((2, 1)), [[1.0], [2.0]], "one power per user"),
+], ids=["row_counts_differ", "three_dimensional", "p_too_long", "p_per_stream_lists"])
+def test_beamforming_rejects_stacks_other_than_one_beam_per_user(u, v, p, message):
+    with pytest.raises(InvalidInput, match=message):
+        BeamformingSolution(u=u, v=v, p=p)
 
 
 def test_array_holding_values_compare_and_hash_by_identity():

@@ -241,25 +241,25 @@ def test_transform_deterministic(rng):
         assert np.array_equal(Q1, Q2)
 
 
-def _mac_bf(rng, ch, cov=None):
-    if cov is None:
-        cov = random_mac_cov(rng, ch.K, ch.nr, 2.0)
-    v, q = model.mac_eigenbeams(cov)
-    u = [np.tile(np.eye(ch.nt)[0], (vi.shape[0], 1)).astype(complex) for vi in v]
-    return BeamformingSolution(u=u, v=v, q=q)
+def _mac_bf(rng, ch):
+    """Uplink solution with random unit user-side vectors and powers; the
+    base-station vectors are placeholders the transform replaces."""
+    v = rand_complex(rng, (ch.K, ch.nr))
+    return BeamformingSolution(u=np.tile(np.eye(ch.nt)[0], (ch.K, 1)),
+                               v=v / np.linalg.norm(v, axis=1, keepdims=True),
+                               q=rng.uniform(0.1, 2.0, ch.K))
 
 
 def test_sinr_transform_single_user_identity(rng):
     h = rand_complex(rng, (1, 2))
     ch = ChannelSet([h])
-    bf_mac = BeamformingSolution(u=[np.zeros((1, 2))+np.array([1, 0])],
-                                 v=[np.ones((1, 1))], q=[[1.7]])
+    bf_mac = BeamformingSolution(u=[[1.0, 0.0]], v=[[1.0]], q=[1.7])
     bf = mac_to_bc_sinr(ch, bf_mac, np.eye(2))
     # conventional duality: same power, MMSE direction is the matched filter
-    assert bf.p[0][0] == pytest.approx(1.7, rel=1e-10)
+    assert bf.p[0] == pytest.approx(1.7, rel=1e-10)
     mf = (h.conj().T @ np.ones(1)).ravel()
     mf /= np.linalg.norm(mf)
-    assert abs(abs(np.vdot(mf, bf.u[0][0])) - 1.0) < 1e-10
+    assert abs(abs(np.vdot(mf, bf.u[0])) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("A, error", [
@@ -268,35 +268,32 @@ def test_sinr_transform_single_user_identity(rng):
 ])
 def test_sinr_transform_validates_A(A, error):
     ch = ChannelSet([[[1.0, 0.5]]])
-    bf_mac = BeamformingSolution(u=[[[1.0, 0.0]]], v=[[[1.0]]], q=[[1.0]])
+    bf_mac = BeamformingSolution(u=[[1.0, 0.0]], v=[[1.0]], q=[1.0])
     with pytest.raises(error):
         mac_to_bc_sinr(ch, bf_mac, A)
 
 
 def test_sinr_transform_zero_powers(rng):
     ch = _random_instance(rng, K=2, nt=2, nr=2)
-    bf_mac = BeamformingSolution(
-        u=[np.eye(2)[:1].astype(complex)] * 2,
-        v=[np.eye(2)[:1].astype(complex)] * 2,
-        q=[[0.0], [0.0]],
-    )
+    e1 = np.tile(np.eye(2)[0], (2, 1))
+    bf_mac = BeamformingSolution(u=e1, v=e1, q=[0.0, 0.0])
     bf = mac_to_bc_sinr(ch, bf_mac, rand_pd(rng, 2))
-    assert all(np.allclose(p, 0) for p in bf.p)
+    assert np.allclose(bf.p, 0)
 
 
 def test_sinr_transform_zero_gain_and_zero_target(rng):
-    """A stream whose link vanishes raises DegenerateTransform however much
-    power it has; a stream with zero uplink power (zero target SINR) gets
+    """A user whose link vanishes raises DegenerateTransform however much
+    power it has; a user with zero uplink power (zero target SINR) gets
     zero downlink power while the other keeps its SINR."""
     h = rand_complex(rng, (1, 3))
     ch = ChannelSet([rand_complex(rng, (2, 3)), np.vstack([h, h])], sigma2=[0.8, 1.2])
     A = rand_pd(rng, 3)
-    u, e1 = [np.eye(3)[:1].astype(complex)] * 2, np.eye(2)[:1].astype(complex)
-    null = np.array([[1.0, -1.0]], dtype=complex) / np.sqrt(2.0)  # H_1^H null = 0
-    with pytest.raises(DegenerateTransform):
-        mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, null], q=[[1.0], [2.0]]), A)
-    bf = mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, e1], q=[[0.0], [2.0]]), A)
-    assert bf.p[0][0] == 0.0 and bf.p[1][0] > 0
+    u, e1 = np.tile(np.eye(3)[0], (2, 1)), np.eye(2)[0]
+    null = np.array([1.0, -1.0]) / np.sqrt(2.0)  # H_1^H null = 0
+    with pytest.raises(DegenerateTransform, match="user 1"):
+        mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, null], q=[1.0, 2.0]), A)
+    bf = mac_to_bc_sinr(ch, BeamformingSolution(u=u, v=[e1, e1], q=[0.0, 2.0]), A)
+    assert bf.p[0] == 0.0 and bf.p[1] > 0
     assert verify_sinr_transform(ch, bf, A).rate_or_sinr_gap <= 1e-12
 
 
@@ -314,9 +311,12 @@ def test_sinr_transform_matches_both_sides(rng):
 
 
 def test_sinr_transform_mimo_streams(rng):
-    ch = _random_instance(rng, K=2, nt=3, nr=2, sigma=True)
+    """One beam per two-antenna user, in a permuted encoding order: SINRs
+    and the weighted power carry over."""
+    ch = _random_instance(rng, K=3, nt=3, nr=2, sigma=True).with_order([2, 0, 1])
     A = rand_pd(rng, 3)
     bf = mac_to_bc_sinr(ch, _mac_bf(rng, ch), A)
+    assert bf.u.shape == (3, 3) and bf.v.shape == (3, 2) and bf.p.shape == (3,)
     rep = verify_sinr_transform(ch, bf, A)
     assert rep.rate_or_sinr_gap <= 1e-8
     assert abs(rep.constraint_slack) <= 1e-8
