@@ -5,17 +5,22 @@ All three problems share the same geometry: base-station noise covariance A
 weighted sum power sum_i sigma_i^2 tr(Q_i).  Internally everything is
 whitened (channels (H_i / sigma_i) A^{-1/2}, identity noise, plain trace
 budget), where the weighted-sum-rate problem is concave and has a cheap exact
-projection, so projected gradient ascent with Armijo backtracking suffices.
+projection (an eigen-clip of every block and a common water level).
 
-The weighted-sum-rate ascent makes one deterministic start and stops on its
-Frank-Wolfe gap: with gradient blocks G_i at the iterate Z, the linear
-oracle over {Z_i >= 0, sum_i tr(Z_i) <= P} is P * max_i lambda_max(G_i), so
-gap = P * max_i lambda_max(G_i) - sum_i tr(G_i Z_i) bounds the distance of
-the objective to the optimum (Jaggi, ICML 2013), and objective + gap is a
-certified upper bound.  This holds because the problem is concave, which it
-is for weights nonincreasing along the encoding order; other weights are
-rejected.  At an optimum where the budget binds, max_i lambda_max(G_i) is
-also the budget's Lagrange multiplier.
+The weighted-sum-rate ascent is spectral projected gradient (Birgin,
+Martinez and Raydan, SIAM J. Optim. 2000): at Z with gradient G it takes the
+Barzilai-Borwein step t = <s, s> / <s, -y> (IMA J. Numer. Anal. 1988), s and
+y the last moves of Z and G, clamped to [1e-10, 1e8], projects once, D =
+proj(Z + t G) - Z, and backtracks along Z + a D, between two feasible
+points, until the objective gains ARMIJO_C * a * <G, D>.  It makes one
+deterministic start and stops on its Frank-Wolfe gap: with gradient blocks
+G_i at Z, the linear oracle over {Z_i >= 0, sum_i tr(Z_i) <= P} is P * max_i
+lambda_max(G_i), so gap = P * max_i lambda_max(G_i) - sum_i tr(G_i Z_i)
+bounds the distance of the objective to the optimum (Jaggi, ICML 2013), and
+objective + gap is a certified upper bound.  This holds because the problem
+is concave, which it is for weights nonincreasing along the encoding order;
+other weights are rejected.  At an optimum where the budget binds, max_i
+lambda_max(G_i) is also the budget's Lagrange multiplier.
 
 The weighted-sum-rate solver holds its per-user blocks as stacked arrays,
 whitened channels ``Ghat`` (K, Nr, Nt) and covariances ``Z`` (K, Nr, Nr),
@@ -98,8 +103,8 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise InvalidInput("tol must be positive")
+        if not (0 < self.tol < np.inf):
+            raise InvalidInput("tol must be positive and finite")
 
 
 @dataclass
@@ -218,7 +223,8 @@ def _project_blocks(mats, budget):
 
 
 def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
-    """Projected gradient ascent with Armijo backtracking from Z0, stopped
+    """Spectral projected gradient (Birgin, Martinez and Raydan 2000) with
+    Barzilai-Borwein steps (1988) from Z0, as in the module docstring, stopped
     once the Frank-Wolfe gap is at most tol * |objective| after at least one
     step, so that a warm start from a nearby solve improves on it.  Returns
     the iterate, its objective, the accepted steps, the gap and
@@ -226,7 +232,7 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     Z = _project_blocks(Z0, budget)
     mats = _cum_mats(ch, Ghat, Z, coeffs[0])
     obj = _objective(ch, Ghat, coeffs, Z, mats)
-    t = 1.0
+    t, prev = 1.0, None
     iters = 0
     while True:
         grads = _gradient(ch, Ghat, coeffs, Z, mats)
@@ -234,18 +240,24 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
         gap = budget * top - float(np.vdot(grads, Z).real)
         if (iters and gap <= settings.tol * abs(obj)) or iters == settings.max_iters:
             return Z, obj, iters, gap, top
+        if prev is not None:
+            s, y = Z - prev[0], grads - prev[1]
+            sy = -float(np.vdot(s, y).real)
+            t = min(max(float(np.vdot(s, s).real) / sy, 1e-10), 1e8) if sy > 0 else 1e8
+        prev = Z, grads
+        d = _project_blocks(Z + t * grads, budget) - Z
+        progress = _lsum(np.trace(_ctrans(grads) @ d, axis1=1, axis2=2).real)
+        a = 1.0
         for _ in range(60):
-            cand = _project_blocks(Z + t * grads, budget)
-            progress = _lsum(np.trace(_ctrans(grads) @ (cand - Z), axis1=1, axis2=2).real)
-            if progress <= 1e-18 * max(1.0, abs(obj)):
+            if a * progress <= 1e-18 * max(1.0, abs(obj)):
                 return Z, obj, iters, gap, top
+            cand = Z + a * d  # between Z and a projection: feasible
             cand_mats = _cum_mats(ch, Ghat, cand, coeffs[0])
             new_obj = _objective(ch, Ghat, coeffs, cand, cand_mats)
-            if new_obj >= obj + ARMIJO_C * progress:
+            if new_obj >= obj + ARMIJO_C * a * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
-                t = min(t * 2.0, 1e8)
                 break
-            t *= ARMIJO_BETA
+            a *= ARMIJO_BETA
         else:
             return Z, obj, iters, gap, top
         iters += 1

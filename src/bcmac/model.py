@@ -103,8 +103,8 @@ class LinearConstraint:
         w, _ = np.linalg.eigh(mat)
         if w[0] < -linalg.CLAMP_TOL * max(1.0, w[-1]):
             raise InvalidInput("constraint matrix must be PSD")
-        if not (float(P) > 0):
-            raise InvalidInput("constraint budget must be positive")
+        if not (0 < float(P) < np.inf):
+            raise InvalidInput("constraint budget must be positive and finite")
         object.__setattr__(self, "A", mat)
         object.__setattr__(self, "P", float(P))
 
@@ -409,8 +409,15 @@ def constraint_slacks(cov, constraints):
 
 def feasible_scale(cov, constraints):
     """min(1, P_l / tr((sum_i Q_i) A_l)) over the constraints: the largest
-    factor at most 1 by which ``cov`` meets every one of them."""
-    return min([1.0] + [c.P / max(constraint_value(cov, c), 1e-300) for c in constraints])
+    factor at most 1 by which ``cov`` meets every one of them, stepped down
+    an ulp at a time until the scaled covariance meets them when rounded."""
+    s = min([1.0] + [c.P / max(constraint_value(cov, c), 1e-300) for c in constraints])
+    for _ in range(16):
+        scaled = CovarianceSet.built(cov.side, s * cov.Q)
+        if all(constraint_value(scaled, c) <= c.P for c in constraints):
+            break
+        s = float(np.nextafter(s, 0.0))
+    return s
 
 
 def bc_mmse_receivers(ch, u, p):

@@ -395,8 +395,8 @@ class QuadraticBall:
 
     def __init__(self, mats, radius_sq):
         self.mats = [linalg.check_hermitian(A, name="constraint matrix") for A in mats]
-        if not (radius_sq > 0):
-            raise InvalidInput("radius_sq must be positive")
+        if not (0 < radius_sq < np.inf):
+            raise InvalidInput("radius_sq must be positive and finite")
         self.radius_sq = float(radius_sq)
 
     def support_point(self, c):

@@ -92,8 +92,17 @@ def _converted(where, convert, value):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(x):
+    if not float(x).is_integer():  # rejected, not truncated
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _floats(x):
-    return np.asarray(x, dtype=float).reshape(-1)
+    out = np.asarray(x, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"expected finite numbers, got {x!r}")
+    return out
 
 
 def _entry_to_complex(x, where):
@@ -144,7 +153,8 @@ def _parse_channels(doc):
     if sigma2 is not None:
         sigma2 = _converted("channels.sigma2", _floats, sigma2)
     if order is not None:  # users are 1-based in files
-        order = _converted("channels.encoding_order", lambda o: [int(i) - 1 for i in o], order)
+        order = _converted("channels.encoding_order",
+                           lambda o: [_integer(i) - 1 for i in o], order)
     return _converted("channels", lambda H: ChannelSet(H, sigma2, order), H)
 
 
@@ -159,7 +169,7 @@ def _parse_constraints(doc, nt):
         if kind == "sum_power":
             A = np.eye(nt)
         elif kind == "per_antenna":
-            ant = _converted(f"{where}.antenna", int, spec.get("antenna", 0))
+            ant = _converted(f"{where}.antenna", _integer, spec.get("antenna", 0))
             if not 1 <= ant <= nt:
                 raise ConfigError(f"{where}: antenna must be in 1..{nt}")
             A = np.diag(np.eye(nt)[ant - 1])
@@ -186,7 +196,7 @@ def _parse_nonlinear(doc, nt):
 
 
 # all that the solvers and the multiplier search read of SolverSettings
-SETTING_TYPES = {"max_iters": int, "tol": float}
+SETTING_TYPES = {"max_iters": _integer, "tol": float}
 
 
 def _parse_settings(doc, key, default):
@@ -229,7 +239,7 @@ def load_config(path):
         raise ConfigError(f"objective {objective} requires 'targets'")
     if objective == "nonlinear_wsr" and weights is None:
         raise ConfigError("nonlinear_wsr requires 'weights'")
-    resolution = _converted("sweep.resolution", int,
+    resolution = _converted("sweep.resolution", _integer,
                             _section(doc, "sweep", ("resolution",)).get("resolution", 20))
     if resolution < 1:
         raise ConfigError("sweep.resolution must be >= 1")
@@ -260,7 +270,7 @@ def load_config(path):
         resolution=resolution,
         solver=solver,
         outer=_parse_settings(doc, "outer", orchestrator.OUTER),
-        seed=_converted("seed", int, doc.get("seed", 0)),
+        seed=_converted("seed", _integer, doc.get("seed", 0)),
         basename=basename,
         heuristic=heuristic,
         raw=doc,

@@ -55,10 +55,21 @@ def _args(command, config, out):
     (_region_doc(targets=["high", 1.0]), "targets: "),
     (_region_doc(weights=[0.5, "half"]), "weights: "),
     (_region_doc(heuristic="maybe"), "heuristic: expected true or false"),
+    # integers are checked, not truncated, and numbers must be finite
+    (_region_doc(constraints=[dict(PER_ANTENNA[0], antenna=1.9), PER_ANTENNA[1]]),
+     "constraints[0].antenna: "),
+    (_region_doc(sweep={"resolution": 2.7}), "sweep.resolution: "),
+    (_region_doc(objective="nonlinear_wsr", weights=[math.nan, 0.5], nonlinear=BALL),
+     "weights: "),
+    (_region_doc(constraints=[dict(PER_ANTENNA[0], budget=math.inf), PER_ANTENNA[1]]),
+     "constraints[0]: constraint budget must be positive and finite"),
+    (_region_doc(solver={"tol": math.inf}), "solver: tol must be positive and finite"),
 ], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size",
         "single_per_antenna", "seed_not_a_number", "resolution_not_a_number",
         "antenna_not_a_number", "sigma2_not_numbers", "encoding_order_not_numbers",
-        "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean"])
+        "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean",
+        "antenna_not_an_integer", "resolution_not_an_integer", "weights_not_finite",
+        "budget_not_finite", "tol_not_finite"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2

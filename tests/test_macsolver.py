@@ -443,6 +443,58 @@ def test_stacked_solution_in_user_order(rng):
     assert warm.objective >= sol.objective - 1e-9
 
 
+def _spg_instance(rng, tied):
+    """(channels, noise, budget, weights): K = 8 with weights tied in runs of
+    3, 1 and 4 positions, or K = 2 with untied ones."""
+    if not tied:
+        return ChannelSet(rand_channels(rng, 2, 2, 3)), rand_pd(rng, 3), 2.0, np.array([2.0, 1.0])
+    ch = ChannelSet(rand_channels(rng, 8, 2, 5), rng.uniform(0.5, 2.0, 8),
+                    tuple(rng.permutation(8)))
+    w = np.empty(8)
+    w[list(ch.encoding_order)] = [3.0, 3.0, 3.0, 2.0, 1.5, 1.5, 1.5, 1.5]
+    return ch, rand_pd(rng, 5), 4.0, w
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["K8_tied", "K2_untied"])
+def test_spg_projects_once_per_iteration_onto_feasible_iterates(rng, monkeypatch, tied):
+    """The ascent projects its start and then once per iteration, and every
+    iterate it accepts (each one's gradient is taken) is PSD within the
+    budget: a backtrack moves between two feasible points."""
+    ch, A, budget, w = _spg_instance(rng, tied)
+    projections, iterates = [0], []
+    project, gradient = macsolver._project_blocks, macsolver._gradient
+
+    def counted(mats, b):
+        projections[0] += 1
+        return project(mats, b)
+
+    def recorded(ch, Ghat, coeffs, Z, mats=None):
+        iterates.append(Z)
+        return gradient(ch, Ghat, coeffs, Z, mats)
+
+    monkeypatch.setattr(macsolver, "_project_blocks", counted)
+    monkeypatch.setattr(macsolver, "_gradient", recorded)
+    sol = solve_wsr_mac(ch, A, budget, w, TIGHT)
+    assert sol.converged and sol.iterations > 1
+    assert projections[0] <= sol.iterations + 1
+    assert len(iterates) == sol.iterations + 1
+    for Z in iterates:
+        assert np.linalg.eigvalsh(Z).min() >= -1e-12 * budget
+        assert np.trace(Z, axis1=1, axis2=2).real.sum() <= budget * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["K8_tied", "K2_untied"])
+def test_spg_warm_start_at_a_converged_solution_stays_there(rng, tied):
+    """Started at its own converged solution, where the objective is flat to
+    roundoff (a Barzilai-Borwein curvature <s, -y> there can come out <= 0),
+    the ascent converges again on the same objective."""
+    ch, A, budget, w = _spg_instance(rng, tied)
+    sol = solve_wsr_mac(ch, A, budget, w, TIGHT)
+    warm = solve_wsr_mac(ch, A, budget, w, TIGHT, init=sol.cov)
+    assert sol.converged and warm.converged
+    assert warm.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
 # the two-antenna users of the beamforming benchmark, under the merged
 # per-antenna constraints diag(x, 1 - x) <= 5
 BAL_H = [[[1.0, 0.0], [0.5, 0.6]], [[0.4, 0.0], [0.5, 1.5]]]

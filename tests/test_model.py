@@ -249,6 +249,20 @@ def test_constraint_value_linear_in_q(rng):
     assert v_scaled == pytest.approx(3 * v12, rel=1e-12)
 
 
+def test_feasible_scale_lands_on_the_feasible_side():
+    """The rounded factor P / tr(Q) overshoots this sum-power budget by an
+    ulp; the repair's factor meets every budget exactly."""
+    cov = CovarianceSet.built("bc", np.diag([1.372849829498692, 3.011873244080891,
+                                             2.9415685347227503])[None].astype(complex))
+    cons = [LinearConstraint(np.eye(3), 5.0), LinearConstraint.per_antenna(3, 1, 5.0)]
+    plain = 5.0 / constraint_value(cov, cons[0])
+    assert constraint_value(CovarianceSet.built("bc", plain * cov.Q), cons[0]) > 5.0
+    factor = model.feasible_scale(cov, cons)
+    assert plain - 4 * np.spacing(plain) <= factor < plain
+    scaled = CovarianceSet.built("bc", factor * cov.Q)
+    assert np.all(model.constraint_slacks(scaled, cons) >= 0.0)
+
+
 @pytest.mark.parametrize("nr", [1, 3])
 def test_bc_mmse_receivers_vs_loop_oracle(rng, nr):
     """The stacked solve gives the loop's receivers: K=3 in order (2, 0, 1),
