@@ -407,14 +407,16 @@ def constraint_slacks(cov, constraints):
     return np.array([c.P - constraint_value(cov, c) for c in constraints])
 
 
-def feasible_scale(cov, constraints):
+def feasible_scale(cov, constraints, scaled=None):
     """min(1, P_l / tr((sum_i Q_i) A_l)) over the constraints: the largest
     factor at most 1 by which ``cov`` meets every one of them, stepped down
-    an ulp at a time until the scaled covariance meets them when rounded."""
+    an ulp at a time until the covariance emitted at factor s,
+    ``scaled(s)`` (by default s * cov), meets them when rounded."""
+    scaled = scaled or (lambda s: CovarianceSet.built(cov.side, s * cov.Q))
     s = min([1.0] + [c.P / max(constraint_value(cov, c), 1e-300) for c in constraints])
     for _ in range(16):
-        scaled = CovarianceSet.built(cov.side, s * cov.Q)
-        if all(constraint_value(scaled, c) <= c.P for c in constraints):
+        out = scaled(s)
+        if all(constraint_value(out, c) <= c.P for c in constraints):
             break
         s = float(np.nextafter(s, 0.0))
     return s

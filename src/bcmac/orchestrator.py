@@ -45,9 +45,14 @@ those evaluations, SINR balancing after scaling its powers into every
 constraint, power balancing as it is (achievable).  The certified gap is the
 relative distance from the best bound to the value of that repaired point,
 and ``trace.converged`` says whether it is at most ``outer.tol``.  The
-central search stops there; the two-multiplier search goes on to an exact
-zero slope or to a bracket collapsed to rounding.  Both stop when their next
-multipliers repeat evaluated ones or after ``outer.max_iters`` evaluations.
+central search stops there.  A weighted-sum-rate search over two
+multipliers stops there too once its emitted value has settled, moving by at
+most ``SETTLE_RTOL`` relative since the previous evaluation: the time-shared
+point settles long before the bracket collapses.  Balancing emits the
+bracket ends themselves, so its two-multiplier search goes on to an exact
+zero slope or to a bracket collapsed to rounding, where the ends meet at the
+optimal multipliers.  Every search stops when its next multipliers repeat
+evaluated ones or after ``outer.max_iters`` evaluations.
 """
 
 from dataclasses import dataclass, field, replace
@@ -67,6 +72,7 @@ from .macsolver import (
 LAMBDA_FLOOR = 1e-7
 ITP_EPS = 2.0 ** -53  # bracket width the two-multiplier search resolves
 ITP_N0 = 4  # evaluations it may take beyond bisection's count
+SETTLE_RTOL = 1e-12  # relative move of a settled weighted-sum-rate value
 OUTER = SolverSettings(max_iters=80)  # the search's settings when none are given
 
 
@@ -233,7 +239,7 @@ def _center(trace, sign):
     return res.x[:L], {k: t / theta.sum() for k, t in enumerate(theta) if t > 0}
 
 
-def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
+def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False):
     """Certified search over L >= 1 multipliers on the unit simplex.
 
     ``merge(lam) -> (A, budget)`` is the merged single constraint at ``lam``
@@ -243,13 +249,15 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
     merged bound at ``lam`` (a supergradient for "max").
     ``recover(results, theta) -> (value, result)`` builds and repairs the
     emitted point from the evaluations' results and the search's weights
-    ``theta`` (evaluation index: weight).  Returns (value, result,
-    multipliers of the best bound, trace)."""
+    ``theta`` (evaluation index: weight).  With ``settles`` the search also
+    stops once certified and its emitted value has settled (see the module
+    docstring).  Returns (value, result, multipliers of the best bound,
+    trace)."""
     outer = outer or OUTER
     if L < 1:
         raise InvalidInput("need at least one constraint")
     sign = 1.0 if sense == "min" else -1.0
-    trace, points, results = OuterTrace(), [], []
+    trace, points, results, last = OuterTrace(), [], [], None
     nxt = DualWeights(np.full(L, 1.0 / L))
     while True:
         points.append(nxt)
@@ -262,12 +270,16 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover):
         best = trace.best_index = int(np.argmin(sign * np.array(trace.value)))
         trace.gap = sign * (trace.value[best] - value) / max(abs(trace.value[best]), 1e-300)
         trace.converged = bool(trace.gap <= outer.tol)
-        # the two-multiplier search does not stop at the tolerance: its
-        # superlinear steps reach rounding in a few more warm-started
-        # evaluations, where the bracket ends, which balancing emits, meet at
-        # the optimal multipliers and the inner solves' Frank-Wolfe gaps close
+        # a weighted sum rate time-shares the bracket ends, and that value
+        # settles once certified; balancing emits an end, which is optimal
+        # only where the bracket collapses, so it does not stop at the
+        # tolerance: the superlinear steps reach rounding in a few more
+        # warm-started evaluations
+        settled = settles and last is not None and abs(value - last) <= SETTLE_RTOL * abs(value)
+        last = value
         nxt = None if lam is None else DualWeights(lam)
-        if nxt is None or trace.iterations >= outer.max_iters or (L > 2 and trace.converged) \
+        if nxt is None or trace.iterations >= outer.max_iters \
+                or (trace.converged and (L > 2 or settled)) \
                 or any(np.array_equal(nxt.values, p.values) for p in points):
             return value, out, points[best], trace
 
@@ -321,7 +333,8 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
         _wsr_evaluate(ch, weights, inner,
                       lambda lam, cov: model.constraint_slacks(cov, constraints),
                       len(constraints), outer),
-        _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)))
+        _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)),
+        settles=True)
     return cov_bc, lam, trace
 
 
@@ -341,8 +354,9 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
         return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), bf
 
     def repaired(bf):
-        factor = model.feasible_scale(bf.bc_covariances(), constraints)
-        bf = model.BeamformingSolution.built(bf.u, bf.v, factor * bf.p, bf.q)
+        scaled = lambda s: model.BeamformingSolution.built(bf.u, bf.v, s * bf.p, bf.q)
+        bf = scaled(model.feasible_scale(bf.bc_covariances(), constraints,
+                                         lambda s: scaled(s).bc_covariances()))
         return float(np.min(model.bc_sinr(ch, bf) / targets.gamma)), bf
 
     def recover(results, theta):
@@ -439,5 +453,5 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
         _wsr_evaluate(ch, weights, inner,
                       lambda lam, cov: f.support_point(lam.values) - f.traces(cov),
                       len(f.mats), outer),
-        _wsr_recover(ch, weights, lambda cov: min(1.0, f.room(f.traces(cov)))))
+        _wsr_recover(ch, weights, lambda cov: min(1.0, f.room(f.traces(cov)))), settles=True)
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

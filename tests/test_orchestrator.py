@@ -500,3 +500,50 @@ def test_sinr_balancing_gap_on_the_two_antenna_instance(targets):
     _, _, _, tr = solve_sinr_balance_multi(ch, cons, SinrTargets(targets),
                                            SolverSettings(max_iters=80), SolverSettings())
     assert tr.converged and -1e-12 <= tr.gap <= 1e-9
+
+
+@pytest.mark.parametrize("targets, evaluations", [([1.0, 1.0], (18, 21)), ([1.0, 2.0], (22, 21))])
+def test_balancing_searches_run_to_the_collapsed_bracket(targets, evaluations):
+    """Balancing emits a bracket end, so its two-multiplier search keeps
+    running until the bracket collapses: the evaluation counts on the
+    two-antenna instance are those of the search before weighted-sum-rate
+    searches stopped on a settled value."""
+    ch = ChannelSet([[[1.0, 0.0], [0.5, 0.6]], [[0.4, 0.0], [0.5, 1.5]]])
+    cons = [LinearConstraint.per_antenna(2, a, 5.0) for a in range(2)]
+    args = (ch, cons, SinrTargets(targets), SolverSettings(max_iters=80), SolverSettings())
+    assert (solve_sinr_balance_multi(*args)[3].iterations,
+            solve_power_balance_multi(*args)[3].iterations) == evaluations
+
+
+def _two_constraint_family(seed):
+    """K in 2..3 users of 1..3 antennas on 3 transmit antennas under sum
+    power 4 and 1.5 on antenna 0; returns the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    K, nr = rng.integers(2, 4), rng.integers(1, 4)
+    cons = [LinearConstraint.sum_power(3, 4.0), LinearConstraint.per_antenna(3, 0, 1.5)]
+    return rng, ChannelSet(rand_channels(rng, K, nr, 3)), cons
+
+
+@pytest.mark.parametrize("seed", [1, 6, 7, 9])
+def test_wsr_search_stops_once_certified_and_settled(seed, monkeypatch):
+    """Two-multiplier weighted-sum-rate searches that ran 24-29 evaluations
+    to a collapsed bracket stop within 12, certified, with the time-shared
+    value within 1e-12 of the collapsed search's."""
+    rng, ch, cons = _two_constraint_family(seed)
+    w = np.sort(rng.uniform(0.5, 2, ch.K))[::-1]
+    cov, _, trace = solve_wsr_multi(ch, cons, w)
+    assert trace.converged and trace.iterations <= 12
+    monkeypatch.setattr(orchestrator, "SETTLE_RTOL", -np.inf)  # never settled
+    cov_full, _, trace_full = solve_wsr_multi(ch, cons, w)
+    assert trace_full.iterations > 20
+    assert _wsr(ch, cov, w) == pytest.approx(_wsr(ch, cov_full, w), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [11, 21, 28, 34])
+def test_sinr_balancing_repair_emits_nonnegative_slacks(seed):
+    """The repair steps its factor down on the beamformer it emits, whose
+    covariance rounds differently from the scaled covariance (these seeds
+    emitted slacks of -2.2e-16 to -8.9e-16 when it checked the latter)."""
+    rng, ch, cons = _two_constraint_family(seed)
+    _, bf, _, _ = solve_sinr_balance_multi(ch, cons, SinrTargets(rng.uniform(0.5, 2, ch.K)))
+    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
