@@ -46,14 +46,15 @@ per-call overhead than it saves.
 
 SINR balancing and power minimization are fixed points of MMSE receivers
 and a power update (Schubert and Boche, 2004) with one beam per user, stacked
-(K, ...) in user order in their solutions; a sweep is one uplink SIC pass
-(``model.uplink_sic``) over the users in encoding order, and for fixed
-receivers the powers meeting given SINRs are one triangular solve
-(``model.sinr_powers``).  Multi-antenna users' vectors are refreshed as
-downlink MMSE receivers (``model.bc_mmse_receivers``) after each sweep:
-power minimization's from the sweep itself (its receivers are MMSE under
-the powers it set, its SINRs the targets), SINR balancing's through
-``transforms.sinr_to_bc``, as it rescales the powers after the sweep.
+(K, ...) in user order in their solutions.  A sweep takes the MMSE receivers
+at the previous sweep's powers, one batched uplink SIC pass
+(``model.uplink_sic``) in encoding order, and then the powers for those
+receivers, one triangular solve (``model.sinr_powers``).  Multi-antenna
+users' vectors are refreshed as downlink MMSE receivers
+(``model.bc_mmse_receivers``) after each sweep: power minimization's at the
+downlink powers meeting the targets against the sweep's stream gains, SINR
+balancing's through the SINR-preserving beams of the rebalanced powers
+(``transforms.sinr_beams``), a second SIC pass.
 Both take ``init``, the uplink solution of a nearby problem (the previous
 evaluation of a multiplier search), and start from its user-side vectors
 and powers; both stop once a sweep moves no power by more than POWER_RTOL
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import linalg, model, transforms
 from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
 
 # The beamforming fixed points stop once a sweep moves every power by at
@@ -361,15 +362,14 @@ def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
     return alpha
 
 
-def _power_min_receivers(ch, users, links, u, gamma):
+def _power_min_receivers(ch, users, M, u, gamma):
     """User-side vectors refreshed after a power minimization sweep that met
-    the targets gamma with receivers u on ``links`` (in encoding order): the
-    downlink MMSE receivers at the downlink powers meeting gamma against the
-    sweep's stream gains.  Downlink receivers interfere with nobody, so this
-    weakly improves every SINR."""
+    the targets gamma with receivers u and stream gains M (in encoding
+    order): the downlink MMSE receivers at the downlink powers meeting gamma
+    against M.  Downlink receivers interfere with nobody, so this weakly
+    improves every SINR."""
     pos = np.argsort(ch.encoding_order)
-    p = model.sinr_powers(model.stream_gains(links, u), gamma, ch.sigma2[users], model.BC,
-                          _zero_gain(users))
+    p = model.sinr_powers(M, gamma, ch.sigma2[users], model.BC, _zero_gain(users))
     return model.bc_mmse_receivers(ch, u[pos], p[pos])
 
 
@@ -387,8 +387,6 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     ``budget``, or from scratch (see the module docstring).  At return every
     ratio equals alpha to rounding.
     """
-    from . import transforms
-
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
     linalg.assert_pd(A, floor=linalg.PD_FLOOR, name="uplink noise covariance")
@@ -401,10 +399,10 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)
     if q.any():
         q *= budget / float(sigma2 @ q)
-    alpha, move = 0.0, np.inf
+    alpha, move, pos = 0.0, np.inf, np.argsort(users)
     for it in range(settings.max_iters):
         links = model.stream_links(ch, v)
-        u, _ = model.uplink_sic(A, links, lambda s, gain, den: q[s], zero_gain)[:2]
+        u = model.uplink_sic(A, links, q, zero_gain)[0]
         M, c = model.stream_gains(links, u), model.uplink_noise(u, A)
         new_alpha = _balanced_ratio(gamma, M, c, sigma2, budget, zero_gain)
         new_q = model.sinr_powers(M, new_alpha * gamma, c, model.MAC, zero_gain)
@@ -415,8 +413,8 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
             break
         if ch.nr > 1:
             # the sweep's receivers are MMSE under the old powers, not q
-            bf = transforms.sinr_to_bc(ch, _uplink_solution(ch, u, v, q), A)
-            v = model.bc_mmse_receivers(ch, bf.u, bf.p)
+            u_bc, p = transforms.sinr_beams(A, links, q, sigma2, zero_gain)
+            v = model.bc_mmse_receivers(ch, u_bc[pos], p[pos])
     else:
         raise MaxItersExceeded("SINR balancing did not converge")
     return alpha, _uplink_solution(ch, u, v, q)
@@ -426,13 +424,14 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     """Minimize sum_i sigma_i^2 q_i on the dual uplink subject to
     SINR_i >= gamma_i, one beam per user.
 
-    The successive-decoding structure makes the minimum a forward pass: each
-    user's power is set to meet its target exactly against already-fixed
-    earlier interference, with MMSE receive vectors recomputed each sweep.
+    Each sweep takes the MMSE receive vectors at the previous sweep's
+    powers, then the powers meeting every target exactly for those
+    receivers, one triangular solve through the successive-decoding
+    structure (the receiver/power fixed point of Schubert and Boche, 2004).
     Multi-antenna users' vectors are then refreshed from the sweep's own
     receivers (:func:`_power_min_receivers`).  Starts from the user-side
-    vectors of ``init`` or from scratch (see the module docstring).  Power
-    growth beyond 1e12 raises InfeasibleTargets.
+    vectors and powers of ``init`` or from scratch (see the module
+    docstring).  Power growth beyond 1e12 raises InfeasibleTargets.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
@@ -441,26 +440,19 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v, q = _start(ch, init)
     users = np.array(ch.encoding_order)
-    gamma = targets.gamma[users]
-
-    def target_power(s, gain, den):
-        # met exactly against the interference of already-updated earlier users
-        if gain <= 0:
-            raise _zero_gain(users)(s)
-        qs = gamma[s] * den / gain
-        if qs > 1e12:
-            raise InfeasibleTargets("power fixed point diverged")
-        return qs
-
+    gamma, zero_gain = targets.gamma[users], _zero_gain(users)
     for it in range(settings.max_iters):
-        # Gauss-Seidel sweep: receive vector, then power, user by user
         links = model.stream_links(ch, v)
-        u, new_q = model.uplink_sic(A, links, target_power, _zero_gain(users))[:2]
+        u = model.uplink_sic(A, links, q, zero_gain)[0]
+        M = model.stream_gains(links, u)
+        new_q = model.sinr_powers(M, gamma, model.uplink_noise(u, A), model.MAC, zero_gain)
+        if np.any(new_q > 1e12):
+            raise InfeasibleTargets("power fixed point diverged")
         move, q = _move(new_q, q), new_q
         if it > 0 and move <= POWER_RTOL:
             break
         if ch.nr > 1:
-            v = _power_min_receivers(ch, users, links, u, gamma)
+            v = _power_min_receivers(ch, users, M, u, gamma)
     else:
         raise MaxItersExceeded("power minimization did not converge")
     return float(ch.sigma2[users] @ q), _uplink_solution(ch, u, v, q)

@@ -19,7 +19,10 @@ base-station vector of the user at position t:
     downlink (DPC):  SINR_s = p_s M_ss / (sigma_i^2 + sum_{t>s} M_st p_t),
     uplink:          SINR_s = q_s M_ss / (u_s^H A u_s + sum_{t<s} M_ts q_t),
 
-both triangular, so the powers meeting given SINRs are one pass.
+both triangular, so the powers meeting given SINRs are one pass.  At fixed
+uplink powers the covariances the uplink decodes against,
+C_s = A + sum_{t<s} q_t g_t g_t^H, are one prefix sum, so the K MMSE
+receivers C_s^{-1} g_s are one batched solve (:func:`uplink_sic`).
 """
 
 from dataclasses import dataclass
@@ -351,33 +354,24 @@ def whitened_channels(ch, A):
     return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
 
 
-def uplink_sic(A, links, power, vanishing):
-    """Successive interference cancellation on the dual uplink.
+def uplink_sic(A, links, q, vanishing):
+    """Successive interference cancellation on the dual uplink at fixed powers.
 
-    ``links`` stacks the users' links g = H_i^H v_i, (K, Nt), in encoding
-    order; position s is decoded against C = A plus the positions before it,
-    with the unit-norm MMSE vector C^{-1} g normalized (raising
-    ``vanishing(s)`` if it vanishes).  Its power is ``power(s, gain, den)``
-    with gain = |u^H g|^2, den = u^H C u.  Returns the receive vectors
-    stacked (K, Nt), the powers and the SINRs q gain / den, all in encoding
-    order.
+    ``links`` stacks the users' links g_s = H_i^H v_i, (K, Nt), and ``q``
+    their powers, both in encoding order.  Position s is decoded against
+    C_s = A + sum_{t<s} q_t g_t g_t^H, an exclusive prefix sum, so the K
+    MMSE vectors x_s = C_s^{-1} g_s are one batched solve, and
+    SINR_s = q_s g_s^H x_s.  Returns the unit-norm receive vectors stacked
+    (K, Nt), raising ``vanishing(s)`` where x_s vanishes, and the SINRs, in
+    encoding order.
     """
-    C = A.astype(np.complex128)
-    u, q, sinr = [], [], []
-    for s, g in enumerate(links):
-        x = np.linalg.solve(C, g)
-        n = np.linalg.norm(x)
-        if n <= 0:
-            raise vanishing(s)
-        x = x / n
-        gain = abs(np.vdot(x, g)) ** 2
-        den = float(np.real(x.conj() @ C @ x))
-        qs = power(s, gain, den)
-        u.append(x)
-        q.append(qs)
-        sinr.append(qs * gain / den)
-        C = C + qs * np.outer(g, g.conj())
-    return np.array(u).reshape(links.shape), np.array(q, dtype=float), np.array(sinr)
+    terms = q[:-1, None, None] * (links[:-1, :, None] * links[:-1, None, :].conj())
+    C = np.cumsum(np.concatenate([A[None], terms]), axis=0)  # complex, as the terms
+    x = np.linalg.solve(C, links[:, :, None])[:, :, 0]
+    n = np.linalg.norm(x, axis=1)
+    if not n.all():
+        raise vanishing(int(np.argmin(n)))
+    return x / n[:, None], q * np.einsum("si,si->s", links.conj(), x).real
 
 
 def mac_sinr(ch, bf, noise):

@@ -208,7 +208,7 @@ def _parse_settings(doc, key, default):
 def load_config(path):
     """Parse and validate a scenario config document."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     _check_keys(doc, TOP_KEYS, "config")

@@ -125,10 +125,11 @@ def bc_to_mac_capacity(ch, cov_bc, A):
 def mac_to_bc_sinr(ch, bf_mac, A):
     """SINR-preserving transformation of an uplink beamforming solution.
 
-    Keeps the user-side vectors v and uplink powers q, computes the MMSE
-    base-station receive vectors u user by user, then solves the triangular
-    system equating downlink and uplink SINRs for the downlink powers p.  The
-    result satisfies, user by user, SINR_bc = SINR_mac and
+    Keeps the user-side vectors v and uplink powers q, takes the MMSE
+    base-station receive vectors u of one batched SIC pass
+    (``model.uplink_sic``), then solves the triangular system equating
+    downlink and uplink SINRs for the downlink powers p.  The result
+    satisfies, user by user, SINR_bc = SINR_mac and
     sum p u^H A u = sum sigma^2 q.
     """
     A = linalg.check_hermitian(A, name="A")
@@ -142,14 +143,21 @@ def sinr_to_bc(ch, bf_mac, A):
     if bf_mac.q is None:
         raise InvalidInput("uplink powers required")
     users = list(ch.encoding_order)
-    links, q = model.stream_links(ch, bf_mac.v), bf_mac.q[users]
 
     def degenerate(s):
         return DegenerateTransform(f"user {users[s]} (encoding position {s}): zero gain")
 
-    u, _, sinr = model.uplink_sic(A, links, lambda s, gain, den: q[s], degenerate)
-    # downlink powers meeting the uplink SINRs, from the last-encoded user
-    p = model.sinr_powers(model.stream_gains(links, u), sinr, ch.sigma2[users], model.BC,
-                          degenerate)
+    u, p = sinr_beams(A, model.stream_links(ch, bf_mac.v), bf_mac.q[users],
+                      ch.sigma2[users], degenerate)
     pos = np.argsort(users)
     return model.BeamformingSolution.built(u[pos], bf_mac.v.copy(), p[pos], bf_mac.q.copy())
+
+
+def sinr_beams(A, links, q, sigma2, degenerate):
+    """The base-station vectors u and downlink powers p of :func:`sinr_to_bc`
+    for uplink links and powers q, noise powers sigma2 and both outputs in
+    encoding order: the MMSE vectors of the SIC pass at q, and the powers
+    meeting its SINRs from the last-encoded user."""
+    u, sinr = model.uplink_sic(A, links, q, degenerate)
+    return u, model.sinr_powers(model.stream_gains(links, u), sinr, sigma2, model.BC,
+                                degenerate)

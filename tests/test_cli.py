@@ -78,6 +78,17 @@ def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_malformed_yaml_exits_2(tmp_path, capsys, command):
+    """A document the YAML parser rejects is a config error, whichever
+    loader parses it."""
+    path, out = tmp_path / "config.yaml", tmp_path / "out"
+    path.write_text("objective: wsr_region\nchannels: {h: [[[1.0, 0.0]\n", encoding="utf-8")
+    assert cli.main(_args(command, str(path), str(out))) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heuristic_with_definite_first_constraint_validates(tmp_path):
     cons = [{"type": "sum_power", "budget": 8.0}] + PER_ANTENNA
     doc = _region_doc(heuristic=True, constraints=cons)

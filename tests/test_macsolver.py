@@ -244,6 +244,29 @@ def test_power_min_infeasible_zero_channel():
     ch = ChannelSet([[[0.0, 0.0]]])
     with pytest.raises(InfeasibleTargets):
         solve_power_min_mac(ch, np.eye(2), SinrTargets([1.0]))
+    # at a later decode position the error names the user
+    ch = ChannelSet([[[1.0, 0.5]], [[0.0, 0.0]]])
+    with pytest.raises(InfeasibleTargets, match="user 1: zero effective channel gain"):
+        solve_power_min_mac(ch, np.eye(2), SinrTargets([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("nr", [1, 2, 3])
+def test_power_min_meets_every_target(rng, nr):
+    """The receiver/power fixed point ends at powers meeting every target,
+    for multi-antenna users and a permuted encoding order too."""
+    for K in (2, 3):
+        ch = ChannelSet(rand_channels(rng, K, nr, 3), sigma2=rng.uniform(0.5, 2, K),
+                        encoding_order=rng.permutation(K))
+        A, gam = rand_pd(rng, 3), SinrTargets(rng.uniform(0.5, 3.0, K))
+        _, bf = solve_power_min_mac(ch, A, gam)
+        assert np.all(mac_sinr(ch, bf, A) >= gam.gamma * (1 - 1e-9))
+
+
+def test_power_min_powers_beyond_the_cap_are_infeasible():
+    """Targets whose powers pass 1e12 raise InfeasibleTargets."""
+    ch = ChannelSet([[[1.0, 0.5]], [[0.5, 1.0]]])
+    with pytest.raises(InfeasibleTargets, match="diverged"):
+        solve_power_min_mac(ch, np.eye(2), SinrTargets([1.0, 1e13]))
 
 
 @pytest.mark.parametrize("noise, error", [
@@ -565,18 +588,17 @@ def test_balanced_ratio_matches_a_bisection(rng):
 @pytest.mark.parametrize("nr", [2, 3])
 def test_power_min_refresh_matches_the_sinr_transform(rng, nr):
     """Power minimization refreshes its user-side vectors from its own
-    sweep: they equal the downlink MMSE receivers of mac_to_bc_sinr's
-    output for the sweep's solution."""
+    sweep: for receivers MMSE under the powers q and targets equal to the
+    SINRs they reach, the refresh equals the downlink MMSE receivers of
+    mac_to_bc_sinr's output for that solution."""
     ch = ChannelSet(rand_channels(rng, 3, nr, 3), sigma2=rng.uniform(0.5, 2.0, 3),
                     encoding_order=[2, 0, 1])
-    A, gam = rand_pd(rng, 3), SinrTargets(rng.uniform(0.5, 2.0, 3))
+    A, q = rand_pd(rng, 3), rng.uniform(0.5, 2.0, 3)  # q in encoding order
     v = np.array([x[0] / np.linalg.norm(x) for x in rand_channels(rng, 3, 1, nr)])
     users = np.array(ch.encoding_order)
-    gamma = gam.gamma[users]
     links = model.stream_links(ch, v)
-    u, q, _ = model.uplink_sic(A, links, lambda s, gain, den: gamma[s] * den / gain,
-                               macsolver._zero_gain(users))
-    got = macsolver._power_min_receivers(ch, users, links, u, gamma)
+    u, gamma = model.uplink_sic(A, links, q, macsolver._zero_gain(users))
+    got = macsolver._power_min_receivers(ch, users, model.stream_gains(links, u), u, gamma)
     bf = mac_to_bc_sinr(ch, macsolver._uplink_solution(ch, u, v, q), A)
     assert np.max(np.abs(got - bc_mmse_receivers(ch, bf.u, bf.p))) <= 1e-12
 

@@ -221,6 +221,45 @@ def test_mac_sinr_vs_loop_oracle(rng):
             assert got[i] == pytest.approx(val, rel=1e-12)
 
 
+def _sequential_sic(A, links, q):
+    """Reference SIC pass: one solve per encoding position against the
+    running covariance, SINR q |u^H g|^2 / u^H C u."""
+    C, u, sinr = A.astype(complex), [], []
+    for g, qs in zip(links, q):
+        x = np.linalg.solve(C, g)
+        x /= np.linalg.norm(x)
+        u.append(x)
+        sinr.append(qs * abs(np.vdot(x, g)) ** 2 / np.vdot(x, C @ x).real)
+        C = C + qs * np.outer(g, g.conj())
+    return np.array(u), np.array(sinr)
+
+
+@pytest.mark.parametrize("nr", [1, 2, 3])
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_batched_uplink_sic_matches_a_sequential_pass(rng, K, nr):
+    """The one batched solve over the prefix sums gives the receivers and
+    SINRs of a pass that solves position by position, and its SINRs are
+    mac_sinr's, on Nt = 3 under a permuted encoding order."""
+    order = rng.permutation(K)
+    ch = ChannelSet(rand_channels(rng, K, nr, 3), sigma2=rng.uniform(0.5, 2, K),
+                    encoding_order=order)
+    A, q = rand_pd(rng, 3), rng.uniform(0.1, 2.0, K)  # q in encoding order
+    v = rand_complex(rng, (K, nr))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    links = model.stream_links(ch, v)
+    u, sinr = model.uplink_sic(A, links, q, AssertionError)
+    ref_u, ref_sinr = _sequential_sic(A, links, q)
+    assert np.linalg.norm(u - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
+    assert sinr == pytest.approx(ref_sinr, rel=1e-12)
+    pos = np.argsort(order)
+    bf = BeamformingSolution(u=u[pos], v=v, q=q[pos])
+    assert mac_sinr(ch, bf, A)[order] == pytest.approx(sinr, rel=1e-12)
+    links[1] = 0.0
+    with pytest.raises(AssertionError) as exc:
+        model.uplink_sic(A, links, q, AssertionError)
+    assert exc.value.args == (1,)
+
+
 def test_constraint_value_cases(rng):
     Q1, Q2 = rand_psd(rng, 2), rand_psd(rng, 2)
     cov = CovarianceSet("bc", [Q1, Q2])
