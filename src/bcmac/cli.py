@@ -1,17 +1,14 @@
 """Command-line front end.
 
-Subcommands map to the config objectives:
+    bcmac <subcommand> --config cfg.yaml --out DIR
+    bcmac validate     --config cfg.yaml
 
-    bcmac region    --config cfg.yaml --out DIR    (wsr_region)
-    bcmac balance   --config cfg.yaml --out DIR    (sinr_balance)
-    bcmac powermin  --config cfg.yaml --out DIR    (power_balance)
-    bcmac nonlinear --config cfg.yaml --out DIR    (nonlinear_wsr)
-    bcmac validate  --config cfg.yaml
-
-Every setting comes from the config; besides ``--config`` and ``--out`` the
-only flag is ``--log-level``.  Exit codes: 0 success, 2 invalid config or
-usage, 3 solver failure (partial results are still written and flagged in
-the metadata sidecar).
+Each objective of ``scenario.OBJECTIVES`` names the subcommand that runs it
+(region, balance, powermin, nonlinear).  Every setting comes from the
+config; besides ``--config`` and ``--out`` the only flag is ``--log-level``.
+Exit codes: 0 success, 2 invalid config or usage, 3 solver failure (only the
+metadata sidecar is written, with ``partial: true``; rows finished before
+the failure are discarded).
 """
 
 import argparse
@@ -24,14 +21,6 @@ from . import scenario
 from .errors import BcMacError
 
 log = logging.getLogger("bcmac")
-
-SUBCOMMAND_OBJECTIVE = {
-    "region": "wsr_region",
-    "balance": "sinr_balance",
-    "powermin": "power_balance",
-    "nonlinear": "nonlinear_wsr",
-}
-
 
 def _add_common(p, with_out=True):
     p.add_argument("--config", required=True, help="scenario config (YAML)")
@@ -48,9 +37,9 @@ def build_parser():
                     "multiple transmit covariance constraints",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMAND_OBJECTIVE:
-        _add_common(sub.add_parser(name))
-    _add_common(sub.add_parser("validate"), with_out=False)
+    for objective, row in scenario.OBJECTIVES.items():
+        _add_common(sub.add_parser(row.subcommand, help=f"run a {objective} config"))
+    _add_common(sub.add_parser("validate", help="check a config"), with_out=False)
     return parser
 
 
@@ -68,10 +57,10 @@ def main(argv=None):
               f"nt={cfg.channels.nt} nr={cfg.channels.nr} "
               f"constraints={len(cfg.constraints)}")
         return 0
-    wanted = SUBCOMMAND_OBJECTIVE[args.command]
-    if cfg.objective != wanted:
-        print(f"config error: subcommand '{args.command}' requires objective "
-              f"'{wanted}', config has '{cfg.objective}'", file=sys.stderr)
+    wanted = scenario.OBJECTIVES[cfg.objective].subcommand
+    if args.command != wanted:
+        print(f"config error: objective '{cfg.objective}' runs under subcommand "
+              f"'{wanted}', not '{args.command}'", file=sys.stderr)
         return 2
     try:
         paths = scenario.run_scenario(cfg, args.out)

@@ -50,11 +50,11 @@ and a power update (Schubert and Boche, 2004) with one beam per user, stacked
 at the previous sweep's powers, one batched uplink SIC pass
 (``model.uplink_sic``) in encoding order, and then the powers for those
 receivers, one triangular solve (``model.sinr_powers``).  Multi-antenna
-users' vectors are refreshed as downlink MMSE receivers
-(``model.bc_mmse_receivers``) after each sweep: power minimization's at the
-downlink powers meeting the targets against the sweep's stream gains, SINR
-balancing's through the SINR-preserving beams of the rebalanced powers
-(``transforms.sinr_beams``), a second SIC pass.
+users' vectors are refreshed after each sweep as downlink MMSE receivers
+(``model.bc_mmse_receivers``) at the downlink powers that meet given SINRs
+against a SIC pass's stream gains.  Power minimization uses its sweep's own
+pass and the targets; SINR balancing a second pass at the rebalanced powers
+and the SINRs it reaches, as ``transforms.sinr_to_bc`` does.
 Both take ``init``, the uplink solution of a nearby problem (the previous
 evaluation of a multiplier search), and start from its user-side vectors
 and powers; both stop once a sweep moves no power by more than POWER_RTOL
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model, transforms
+from . import linalg, model
 from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
 
 # The beamforming fixed points stop once a sweep moves every power by at
@@ -362,12 +362,11 @@ def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
     return alpha
 
 
-def _power_min_receivers(ch, users, M, u, gamma):
-    """User-side vectors refreshed after a power minimization sweep that met
-    the targets gamma with receivers u and stream gains M (in encoding
-    order): the downlink MMSE receivers at the downlink powers meeting gamma
-    against M.  Downlink receivers interfere with nobody, so this weakly
-    improves every SINR."""
+def _refreshed_vectors(ch, users, M, u, gamma):
+    """User-side vectors refreshed after a sweep whose receivers u reach the
+    SINRs gamma with stream gains M (in encoding order): the downlink MMSE
+    receivers at the downlink powers meeting gamma against M.  Downlink
+    receivers interfere with nobody, so this weakly improves every SINR."""
     pos = np.argsort(ch.encoding_order)
     p = model.sinr_powers(M, gamma, ch.sigma2[users], model.BC, _zero_gain(users))
     return model.bc_mmse_receivers(ch, u[pos], p[pos])
@@ -399,7 +398,7 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)
     if q.any():
         q *= budget / float(sigma2 @ q)
-    alpha, move, pos = 0.0, np.inf, np.argsort(users)
+    alpha, move = 0.0, np.inf
     for it in range(settings.max_iters):
         links = model.stream_links(ch, v)
         u = model.uplink_sic(A, links, q, zero_gain)[0]
@@ -413,8 +412,8 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
             break
         if ch.nr > 1:
             # the sweep's receivers are MMSE under the old powers, not q
-            u_bc, p = transforms.sinr_beams(A, links, q, sigma2, zero_gain)
-            v = model.bc_mmse_receivers(ch, u_bc[pos], p[pos])
+            u_bc, sinr = model.uplink_sic(A, links, q, zero_gain)
+            v = _refreshed_vectors(ch, users, model.stream_gains(links, u_bc), u_bc, sinr)
     else:
         raise MaxItersExceeded("SINR balancing did not converge")
     return alpha, _uplink_solution(ch, u, v, q)
@@ -429,7 +428,7 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     receivers, one triangular solve through the successive-decoding
     structure (the receiver/power fixed point of Schubert and Boche, 2004).
     Multi-antenna users' vectors are then refreshed from the sweep's own
-    receivers (:func:`_power_min_receivers`).  Starts from the user-side
+    receivers (:func:`_refreshed_vectors`).  Starts from the user-side
     vectors and powers of ``init`` or from scratch (see the module
     docstring).  Power growth beyond 1e12 raises InfeasibleTargets.
     """
@@ -452,7 +451,7 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
         if it > 0 and move <= POWER_RTOL:
             break
         if ch.nr > 1:
-            v = _power_min_receivers(ch, users, M, u, gamma)
+            v = _refreshed_vectors(ch, users, M, u, gamma)
     else:
         raise MaxItersExceeded("power minimization did not converge")
     return float(ch.sigma2[users] @ q), _uplink_solution(ch, u, v, q)

@@ -1,13 +1,16 @@
 """Scenario configs, batch region sweeps, and machine-readable results.
 
 Configs are single YAML documents (key/value with nested lists; complex
-matrix entries written as [re, im] pairs).  Results are CSV files with a
-header row plus a JSON metadata sidecar carrying the echoed settings and a
-sha256 content hash of the CSV, so identical config + seed give byte-identical
-outputs.  Rates are bits/channel use in files, nats internally.  A config key
-the program does not read is an error; ``workers`` is still accepted and does
-nothing, and ``seed`` is only echoed to the sidecar (the solvers are
-deterministic).  The ``solver:`` (inner solves) and ``outer:`` (multiplier
+matrix entries written as [re, im] pairs).  ``OBJECTIVES`` holds one row per
+objective: the CLI subcommand that runs it, the keys it requires, the keys
+it may take besides ``COMMON_KEYS``, and the function that solves it and
+returns its result files.  Any other key is an error naming the key and the
+objective.  Of the common keys, ``workers`` does nothing and ``seed`` is
+only echoed to the sidecar: the solvers are deterministic, so identical
+configs give byte-identical outputs.  Results are CSV files with a header
+row plus a JSON metadata sidecar carrying the echoed config and a sha256
+content hash of each CSV.  Rates are bits/channel use in files, nats
+internally.  The ``solver:`` (inner solves) and ``outer:`` (multiplier
 search, default ``orchestrator.OUTER``) sections each take ``tol`` and
 ``max_iters``, the only settings a run has.
 
@@ -42,8 +45,6 @@ from .errors import InvalidInput, SingularConstraintMatrix
 from .macsolver import SolverSettings
 from .model import ChannelSet, LinearConstraint, SinrTargets
 
-OBJECTIVES = ("wsr_region", "sinr_balance", "power_balance", "nonlinear_wsr")
-
 LN2 = math.log(2.0)
 
 
@@ -68,15 +69,15 @@ class ScenarioConfig:
     raw: dict = None
 
 
-@dataclass
-class RegionPoint:
-    weights: tuple
-    order: str
-    rates_bits: np.ndarray
-    lam: np.ndarray
-    slacks: np.ndarray
-    iterations: int
-    g_gap: float
+@dataclass(frozen=True)
+class Objective:
+    """One row of ``OBJECTIVES``: ``files(cfg)`` solves the objective and
+    returns its result files, ``{suffix: text}``."""
+
+    subcommand: str
+    requires: tuple
+    takes: tuple
+    files: object
 
 
 def _converted(where, convert, value):
@@ -124,9 +125,7 @@ def _parse_matrix(rows, where):
     return np.array(mat, dtype=np.complex128)
 
 
-TOP_KEYS = ("objective", "channels", "constraints", "nonlinear", "weights", "targets",
-            "sweep", "output", "solver", "outer", "seed", "heuristic",
-            "workers")  # workers: accepted, does nothing
+COMMON_KEYS = ("objective", "channels", "output", "solver", "outer", "seed", "workers")
 
 
 def _check_keys(mapping, allowed, where, what="key"):
@@ -211,18 +210,17 @@ def load_config(path):
         doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
-    _check_keys(doc, TOP_KEYS, "config")
     objective = doc.get("objective")
     if objective not in OBJECTIVES:
-        raise ConfigError(f"objective must be one of {OBJECTIVES}")
+        raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}")
+    row = OBJECTIVES[objective]
+    _check_keys(doc, COMMON_KEYS + row.requires + row.takes, "config", f"{objective} key")
+    for key in row.requires:
+        if not doc.get(key):
+            raise ConfigError(f"objective {objective} requires '{key}'")
     ch = _parse_channels(doc)
     constraints = _parse_constraints(doc, ch.nt)
     nonlinear = _parse_nonlinear(doc, ch.nt)
-    if objective == "nonlinear_wsr":
-        if nonlinear is None:
-            raise ConfigError("nonlinear_wsr requires a 'nonlinear' section")
-    elif not constraints:
-        raise ConfigError(f"objective {objective} requires a nonempty constraint list")
     if objective == "wsr_region" and ch.K > 2:
         raise ConfigError(f"wsr_region sweeps one or two users, config has {ch.K}")
     weights = doc.get("weights")
@@ -235,10 +233,6 @@ def load_config(path):
         targets = _converted("targets", SinrTargets, targets)
         if targets.gamma.shape != (ch.K,):
             raise ConfigError(f"targets must list {ch.K} values")
-    if objective in ("sinr_balance", "power_balance") and targets is None:
-        raise ConfigError(f"objective {objective} requires 'targets'")
-    if objective == "nonlinear_wsr" and weights is None:
-        raise ConfigError("nonlinear_wsr requires 'weights'")
     resolution = _converted("sweep.resolution", _integer,
                             _section(doc, "sweep", ("resolution",)).get("resolution", 20))
     if resolution < 1:
@@ -248,11 +242,13 @@ def load_config(path):
     heuristic = doc.get("heuristic", False)
     if not isinstance(heuristic, bool):
         raise ConfigError(f"heuristic: expected true or false, got {heuristic!r}")
+    if heuristic and len(constraints) < 2:
+        raise ConfigError("heuristic: normalization needs at least two constraints")
     # a constraint set bounds the transmit power only if its matrices sum to
     # a positive definite one; the heuristic solves under constraints[0] alone
-    if heuristic and objective == "wsr_region":
+    if heuristic:
         bounded, name = constraints[0].A, "heuristic: constraints[0] matrix"
-    elif objective == "nonlinear_wsr":
+    elif nonlinear is not None:
         bounded, name = sum(nonlinear.mats), "sum of the nonlinear.a matrices"
     else:
         bounded, name = sum(c.A for c in constraints), "sum of the constraint matrices"
@@ -277,8 +273,18 @@ def load_config(path):
     )
 
 
-def _fmt(x):
-    return repr(float(x))
+def _cell(x):
+    return str(x) if isinstance(x, (str, int)) else repr(float(x))
+
+
+def _csv(header, rows):
+    """CSV text: the header, then one line per row; strings and ints are
+    written as they are, every other cell as the repr of a float."""
+    return "".join(",".join(map(_cell, r)) + "\n" for r in [header, *rows])
+
+
+def _numbered(template, n):
+    return [template.format(l + 1) for l in range(n)]
 
 
 def _order_label(ch):
@@ -314,9 +320,10 @@ def _region_point(cfg, t):
     cov, lam, tr = orchestrator.solve_wsr_multi(solved, cfg.constraints, w[users],
                                                 cfg.outer, cfg.solver)
     rates = _user_rates(ch, users, solved, cov)
-    row = RegionPoint(tuple(w), _order_label(solved if len(users) == ch.K else ch),
-                      rates / LN2, lam.values, model.constraint_slacks(cov, cfg.constraints),
-                      tr.iterations, min(tr.value) - float(w @ rates))
+    row = [w[0], w[1] if ch.K == 2 else 0.0,
+           _order_label(solved if len(users) == ch.K else ch), *rates / LN2, *lam.values,
+           *model.constraint_slacks(cov, cfg.constraints), tr.iterations,
+           min(tr.value) - float(w @ rates)]
     return row, solved, users, cov
 
 
@@ -325,16 +332,14 @@ def sweep_weights(resolution):
 
 
 def run_region(cfg):
-    """Weighted-sum-rate region sweep; returns RegionPoint rows ordered by
-    weight index."""
+    """Weighted-sum-rate region sweep; returns the rows of ``region_csv``
+    ordered by weight index."""
     return [_region_point(cfg, t)[0] for t in sweep_weights(cfg.resolution)]
 
 
 def run_heuristic_normalization(cfg):
     """Achievable (suboptimal) region: solve under the first constraint only,
     then shrink the covariance so every remaining constraint holds."""
-    if len(cfg.constraints) < 2:
-        raise ConfigError("heuristic normalization needs at least two constraints")
     others = cfg.constraints[1:]
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
@@ -342,75 +347,75 @@ def run_heuristic_normalization(cfg):
         point, solved, users, cov = _region_point(sub_cfg, t)
         scaled = model.CovarianceSet.built(model.BC, model.feasible_scale(cov, others) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
-        rows.append(RegionPoint(point.weights, point.order, rates / LN2,
-                                np.full(len(cfg.constraints), np.nan),
-                                model.constraint_slacks(scaled, cfg.constraints), 0, np.nan))
+        rows.append([*point[:3], *rates / LN2, *np.full(len(cfg.constraints), np.nan),
+                     *model.constraint_slacks(scaled, cfg.constraints), 0, np.nan])
     return rows
 
 
 def region_csv(rows, n_users, n_constraints):
-    header = ["w1", "w2", "order"] + [f"r{i+1}_bits" for i in range(n_users)] \
-        + [f"lambda_{l+1}" for l in range(n_constraints)] \
-        + [f"slack_{l+1}" for l in range(n_constraints)] + ["iters", "g_gap"]
-    lines = [",".join(header)]
-    for p in rows:
-        w2 = p.weights[1] if len(p.weights) > 1 else 0.0
-        cells = [_fmt(p.weights[0]), _fmt(w2), p.order]
-        cells += [_fmt(r) for r in p.rates_bits]
-        cells += [_fmt(x) for x in p.lam]
-        cells += [_fmt(x) for x in p.slacks]
-        cells += [str(int(p.iterations)), _fmt(p.g_gap)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(["w1", "w2", "order"] + _numbered("r{}_bits", n_users)
+                + _numbered("lambda_{}", n_constraints) + _numbered("slack_{}", n_constraints)
+                + ["iters", "g_gap"], rows)
 
 
-def trace_csv(trace, alpha_label="value"):
-    header = ["iter", alpha_label] + \
-        [f"lambda_{l+1}" for l in range(len(trace.lam[0]))] + \
-        [f"subgrad_{l+1}" for l in range(len(trace.lam[0]))]
-    lines = [",".join(header)]
-    for i in range(trace.iterations):
-        cells = [str(i)] + [_fmt(trace.value[i])]
-        cells += [_fmt(x) for x in trace.lam[i]]
-        cells += [_fmt(x) for x in trace.subgrad[i]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _region_files(cfg):
+    K, L = cfg.channels.K, len(cfg.constraints)
+    files = {".csv": region_csv(run_region(cfg), K, L)}
+    if cfg.heuristic:
+        files["_heuristic.csv"] = region_csv(run_heuristic_normalization(cfg), K, L)
+    return files
 
 
-def run_balance(cfg):
+def _scalar_files(lead, lam, slacks, trace, trace_label=None):
+    """``.csv``, one row: the ``lead`` columns (name: value), lambda_l,
+    slack_l, the search's evaluation count ``iters`` and its signed gap
+    ``gap``; with ``trace_label``, also ``_trace.csv``, one row per
+    evaluation: its bound (under that label), multipliers and subgradient."""
+    files = {".csv": _csv(
+        list(lead) + _numbered("lambda_{}", len(lam)) + _numbered("slack_{}", len(slacks))
+        + ["iters", "gap"], [[*lead.values(), *lam, *slacks, trace.iterations, trace.gap]])}
+    if trace_label:
+        n = len(trace.lam[0])
+        files["_trace.csv"] = _csv(
+            ["iter", trace_label] + _numbered("lambda_{}", n) + _numbered("subgrad_{}", n),
+            [[i, trace.value[i], *trace.lam[i], *trace.subgrad[i]]
+             for i in range(trace.iterations)])
+    return files
+
+
+def _sinr_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_sinr_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
     slacks = model.constraint_slacks(bf.bc_covariances(), cfg.constraints)
-    return alpha, lam.values, slacks, trace
+    return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "alpha")
 
 
-def run_power_balance(cfg):
+def _power_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_power_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
     cov = bf.bc_covariances()
-    slacks = np.array([alpha * c.P - model.constraint_value(cov, c)
-                       for c in cfg.constraints])
-    return alpha, lam.values, slacks, trace
+    slacks = [alpha * c.P - model.constraint_value(cov, c) for c in cfg.constraints]
+    return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "bound")
 
 
-def run_nonlinear(cfg):
-    """Weighted sum rate (nats) and phi of the emitted covariance, the
-    normal of the best bound and the multiplier-search trace."""
+def _nonlinear_files(cfg):
+    """The weighted sum rate and phi of the emitted covariance and the
+    normal of the best bound."""
     ch = _weight_sorted(cfg.channels, cfg.weights)
     cov, result = orchestrator.solve_wsr_nonlinear(ch, cfg.nonlinear, cfg.weights, cfg.outer,
                                                    cfg.solver)
     wsr = float(cfg.weights @ model.bc_rates_dpc(ch, cov))
-    return wsr, cfg.nonlinear.value(cov), result.lam.values, result.trace
+    return _scalar_files({"wsr_bits": wsr / LN2, "f_value": cfg.nonlinear.value(cov)},
+                         result.lam.values, [], result.trace)
 
 
-def scalar_result_csv(lead, lam, slacks, trace):
-    """One row: the ``lead`` columns (name: value), lambda_l, slack_l, the
-    search's evaluation count ``iters`` and its signed gap ``gap``."""
-    header = list(lead) + [f"lambda_{l+1}" for l in range(lam.size)] \
-        + [f"slack_{l+1}" for l in range(slacks.size)] + ["iters", "gap"]
-    cells = [_fmt(x) for x in lead.values()] + [_fmt(x) for x in lam] \
-        + [_fmt(x) for x in slacks] + [str(int(trace.iterations)), _fmt(trace.gap)]
-    return ",".join(header) + "\n" + ",".join(cells) + "\n"
+OBJECTIVES = {
+    "wsr_region": Objective("region", ("constraints",), ("sweep", "heuristic"), _region_files),
+    "sinr_balance": Objective("balance", ("constraints", "targets"), (), _sinr_balance_files),
+    "power_balance": Objective("powermin", ("constraints", "targets"), (),
+                               _power_balance_files),
+    "nonlinear_wsr": Objective("nonlinear", ("nonlinear", "weights"), (), _nonlinear_files),
+}
 
 
 def write_outputs(out_dir, basename, files, cfg, partial=False):
@@ -442,28 +447,6 @@ def write_outputs(out_dir, basename, files, cfg, partial=False):
 
 
 def run_scenario(cfg, out_dir):
-    """Dispatch on the configured objective; writes result files and returns
+    """Solve the configured objective; writes its result files and returns
     their paths."""
-    files = {}
-    if cfg.objective == "wsr_region":
-        rows = run_region(cfg)
-        files[".csv"] = region_csv(rows, cfg.channels.K, len(cfg.constraints))
-        if cfg.heuristic:
-            hrows = run_heuristic_normalization(cfg)
-            files["_heuristic.csv"] = region_csv(hrows, cfg.channels.K,
-                                                 len(cfg.constraints))
-    elif cfg.objective == "sinr_balance":
-        alpha, lam, slacks, trace = run_balance(cfg)
-        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace)
-        files["_trace.csv"] = trace_csv(trace, "alpha")
-    elif cfg.objective == "power_balance":
-        alpha, lam, slacks, trace = run_power_balance(cfg)
-        files[".csv"] = scalar_result_csv({"alpha": alpha}, lam, slacks, trace)
-        files["_trace.csv"] = trace_csv(trace, "bound")
-    elif cfg.objective == "nonlinear_wsr":
-        wsr, f_value, lam, trace = run_nonlinear(cfg)
-        files[".csv"] = scalar_result_csv({"wsr_bits": wsr / LN2, "f_value": f_value}, lam,
-                                          np.zeros(0), trace)
-    else:  # pragma: no cover - load_config guards this
-        raise ConfigError(f"unknown objective {cfg.objective}")
-    return write_outputs(out_dir, cfg.basename, files, cfg)
+    return write_outputs(out_dir, cfg.basename, OBJECTIVES[cfg.objective].files(cfg), cfg)

@@ -147,17 +147,11 @@ def sinr_to_bc(ch, bf_mac, A):
     def degenerate(s):
         return DegenerateTransform(f"user {users[s]} (encoding position {s}): zero gain")
 
-    u, p = sinr_beams(A, model.stream_links(ch, bf_mac.v), bf_mac.q[users],
-                      ch.sigma2[users], degenerate)
+    # the MMSE vectors of the SIC pass at q, and the powers meeting its SINRs
+    # from the last-encoded user, both in encoding order
+    links = model.stream_links(ch, bf_mac.v)
+    u, sinr = model.uplink_sic(A, links, bf_mac.q[users], degenerate)
+    p = model.sinr_powers(model.stream_gains(links, u), sinr, ch.sigma2[users], model.BC,
+                          degenerate)
     pos = np.argsort(users)
     return model.BeamformingSolution.built(u[pos], bf_mac.v.copy(), p[pos], bf_mac.q.copy())
-
-
-def sinr_beams(A, links, q, sigma2, degenerate):
-    """The base-station vectors u and downlink powers p of :func:`sinr_to_bc`
-    for uplink links and powers q, noise powers sigma2 and both outputs in
-    encoding order: the MMSE vectors of the SIC pass at q, and the powers
-    meeting its SINRs from the last-encoded user."""
-    u, sinr = model.uplink_sic(A, links, q, degenerate)
-    return u, model.sinr_powers(model.stream_gains(links, u), sinr, sigma2, model.BC,
-                                degenerate)

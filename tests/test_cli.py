@@ -28,6 +28,16 @@ def _region_doc(**extra):
     return doc
 
 
+def _balance_doc(**extra):
+    return dict({"objective": "sinr_balance", "channels": {"h": [H1_CAP, H2_CAP]},
+                 "constraints": PER_ANTENNA, "targets": [1.0, 2.0], "seed": 3}, **extra)
+
+
+def _nonlinear_doc(**extra):
+    return dict({"objective": "nonlinear_wsr", "channels": {"h": [H1_CAP, H2_CAP]},
+                 "weights": [0.5, 0.5], "nonlinear": BALL, "seed": 3}, **extra)
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -42,8 +52,10 @@ def _args(command, config, out):
 @pytest.mark.parametrize("doc, message", [
     (_region_doc(channels={"h": [H1_CAP, H2_CAP, H3]}), "one or two users"),
     (_region_doc(heuristic=True), "not positive definite"),
-    (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
-                 nonlinear=dict(BALL, a=[[[1.0]]])), "need one or more 2x2 matrices"),
+    # normalizing into the remaining constraints needs at least one
+    (_region_doc(heuristic=True, constraints=[{"type": "sum_power", "budget": 8.0}]),
+     "heuristic: normalization needs at least two constraints"),
+    (_nonlinear_doc(nonlinear=dict(BALL, a=[[[1.0]]])), "need one or more 2x2 matrices"),
     (_region_doc(constraints=PER_ANTENNA[:1]), "not positive definite"),
     (_region_doc(seed="abc"), "seed: "),
     (_region_doc(sweep={"resolution": "many"}), "sweep.resolution: "),
@@ -52,20 +64,20 @@ def _args(command, config, out):
     (_region_doc(channels={"h": [H1_CAP, H2_CAP], "sigma2": ["low", 1.0]}), "channels.sigma2: "),
     (_region_doc(channels={"h": [H1_CAP, H2_CAP], "encoding_order": ["b", "a"]}),
      "channels.encoding_order: "),
-    (_region_doc(targets=["high", 1.0]), "targets: "),
-    (_region_doc(weights=[0.5, "half"]), "weights: "),
+    (_balance_doc(targets=["high", 1.0]), "targets: "),
+    (_nonlinear_doc(weights=[0.5, "half"]), "weights: "),
     (_region_doc(heuristic="maybe"), "heuristic: expected true or false"),
     # integers are checked, not truncated, and numbers must be finite
     (_region_doc(constraints=[dict(PER_ANTENNA[0], antenna=1.9), PER_ANTENNA[1]]),
      "constraints[0].antenna: "),
     (_region_doc(sweep={"resolution": 2.7}), "sweep.resolution: "),
-    (_region_doc(objective="nonlinear_wsr", weights=[math.nan, 0.5], nonlinear=BALL),
-     "weights: "),
+    (_nonlinear_doc(weights=[math.nan, 0.5]), "weights: "),
     (_region_doc(constraints=[dict(PER_ANTENNA[0], budget=math.inf), PER_ANTENNA[1]]),
      "constraints[0]: constraint budget must be positive and finite"),
     (_region_doc(solver={"tol": math.inf}), "solver: tol must be positive and finite"),
-], ids=["three_users", "heuristic_singular_first", "nonlinear_matrix_size",
-        "single_per_antenna", "seed_not_a_number", "resolution_not_a_number",
+], ids=["three_users", "heuristic_singular_first", "heuristic_one_constraint",
+        "nonlinear_matrix_size", "single_per_antenna", "seed_not_a_number",
+        "resolution_not_a_number",
         "antenna_not_a_number", "sigma2_not_numbers", "encoding_order_not_numbers",
         "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean",
         "antenna_not_an_integer", "resolution_not_an_integer", "weights_not_finite",
@@ -86,6 +98,43 @@ def test_malformed_yaml_exits_2(tmp_path, capsys, command):
     path.write_text("objective: wsr_region\nchannels: {h: [[[1.0, 0.0]\n", encoding="utf-8")
     assert cli.main(_args(command, str(path), str(out))) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    # a budget nonlinear_wsr would ignore: its covariance has total power 4.47
+    (_nonlinear_doc(constraints=[{"type": "sum_power", "budget": 0.01}]), "constraints"),
+    (_region_doc(targets=[1.0, 2.0]), "targets"),
+    (_balance_doc(weights=[0.5, 0.5]), "weights"),
+    (_balance_doc(objective="power_balance", sweep={"resolution": 3}), "sweep"),
+    (_balance_doc(heuristic=False), "heuristic"),
+], ids=["nonlinear_wsr_constraints", "wsr_region_targets", "sinr_balance_weights",
+        "power_balance_sweep", "sinr_balance_heuristic"])
+@pytest.mark.parametrize("run", [False, True], ids=["validate", "run"])
+def test_keys_the_objective_does_not_read_exit_2(tmp_path, capsys, doc, key, run):
+    """A key the configured objective does not read is a config error naming
+    the key and the objective, from ``validate`` and from the subcommand
+    that runs the objective."""
+    out = tmp_path / "out"
+    command = scenario.OBJECTIVES[doc["objective"]].subcommand if run else "validate"
+    assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2
+    err = capsys.readouterr().err
+    assert f"config: unknown {doc['objective']} key '{key}'" in err
+    assert not out.exists()
+
+
+def test_subcommands_are_the_objective_table_and_validate():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    table = {row.subcommand for row in scenario.OBJECTIVES.values()}
+    assert set(sub.choices) == table | {"validate"}
+    assert len(table) == len(scenario.OBJECTIVES)
+
+
+def test_subcommand_of_another_objective_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(_args("region", _write(tmp_path, _nonlinear_doc()), str(out))) == 2
+    assert "objective 'nonlinear_wsr' runs under subcommand 'nonlinear', not 'region'" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -177,8 +226,7 @@ def test_balancing_rows_end_with_the_search_gap(tmp_path, monkeypatch, command, 
         return result
 
     monkeypatch.setattr(orchestrator, solver, kept)
-    doc = {"objective": objective, "channels": {"h": [H1_CAP, H2_CAP]},
-           "constraints": PER_ANTENNA, "targets": [1.0, 2.0], "seed": 3}
+    doc = _balance_doc(objective=objective)
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 0
     header, row = (out / f"{objective}.csv").read_text(encoding="utf-8").splitlines()
@@ -233,10 +281,9 @@ def test_settings_are_not_command_line_flags(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("doc, message", [
     (_region_doc(sweep={"resolutoin": 3}), "sweep: unknown key 'resolutoin'"),
-    (_region_doc(objective="nonlinear_wsr", weights=[0.5, 0.5],
-                 nonlinear=dict(BALL, eps=0.01)), "nonlinear: unknown key 'eps'"),
+    (_nonlinear_doc(nonlinear=dict(BALL, eps=0.01)), "nonlinear: unknown key 'eps'"),
     (_region_doc(output={"basenme": "x"}), "output: unknown key 'basenme'"),
-    (_region_doc(resolution=3), "config: unknown key 'resolution'"),
+    (_region_doc(resolution=3), "config: unknown wsr_region key 'resolution'"),
 ], ids=["sweep_typo", "nonlinear_eps", "output_typo", "top_level"])
 def test_unknown_keys_are_config_errors(tmp_path, capsys, doc, message):
     assert cli.main(_args("validate", _write(tmp_path, doc), "")) == 2
@@ -264,8 +311,7 @@ def test_nonlinear_encodes_in_weight_order(tmp_path, monkeypatch):
     rows = []
     for channels in ({"h": [H1_CAP, H2_CAP]},
                      {"h": [H1_CAP, H2_CAP], "encoding_order": [2, 1]}):
-        doc = {"objective": "nonlinear_wsr", "channels": channels, "weights": w.tolist(),
-               "nonlinear": BALL, "seed": 3}
+        doc = _nonlinear_doc(channels=channels, weights=w.tolist())
         out = tmp_path / str(len(rows))
         assert cli.main(_args("nonlinear", _write(tmp_path, doc), str(out))) == 0
         lines = (out / "nonlinear_wsr.csv").read_text(encoding="utf-8").splitlines()

@@ -598,7 +598,7 @@ def test_power_min_refresh_matches_the_sinr_transform(rng, nr):
     users = np.array(ch.encoding_order)
     links = model.stream_links(ch, v)
     u, gamma = model.uplink_sic(A, links, q, macsolver._zero_gain(users))
-    got = macsolver._power_min_receivers(ch, users, model.stream_gains(links, u), u, gamma)
+    got = macsolver._refreshed_vectors(ch, users, model.stream_gains(links, u), u, gamma)
     bf = mac_to_bc_sinr(ch, macsolver._uplink_solution(ch, u, v, q), A)
     assert np.max(np.abs(got - bc_mmse_receivers(ch, bf.u, bf.p))) <= 1e-12
 
