@@ -58,10 +58,20 @@ and the SINRs it reaches, as ``transforms.sinr_to_bc`` does.
 Both take ``init``, the uplink solution of a nearby problem (the previous
 evaluation of a multiplier search), and start from its user-side vectors
 and powers; both stop once a sweep moves no power by more than POWER_RTOL
-relative, after at least two sweeps.  Near singular noise (a merged
-constraint near a vertex of the multiplier simplex) SINR balancing's
-receiver updates can stall, the powers creeping on for thousands of sweeps;
-a stalled sweep also stops it once alpha moved by at most ``tol`` relative.
+relative, after at least two sweeps.  Plain sweeps are monotone (alpha
+never falls, the total power never rises) and contract at a steady ratio,
+so every two in a row, x0 -> x1 -> x2, are extrapolated by SqS3 (Varadhan
+and Roland, Scand. J. Stat. 2008) over the vectors and the powers, each
+power relative to its value at x2: x' = x0 - 2 s r + s^2 w, r = x1 - x0,
+w = x2 - 2 x1 + x0, s = -max(1, ||r|| / ||w||), with unit vectors and
+positive (for SINR balancing, spent) powers.  The sweep from x' is kept,
+and starts the next two, only if it is no worse than x2; else they go on
+from x2.  Near singular noise (a merged constraint near a vertex of the
+multiplier simplex) SINR balancing's receiver updates can stall, the powers
+and alpha creeping on for thousands of sweeps: a plain sweep that moves
+both by at least STALL times as much as the one before, and alpha by at
+most ``tol`` relative, stops it too.  Power minimization gives up past a
+received SNR q_s M_ss / c_s of SNR_CAP, a test that rescaling leaves alone.
 """
 
 from dataclasses import dataclass
@@ -72,10 +82,11 @@ from . import linalg, model
 from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
 
 # The beamforming fixed points stop once a sweep moves every power by at
-# most POWER_RTOL, relative; a move above STALL times the last one counts as
-# stalled (see the module docstring).
+# most POWER_RTOL, relative, or stalls by STALL; power minimization gives up
+# past a received signal-to-noise ratio of SNR_CAP (see the module docstring).
 POWER_RTOL = 1e-11
 STALL = 0.99
+SNR_CAP = 1e12
 ARMIJO_BETA = 0.5  # the ascent's backtracking shrinks its step by this factor
 ARMIJO_C = 0.1  # until the step gains this share of its first-order progress
 
@@ -92,8 +103,9 @@ class SolverSettings:
     need each bound tight); for the multiplier search it is the certified
     relative gap that counts as converged.  The beamforming fixed points
     stop on POWER_RTOL instead, SINR balancing on ``tol`` only where it
-    stalls (see the module docstring).  ``max_iters`` caps iterations
-    (evaluations, for the search).  ``seed`` and ``restarts`` do nothing:
+    stalls, and extrapolate with no setting of their own (see the module
+    docstring).  ``max_iters`` caps iterations (sweeps, for the fixed
+    points; evaluations, for the search).  ``seed`` and ``restarts`` do nothing:
     the ascent makes one deterministic start; ``perfbench/`` passes them,
     and configs reject them.
     """
@@ -372,6 +384,41 @@ def _refreshed_vectors(ch, users, M, u, gamma):
     return model.bc_mmse_receivers(ch, u[pos], p[pos])
 
 
+def _fixed_point(sweep, v, q, settings, spend, stall_tol, name):
+    """Extrapolated sweeps from (v, q), as in the module docstring; a sweep
+    can stall only where ``stall_tol`` is not None.  ``sweep(v, q)`` returns
+    a value no plain sweep lowers, the powers, the receivers and a thunk
+    refreshing the vectors; ``spend`` rescales the powers of x'.  Returns
+    the last sweep's value, powers and receivers and the vectors it started
+    from."""
+    run, held, value, move, gain = [(v, q)], None, -np.inf, np.inf, np.inf
+    for it in range(settings.max_iters):
+        new_value, new_q, u, refresh = sweep(v, q)
+        if held is not None and new_value < held[2]:  # x' lost ground: go on from x2
+            (v, q, value), run, move, held = held, [held[:2]], np.inf, None
+            continue
+        last, last_gain = move, gain
+        move, gain = _move(new_q, q), abs(new_value - value)
+        stalled = stall_tol is not None and move > STALL * last \
+            and STALL * last_gain <= gain <= stall_tol * new_value
+        value, q = new_value, new_q
+        if it > 0 and (move <= POWER_RTOL or stalled):
+            return value, q, u, v
+        v = refresh()
+        if held is not None:  # the sweep from x' starts the next run
+            run, move, held = [], np.inf, None
+        run.append((v, q))
+        if len(run) == 3:  # SqS3, each power relative to its value at x2
+            held, scale = (v, q, value), np.maximum(q, 1e-300)
+            x0, x1, x2 = (np.append(vs, qs / scale) for vs, qs in run)
+            r, w = x1 - x0, x2 - 2 * x1 + x0
+            s = -max(1.0, np.linalg.norm(r) / np.linalg.norm(w)) if w.any() else -1.0
+            x = x0 - 2 * s * r + s * s * w
+            v, q = x[:v.size].reshape(v.shape), spend(np.abs(x[v.size:].real) * scale)
+            v, move = v / np.linalg.norm(v, axis=1, keepdims=True), np.inf
+    raise MaxItersExceeded(f"{name} did not converge")
+
+
 def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None):
     """Maximize the common ratio alpha = SINR_i / gamma_i on the dual uplink
     under sum_i sigma_i^2 q_i = budget, one beam per user.
@@ -382,9 +429,10 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     polynomial (:func:`_balanced_ratio`).  When users have several antennas
     the user-side vectors are refreshed as downlink MMSE receivers through
     the SINR-preserving transformation of the rebalanced powers, which keeps
-    the iteration monotone.  Starts from ``init``, its powers rescaled to
-    ``budget``, or from scratch (see the module docstring).  At return every
-    ratio equals alpha to rounding.
+    the iteration monotone; an extrapolated sweep is kept only where alpha
+    does not fall.  Starts from ``init``, its powers rescaled to ``budget``,
+    or from scratch (see the module docstring).  At return every ratio
+    equals alpha to rounding.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
@@ -396,26 +444,24 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     v, q = _start(ch, init)
     users = np.array(ch.encoding_order)
     gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)
-    if q.any():
-        q *= budget / float(sigma2 @ q)
-    alpha, move = 0.0, np.inf
-    for it in range(settings.max_iters):
+
+    def spend(q):
+        return q * (budget / float(sigma2 @ q)) if q.any() else q
+
+    def sweep(v, q):
         links = model.stream_links(ch, v)
         u = model.uplink_sic(A, links, q, zero_gain)[0]
         M, c = model.stream_gains(links, u), model.uplink_noise(u, A)
-        new_alpha = _balanced_ratio(gamma, M, c, sigma2, budget, zero_gain)
-        new_q = model.sinr_powers(M, new_alpha * gamma, c, model.MAC, zero_gain)
-        last, move = move, _move(new_q, q)
-        stalled = move > STALL * last and abs(new_alpha - alpha) <= settings.tol * new_alpha
-        alpha, q = new_alpha, new_q
-        if it > 0 and (move <= POWER_RTOL or stalled):
-            break
-        if ch.nr > 1:
-            # the sweep's receivers are MMSE under the old powers, not q
+        alpha = _balanced_ratio(gamma, M, c, sigma2, budget, zero_gain)
+        q = model.sinr_powers(M, alpha * gamma, c, model.MAC, zero_gain)
+
+        def refresh():  # the sweep's receivers are MMSE under the old powers, not q
             u_bc, sinr = model.uplink_sic(A, links, q, zero_gain)
-            v = _refreshed_vectors(ch, users, model.stream_gains(links, u_bc), u_bc, sinr)
-    else:
-        raise MaxItersExceeded("SINR balancing did not converge")
+            return _refreshed_vectors(ch, users, model.stream_gains(links, u_bc), u_bc, sinr)
+        return alpha, q, u, (lambda: v) if ch.nr == 1 else refresh
+
+    alpha, q, u, v = _fixed_point(sweep, v, spend(q), settings, spend, settings.tol,
+                                  "SINR balancing")
     return alpha, _uplink_solution(ch, u, v, q)
 
 
@@ -428,9 +474,11 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     receivers, one triangular solve through the successive-decoding
     structure (the receiver/power fixed point of Schubert and Boche, 2004).
     Multi-antenna users' vectors are then refreshed from the sweep's own
-    receivers (:func:`_refreshed_vectors`).  Starts from the user-side
+    receivers (:func:`_refreshed_vectors`); an extrapolated sweep is kept
+    only where the total power does not rise.  Starts from the user-side
     vectors and powers of ``init`` or from scratch (see the module
-    docstring).  Power growth beyond 1e12 raises InfeasibleTargets.
+    docstring).  A received SNR q_s M_ss / c_s beyond SNR_CAP raises
+    InfeasibleTargets.
     """
     settings = settings or SolverSettings()
     A = linalg.check_hermitian(noise, name="noise")
@@ -439,19 +487,18 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v, q = _start(ch, init)
     users = np.array(ch.encoding_order)
-    gamma, zero_gain = targets.gamma[users], _zero_gain(users)
-    for it in range(settings.max_iters):
+    gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)
+
+    def sweep(v, q):
         links = model.stream_links(ch, v)
         u = model.uplink_sic(A, links, q, zero_gain)[0]
-        M = model.stream_gains(links, u)
-        new_q = model.sinr_powers(M, gamma, model.uplink_noise(u, A), model.MAC, zero_gain)
-        if np.any(new_q > 1e12):
+        M, c = model.stream_gains(links, u), model.uplink_noise(u, A)
+        q = model.sinr_powers(M, gamma, c, model.MAC, zero_gain)
+        if np.any(q * np.diag(M) > SNR_CAP * c):
             raise InfeasibleTargets("power fixed point diverged")
-        move, q = _move(new_q, q), new_q
-        if it > 0 and move <= POWER_RTOL:
-            break
-        if ch.nr > 1:
-            v = _refreshed_vectors(ch, users, M, u, gamma)
-    else:
-        raise MaxItersExceeded("power minimization did not converge")
-    return float(ch.sigma2[users] @ q), _uplink_solution(ch, u, v, q)
+        return (-float(sigma2 @ q), q, u,
+                lambda: v if ch.nr == 1 else _refreshed_vectors(ch, users, M, u, gamma))
+
+    value, q, u, v = _fixed_point(sweep, v, q, settings, lambda q: q, None,
+                                  "power minimization")
+    return -value, _uplink_solution(ch, u, v, q)  # the value is minus the total
