@@ -29,18 +29,18 @@ brackets the optimum (a bracket still open after two evaluations takes its
 open simplex vertex), and the search steps by Illinois regula falsi on that
 slope kept inside ITP's bound, so it takes at most ``ITP_N0`` evaluations
 more than bisection (``_bracket_step``); over three or more it takes the
-centre of the largest ball the cuts leave room for, with its centre on the
-simplex (Elzinga and Moore's central cutting planes, 1975, one LP on scipy's
-HiGHS, imported on that branch only).  The cuts use only directions, so they
-hold for the quasi-convex bounds of balancing too.
+analytic centre of the simplex the cuts leave, in numpy (``_center``).  The
+cuts use only directions, so they hold for the quasi-convex bounds of
+balancing too.
 
 Either way the search names the evaluations that locate the optimum, with
 weights under which their subgradients cancel along the simplex: the last
 evaluation on each side of the bracket (or the one whose slope is exactly
-zero), or the LP's dual weights on its cuts.  Each caller builds its point
-from them and repairs it last.  A weighted sum rate time-shares their
-covariances and scales the result into every constraint (min(1, P_l / tr(Q A_l)), or the ball's radius over
-|p|); balancing, whose beamformers cannot be time-shared, emits the best of
+zero), or every cut by its inverse slack at the centre.  Each caller builds
+its point from them and repairs it last.  A weighted sum rate time-shares
+their covariances and scales the result into every constraint (min(1, P_l /
+tr(Q A_l)), or the ball's radius over |p|, stepped down to the rounding);
+balancing, whose beamformers cannot be time-shared, emits the best of
 those evaluations, SINR balancing after scaling its powers into every
 constraint, power balancing as it is (achievable).  The certified gap is the
 relative distance from the best bound to the value of that repaired point,
@@ -203,40 +203,46 @@ def _bracket_step(trace, sign):
 
 
 def _center(trace, sign):
-    """Three or more multipliers: the point of the simplex deepest inside
-    every evaluation's cut sign * sub_k . (lam - lam_k) <= 0, the centre of
-    the largest ball the cuts leave room for (Elzinga and Moore's central
-    cutting planes, 1975), one LP.  The cuts use only the subgradients'
-    directions, so they stay valid for the quasi-convex bounds of
-    balancing; between two cuts on a line the centre is their midpoint.
-    Returns the centre and the LP's dual weights on
-    the cuts, scaled so that the weighted subgradients cancel along the
-    simplex."""
-    from scipy.optimize import linprog  # scipy only loads for L >= 3
-
+    """Three or more multipliers: the analytic centre of the simplex cut by
+    every evaluation's sign * sub_k . (lam - lam_k) <= 0, the maximiser of
+    sum_k log s_k + sum_l log lam_l, s_k the distance inside unit cut k
+    (Goffin and Vial, 2002), by damped Newton on the simplex plane from a
+    short step inside the newest cut.  The centre only nears the face where
+    a constraint inactive at the optimum puts it, so vertices come first.
+    Returns the next multipliers (none if no start is found) and cut weights
+    1 / (s_k |g_k|), under which the subgradients cancel along the simplex
+    but for the barrier on its faces."""
     lam = np.array(trace.lam)
     g = sign * np.array(trace.subgrad)
     g -= g.mean(axis=1, keepdims=True)  # within the simplex's plane
     norm = np.linalg.norm(g, axis=1)
-    keep = norm > 0
+    keep = np.nonzero(norm > 0)[0]
     u = g[keep] / norm[keep, None]
+    b = np.sum(u * lam[keep], axis=1)  # cut k: u_k . x <= b_k
     n, L = lam.shape
-    # variables (lam, r), maximize r: every cut at distance at least r from
-    # lam, which stays on the simplex; unit rows and tight tolerances, since
-    # the balancing outputs move with lam at first order
-    res = linprog(np.append(np.zeros(L), -1.0), A_ub=np.hstack([u, np.ones((len(u), 1))]),
-                  b_ub=np.sum(u * lam[keep], axis=1),
-                  A_eq=np.append(np.ones(L), 0.0)[None], b_eq=[1.0],
-                  bounds=[(0.0, 1.0)] * L + [(None, None)], method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
+    d = u[-1] if keep.size and keep[-1] == n - 1 else np.zeros(L)
+    for t in 0.1 * 0.5 ** np.arange(60):  # a start strictly inside every cut
+        x = lam[-1] - t * d
+        if keep.size and np.min(b - u @ x) > 0 and np.min(x) > 0:
+            break
+    else:
         return None, {n - 1: 1.0}
-    theta = np.zeros(n)
-    theta[keep] = np.maximum(-res.ineqlin.marginals, 0.0) / norm[keep]
-    if theta.sum() <= 0:
-        return res.x[:L], {n - 1: 1.0}
-    return res.x[:L], {k: t / theta.sum() for k, t in enumerate(theta) if t > 0}
+    for _ in range(100):
+        w = 1.0 / (b - u @ x)
+        M = (u.T * w ** 2) @ u + np.diag(x ** -2.0)
+        a, c = np.linalg.solve(M, np.column_stack([1.0 / x - u.T @ w, np.ones(L)])).T
+        dx = a - c * a.sum() / c.sum()
+        delta = np.sqrt(max(dx @ M @ dx, 0.0))  # Newton decrement
+        x = x + dx / (1.0 + delta)
+        if delta <= 1e-9:
+            break
+    theta = 1.0 / ((b - u @ x) * norm[keep])
+    # the deepest vertex strictly inside every cut that no evaluation has
+    # reached (a multiplier above 1 - 1e-6), or the one the centre reaches
+    depth = np.where(np.all(lam <= 1.0 - 1e-6, axis=0), np.min(b - u.T, axis=1), 0.0)
+    if depth.max() > 0 or x.max() > 1.0 - 1e-6:
+        x = np.eye(L)[np.argmax(depth if depth.max() > 0 else x)]
+    return x, {int(k): t / theta.sum() for k, t in zip(keep, theta)}
 
 
 def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False):
@@ -341,17 +347,17 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
 def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     """SINR balancing under multiple linear constraints: minimize the merged
     upper bound on the balanced ratio over simplex multipliers.  The
-    downlink powers of the evaluations the search weights are scaled into
-    every constraint, and the one with the largest least SINR_i / gamma_i,
-    the emitted alpha, is kept.  Returns (alpha, downlink beamforming
-    solution, multipliers, trace)."""
+    downlink powers of every evaluation are scaled into every constraint
+    once, and of those the search weights, the one with the largest least
+    SINR_i / gamma_i, the emitted alpha, is kept.  Returns (alpha, downlink
+    beamforming solution, multipliers, trace)."""
     constraints = list(constraints)
     warm = [None]  # uplink solution of the previous evaluation
 
     def evaluate(lam, A, budget):
         alpha, warm[0] = solve_sinr_balance_mac(ch, A, budget, targets, inner, warm[0])
         bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
-        return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), bf
+        return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), repaired(bf)
 
     def repaired(bf):
         scaled = lambda s: model.BeamformingSolution.built(bf.u, bf.v, s * bf.p, bf.q)
@@ -360,7 +366,7 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
         return float(np.min(model.bc_sinr(ch, bf) / targets.gamma)), bf
 
     def recover(results, theta):
-        return max((repaired(results[k]) for k in theta), key=lambda out: out[0])
+        return max((results[k] for k in theta), key=lambda out: out[0])
 
     return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
                             outer, "min", evaluate, recover)
@@ -403,12 +409,12 @@ class QuadraticBall:
     At a normal c >= 0 its support function h(c) = sup{c . p : |p|^2 <=
     radius_sq} is attained at ``support_point(c)``, and ``merged(c)`` is the
     single linear constraint tr(Q sum_l c_l A_l) <= h(c), which every
-    feasible Q meets.  ``room(p)`` is the largest t with t p in the ball.
-    An affine constraint a . p <= offset needs no class of its own: it is
-    ``LinearConstraint(sum_l a_l A_l, offset)``."""
+    feasible Q meets.  ``room(cov)`` is the largest factor s <= 1 with s cov
+    in the ball once rounded.  An affine constraint a . p <= offset needs no
+    class of its own: it is ``LinearConstraint(sum_l a_l A_l, offset)``."""
 
     def __init__(self, mats, radius_sq):
-        self.mats = [linalg.check_hermitian(A, name="constraint matrix") for A in mats]
+        self.mats = [model.LinearConstraint(A, 1.0).A for A in mats]  # Hermitian PSD
         if not (0 < radius_sq < np.inf):
             raise InvalidInput("radius_sq must be positive and finite")
         self.radius_sq = float(radius_sq)
@@ -417,8 +423,10 @@ class QuadraticBall:
         c = np.asarray(c, dtype=float)
         return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
 
-    def room(self, p):
-        return float(np.sqrt(self.radius_sq) / max(np.linalg.norm(p), 1e-300))
+    def room(self, cov_bc):
+        s = min(1.0, np.sqrt(self.radius_sq) / max(np.linalg.norm(self.traces(cov_bc)), 1e-300))
+        return model.step_down(s, lambda s: self.value(
+            model.CovarianceSet.built(model.BC, s * cov_bc.Q)) <= 0)
 
     def merged(self, lam):
         """Noise matrix sum_l c_l A_l (as in ``combined_constraint``) and
@@ -443,8 +451,8 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     The multiplier search minimizes, over normals c on the simplex, the
     bound of the merged constraint ``f.merged(c)``; its subgradient is
     mu * (support_point(c) - p(Q)) at the inner solution.  The emitted
-    covariance is the time-shared one scaled by min(1, ``f.room(p)``) into
-    the constraint.  Returns it and a ``NonlinearResult``.
+    covariance is the time-shared one scaled by ``f.room`` into the ball.
+    Returns it and a ``NonlinearResult``.
     """
     if not isinstance(f, QuadraticBall):
         raise InvalidInput("constraint must be a QuadraticBall")
@@ -453,5 +461,5 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
         _wsr_evaluate(ch, weights, inner,
                       lambda lam, cov: f.support_point(lam.values) - f.traces(cov),
                       len(f.mats), outer),
-        _wsr_recover(ch, weights, lambda cov: min(1.0, f.room(f.traces(cov)))), settles=True)
+        _wsr_recover(ch, weights, f.room), settles=True)
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

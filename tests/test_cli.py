@@ -75,13 +75,19 @@ def _args(command, config, out):
     (_region_doc(constraints=[dict(PER_ANTENNA[0], budget=math.inf), PER_ANTENNA[1]]),
      "constraints[0]: constraint budget must be positive and finite"),
     (_region_doc(solver={"tol": math.inf}), "solver: tol must be positive and finite"),
+    # the ball's matrices must be PSD, as a linear constraint's must
+    (_nonlinear_doc(channels={"h": [[[0.1, 2.0], [0.0, 0.1]], [[0.0, 1.5], [0.1, 0.0]]]},
+                    weights=[2.0, 1.0],
+                    nonlinear=dict(BALL, budget=100.0, a=[[[1.0, 0.0], [0.0, 0.0]],
+                                                          [[-0.5, 0.0], [0.0, 1.0]]])),
+     "nonlinear: constraint matrix must be PSD"),
 ], ids=["three_users", "heuristic_singular_first", "heuristic_one_constraint",
         "nonlinear_matrix_size", "single_per_antenna", "seed_not_a_number",
         "resolution_not_a_number",
         "antenna_not_a_number", "sigma2_not_numbers", "encoding_order_not_numbers",
         "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean",
         "antenna_not_an_integer", "resolution_not_an_integer", "weights_not_finite",
-        "budget_not_finite", "tol_not_finite"])
+        "budget_not_finite", "tol_not_finite", "nonlinear_matrix_indefinite"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2
@@ -251,6 +257,25 @@ def test_two_constraint_region_does_not_import_scipy(tmp_path):
                            _write(tmp_path, _region_doc()), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_three_constraint_region_does_not_import_scipy(tmp_path):
+    """The search over three or more multipliers is numpy alone: a region
+    run under three constraints in a fresh interpreter loads no scipy."""
+    out = tmp_path / "out"
+    doc = _region_doc(constraints=PER_ANTENNA + [{"type": "sum_power", "budget": 8.0}])
+    code = ("import sys\n"
+            "from bcmac import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.exit(f'scipy loaded: {loaded[:3]}' if loaded else 0)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, "region", "--config",
+                           _write(tmp_path, doc), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "wsr_region.csv").read_text(encoding="utf-8").splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("doc, message", [

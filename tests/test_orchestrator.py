@@ -548,3 +548,73 @@ def test_sinr_balancing_repair_emits_nonnegative_slacks(seed):
     rng, ch, cons = _two_constraint_family(seed)
     _, bf, _, _ = solve_sinr_balance_multi(ch, cons, SinrTargets(rng.uniform(0.5, 2, ch.K)))
     assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+
+
+@pytest.mark.parametrize("settings", [{}, {"outer": OUTER, "inner": INNER}])
+def test_nonlinear_point_lies_inside_the_ball(settings):
+    """The ball's repair steps its factor down until the emitted covariance
+    lies inside the ball once rounded: min(1, room) alone left phi at
+    +1.42e-14 on the instance of ``test_nonlinear_quadratic_ball_certified``."""
+    ch = ChannelSet([[[2.0, 0.0], [0.5, 0.6]], [[0.3, 0.2], [0.0, 1.5]]])
+    ball = QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 100.0)
+    cov, _ = solve_wsr_nonlinear(ch, ball, [2.0, 1.0], **settings)
+    assert ball.value(cov) <= 0
+
+
+def test_dominated_constraints_stop_at_the_vertex():
+    """On the instance of ``test_mixed_constraints_dominated`` the per-antenna
+    constraints are inactive: the second evaluation takes the sum-power
+    vertex, and the centres that close in on it snap to it, a repeat that
+    stops the search (the centre alone took all 60 evaluations)."""
+    ch = ChannelSet([H1_CAP, H2_CAP])
+    cons = [LinearConstraint.sum_power(2, 8.0)] + \
+        [LinearConstraint.per_antenna(2, a, 5.0) for a in range(2)]
+    _, lam, trace = solve_wsr_multi(ch, cons, [1, 1], OUTER, INNER)
+    assert trace.iterations == 2 and lam.values[0] > 1 - 1e-6
+
+
+def _three_constraint_family(seed, stall=False):
+    """K in 2..3 users of 1..3 antennas on 3 transmit antennas, at a seed
+    that draws L = 3 from 2..3: sum power 4 and 1.5 on antennas 0 and 1,
+    or with ``stall`` 3 on each antenna and no sum power; SINR targets in
+    [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    K, nr, L = rng.integers(2, 4), rng.integers(1, 4), rng.integers(2, 4)
+    assert L == 3
+    ch = ChannelSet(rand_channels(rng, K, nr, 3))
+    budgets = [3.0] * 3 if stall else [1.5] * 2
+    cons = [LinearConstraint.per_antenna(3, a, P) for a, P in enumerate(budgets)]
+    if not stall:
+        cons.insert(0, LinearConstraint.sum_power(3, 4.0))
+    return ch, cons, SinrTargets(rng.uniform(0.5, 2, K))
+
+
+@pytest.mark.parametrize("solve, seed", [(solve_power_balance_multi, 0),
+                                         (solve_sinr_balance_multi, 9),
+                                         (solve_sinr_balance_multi, 11)])
+def test_three_constraint_balancing_converges(solve, seed):
+    """The analytic centre certifies balancing searches that the centre of
+    the largest ball left unconverged at 80 evaluations (gaps 1.8e-5,
+    2.6e-4 and 1.2e-4): its steps do not crawl back beside old cuts."""
+    _, _, _, trace = solve(*_three_constraint_family(seed))
+    assert trace.converged and trace.iterations <= 40
+
+
+def test_sinr_balancing_under_three_antenna_budgets_returns():
+    """Under 3 on each of three antennas, SINR balancing at seed 9 raised
+    ``MaxItersExceeded`` when the largest-ball centre led it to multipliers
+    where the inner fixed point creeps; it now returns a feasible point."""
+    ch, cons, targets = _three_constraint_family(9, stall=True)
+    _, bf, _, trace = solve_sinr_balance_multi(ch, cons, targets)
+    assert trace.converged
+    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_four_antenna_constraint_searches_converge_within_30(seed):
+    """The instances of ``test_four_users_four_antenna_constraints_finish``
+    took 39-44 evaluations with the largest-ball centre."""
+    ch = ChannelSet(rand_channels(np.random.default_rng(seed), 4, 2, 4))
+    cons = [LinearConstraint.per_antenna(4, a, 2.5) for a in range(4)]
+    _, _, trace = solve_wsr_multi(ch, cons, np.ones(4), SolverSettings(max_iters=120))
+    assert trace.converged and trace.iterations <= 30
