@@ -11,7 +11,7 @@ class InvalidInput(BcMacError):
 
 class SingularConstraintMatrix(BcMacError):
     """A matrix that must be positive definite (constraint matrix or dual
-    noise covariance) has an eigenvalue at or below the configured floor."""
+    noise covariance) fails the rule of ``linalg.pd_roots``."""
 
 
 class NotPositiveDefinite(BcMacError):

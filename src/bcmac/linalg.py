@@ -4,10 +4,11 @@ Matrices are plain ``numpy`` arrays in ``complex128``.  Validation happens
 where input enters the library: :func:`check_hermitian` checks conjugate
 symmetry (``max|M - M^H| <= 1e-12 max|M|``) of caller-supplied matrices
 (constraint matrices, covariances, the noise passed to the public solvers
-and rate functions).  The decomposition helpers (:func:`pd_roots`,
-:func:`inv_sqrt`, :func:`logdet_psd`, :func:`assert_pd`) do not check: they
-take the Hermitian part of their argument, which the library's own sums and
-products only meet up to roundoff, and call ``eigh`` on it.
+and rate functions), and :func:`check_pd` adds the package's one
+positive-definiteness rule, :func:`pd_roots`'s.  The decomposition helpers
+(:func:`pd_roots`, :func:`inv_sqrt`, :func:`logdet_psd`) do not check
+symmetry: they take the Hermitian part of their argument, which the
+library's own sums and products only meet up to roundoff.
 All functions are pure and safe to call concurrently.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotPositiveDefinite, SingularConstraintMatrix
 
-# Eigenvalues of matrices that get inverted must clear this floor.
+# Matrices that get inverted: every eigenvalue > PD_FLOOR * max(1, largest).
 PD_FLOOR = 1e-8
 # Roundoff-sized negative eigenvalues clamp to zero; anything below errors.
 CLAMP_TOL = 1e-9
@@ -39,37 +40,47 @@ def hermitian_part(M):
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
-def check_hermitian(M, tol=HERMITIAN_TOL, name="matrix"):
+def check_hermitian(M, name="matrix"):
     """Validate conjugate symmetry and return the symmetrized matrix."""
     A = as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {A.shape}")
     scale = np.max(np.abs(A))
-    if scale > 0 and np.max(np.abs(A - A.conj().T)) > tol * scale:
-        raise InvalidInput(f"{name} is not Hermitian within {tol:g} relative")
+    if scale > 0 and np.max(np.abs(A - A.conj().T)) > HERMITIAN_TOL * scale:
+        raise InvalidInput(f"{name} is not Hermitian within {HERMITIAN_TOL:g} relative")
     return hermitian_part(A)
 
 
-def pd_roots(M, floor):
+def pd_roots(M, name="matrix"):
     """Square roots r of the eigenvalues (ascending) and the eigenvectors V of
     a positive definite matrix: M^{1/2} = V diag(r) V^H and
     M^{-1/2} = V diag(1/r) V^H from one eigendecomposition.
 
-    Raises SingularConstraintMatrix when any eigenvalue is <= floor, which is
-    how a non-positive-definite constraint matrix surfaces to callers.
+    Raises SingularConstraintMatrix unless every eigenvalue exceeds
+    PD_FLOOR * max(1, largest eigenvalue); a NaN fails too.
     """
     w, V = np.linalg.eigh(hermitian_part(M))
-    if w[0] <= floor:
+    low = w.min()  # NaN if any eigenvalue is, and then the test fails
+    if not low > PD_FLOOR * max(1.0, w[-1]):
         raise SingularConstraintMatrix(
-            f"eigenvalue {w[0]:g} <= floor {floor:g}; matrix not invertible"
-        )
+            f"{name} is not positive definite: eigenvalue {low:g} <= "
+            f"{PD_FLOOR:g} * max(1, {w[-1]:g})")
     return np.sqrt(w), V
 
 
-def inv_sqrt(M, floor=PD_FLOOR):
+def inv_sqrt(M, name="matrix"):
     """Hermitian inverse square root N with N M N^H = I (see pd_roots)."""
-    r, V = pd_roots(M, floor)
+    r, V = pd_roots(M, name)
     return (V / r) @ V.conj().T
+
+
+def check_pd(M, name="matrix"):
+    """Validate a caller-supplied matrix that must be positive definite
+    (:func:`check_hermitian`, then :func:`pd_roots`'s rule) and return the
+    symmetrized matrix."""
+    A = check_hermitian(M, name)
+    pd_roots(A, name)
+    return A
 
 
 def logdet_psd(M):
@@ -79,14 +90,3 @@ def logdet_psd(M):
     if np.any(w[..., 0] <= 0):
         raise NotPositiveDefinite(f"matrix has eigenvalue {np.min(w[..., 0]):g} <= 0")
     return np.sum(np.log(w), axis=-1)
-
-
-def assert_pd(M, floor=0.0, name="matrix"):
-    """Validate positive definiteness (eigenvalues strictly above floor)."""
-    w, V = np.linalg.eigh(hermitian_part(M))
-    scale = max(1.0, abs(float(w[-1])))
-    if w[0] <= floor * scale:
-        raise SingularConstraintMatrix(
-            f"{name} is not positive definite (min eigenvalue {w[0]:g})"
-        )
-    return w, V

@@ -435,8 +435,7 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     equals alpha to rounding.
     """
     settings = settings or SolverSettings()
-    A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=linalg.PD_FLOOR, name="uplink noise covariance")
+    A = linalg.check_pd(noise, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
     if not (budget > 0):
@@ -481,8 +480,7 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     InfeasibleTargets.
     """
     settings = settings or SolverSettings()
-    A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=linalg.PD_FLOOR, name="uplink noise covariance")
+    A = linalg.check_pd(noise, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
     v, q = _start(ch, init)

@@ -283,8 +283,7 @@ def mac_rates(ch, cov, noise):
     covariance ``noise``; decode order is the reverse of the encoding order,
     so the user at encoding position m is interfered by positions < m."""
     _check_dims(ch, cov, MAC)
-    A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
+    A = linalg.check_pd(noise, name="uplink noise covariance")
     order = list(ch.encoding_order)
     H = np.asarray(ch.H)[order]
     # A, then A plus the terms of the users encoded at positions 0..m
@@ -348,9 +347,9 @@ def bc_sinr(ch, bf, scheme="dpc"):
 
 def whitened_channels(ch, A):
     """Channels of the equivalent identity-noise problem, (H_i / sigma_i)
-    A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}; an
-    eigenvalue of A at most ``linalg.PD_FLOOR`` raises SingularConstraintMatrix."""
-    W = linalg.inv_sqrt(A)
+    A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}: the
+    weighted-sum-rate path's positive-definiteness gate (``linalg.pd_roots``)."""
+    W = linalg.inv_sqrt(A, name="uplink noise covariance")
     return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
 
 
@@ -378,8 +377,7 @@ def mac_sinr(ch, bf, noise):
     """Dual-uplink SINRs, (K,) in user order: a user is decoded after
     everyone encoded later, so it sees interference from the users encoded
     before it plus the base-station noise covariance."""
-    A = linalg.check_hermitian(noise, name="noise")
-    linalg.assert_pd(A, floor=1e-14, name="uplink noise covariance")
+    A = linalg.check_pd(noise, name="uplink noise covariance")
     order = list(ch.encoding_order)
     u, q = bf.u[order], bf.q[order]
     M = stream_gains(stream_links(ch, bf.v), u)

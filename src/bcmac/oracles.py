@@ -254,9 +254,8 @@ def brute_wsr(ch, constraints, weights, grid=None):
     weights = np.asarray(weights, dtype=float).reshape(-1)
     amax = _scale_bound(constraints)
     if len(constraints) == 1:
-        from . import linalg
-
-        W = np.real(linalg.inv_sqrt(constraints[0].A, floor=1e-12))
+        w, V = np.linalg.eigh(np.real(constraints[0].A))
+        W = (V / np.sqrt(w)) @ V.T
         from .model import ChannelSet
 
         ch_wh = ChannelSet([np.real(Hi) @ W for Hi in ch.H], ch.sigma2,

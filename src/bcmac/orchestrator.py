@@ -133,8 +133,8 @@ class NonlinearResult:
 
 
 def _merged_matrix(lam, mats):
-    """sum_l lam_l A_l: at least the multiplier floor times sum_l A_l, so
-    positive definite whenever that sum is, as configs must make it."""
+    """sum_l lam_l A_l; at ``DualWeights`` it passes ``linalg.pd_roots``'s
+    rule, concave in lam, if it does at every floored vertex, as configs must."""
     return linalg.hermitian_part(sum(l * M for l, M in zip(lam, mats)))
 
 

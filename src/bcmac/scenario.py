@@ -244,18 +244,22 @@ def load_config(path):
         raise ConfigError(f"heuristic: expected true or false, got {heuristic!r}")
     if heuristic and len(constraints) < 2:
         raise ConfigError("heuristic: normalization needs at least two constraints")
-    # a constraint set bounds the transmit power only if its matrices sum to
-    # a positive definite one; the heuristic solves under constraints[0] alone
+    # the search merges the matrices at floored multipliers, where the margin
+    # of linalg.pd_roots's rule is concave, so its floored simplex vertices are
+    # the worst case; the heuristic solves under constraints[0] alone
     if heuristic:
-        bounded, name = constraints[0].A, "heuristic: constraints[0] matrix"
+        mats, name = [constraints[0].A], "heuristic: constraints[0] matrix"
     elif nonlinear is not None:
-        bounded, name = sum(nonlinear.mats), "sum of the nonlinear.a matrices"
+        mats, name = nonlinear.mats, "merged nonlinear.a matrix"
     else:
-        bounded, name = sum(c.A for c in constraints), "sum of the constraint matrices"
-    try:
-        linalg.assert_pd(bounded, floor=linalg.PD_FLOOR, name=name)
-    except SingularConstraintMatrix as exc:
-        raise ConfigError(str(exc)) from exc
+        mats, name = [c.A for c in constraints], "merged constraint matrix"
+    for k, vertex in enumerate(np.eye(len(mats))):
+        where = f"{name} at multiplier vertex {k + 1} of {len(mats)}" if len(mats) > 1 else name
+        try:
+            linalg.pd_roots(orchestrator._merged_matrix(
+                orchestrator.DualWeights(vertex).values, mats), where)
+        except SingularConstraintMatrix as exc:
+            raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
         objective=objective,
         channels=ch,

@@ -36,11 +36,11 @@ from . import linalg, model
 from .errors import DegenerateTransform, InvalidInput
 
 
-def _roots(M, floor=1e-14):
+def _roots(M, name="matrix"):
     """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
     of its Hermitian part (M is a sum of products, Hermitian up to roundoff);
-    an eigenvalue at most ``floor`` raises SingularConstraintMatrix."""
-    r, V = linalg.pd_roots(M, floor)
+    an M failing ``linalg.pd_roots``'s rule raises SingularConstraintMatrix."""
+    r, V = linalg.pd_roots(M, name)
     return (V * r) @ V.conj().T, (V / r) @ V.conj().T
 
 
@@ -82,9 +82,9 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     """Map dual-uplink covariances to downlink covariances achieving the same
     per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m)).
     ``whitened`` is ``model.whitened_channels(ch, A)`` when the caller has it
-    already (a weighted-sum-rate solve returns it)."""
+    already (a weighted-sum-rate solve returns it); ``A`` is then unused."""
     model._check_dims(ch, cov_mac, model.MAC)
-    Hhat, W = whitened or model.whitened_channels(ch, A)
+    Hhat, W = whitened or model.whitened_channels(ch, linalg.check_hermitian(A, name="A"))
     order = ch.encoding_order
     # absorb the per-user noise weights so the budget is a plain trace
     Z = ch.sigma2[:, None, None] * cov_mac.Q
@@ -106,7 +106,7 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     """Mirror of :func:`mac_to_bc_capacity`: downlink covariances to uplink
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     model._check_dims(ch, cov_bc, model.BC)
-    As, W = _roots(A, linalg.PD_FLOOR)
+    As, W = _roots(linalg.check_hermitian(A, name="A"), "A")
     Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
     order = list(ch.encoding_order)
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
@@ -132,9 +132,7 @@ def mac_to_bc_sinr(ch, bf_mac, A):
     satisfies, user by user, SINR_bc = SINR_mac and
     sum p u^H A u = sum sigma^2 q.
     """
-    A = linalg.check_hermitian(A, name="A")
-    linalg.assert_pd(A, floor=0.0, name="constraint matrix")
-    return sinr_to_bc(ch, bf_mac, A)
+    return sinr_to_bc(ch, bf_mac, linalg.check_pd(A, name="A"))
 
 
 def sinr_to_bc(ch, bf_mac, A):

@@ -129,6 +129,34 @@ def test_keys_the_objective_does_not_read_exit_2(tmp_path, capsys, doc, key, run
     assert not out.exists()
 
 
+# Matrix constraints whose sum is positive definite, but whose merge at the
+# first floored multiplier vertex, about diag(1, 1e-13), is not.
+VERTEX_SINGULAR = {
+    "channels": {"h": [[[1.0, 0.0], [0.2, 0.0]], [[0.5, 0.0], [0.4, 0.0]]]},
+    "constraints": [{"type": "matrix", "a": [[1.0, 0.0], [0.0, 0.0]], "budget": 1.0},
+                    {"type": "matrix", "a": [[0.0, 0.0], [0.0, 1e-6]], "budget": 1.0}]}
+
+
+@pytest.mark.parametrize("objective, extra", [
+    ("wsr_region", {"sweep": {"resolution": 2}}),
+    ("sinr_balance", {"targets": [1.0, 1.0]}),
+    ("power_balance", {"targets": [1.0, 1.0]}),
+])
+@pytest.mark.parametrize("run", [False, True], ids=["validate", "run"])
+def test_merge_singular_at_a_multiplier_vertex_exits_2(tmp_path, capsys, objective, extra,
+                                                       run):
+    """The search merges the constraints at floored multipliers, so a config
+    whose merge fails the positive-definiteness rule at a simplex vertex is
+    a config error naming that vertex, not a solver failure mid-search."""
+    doc = dict(VERTEX_SINGULAR, objective=objective, **extra)
+    out = tmp_path / "out"
+    command = scenario.OBJECTIVES[objective].subcommand if run else "validate"
+    assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "multiplier vertex 1 of 2" in err
+    assert not out.exists()
+
+
 def test_subcommands_are_the_objective_table_and_validate():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     table = {row.subcommand for row in scenario.OBJECTIVES.values()}

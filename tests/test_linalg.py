@@ -13,19 +13,19 @@ def rand_hermitian(rng, n, scale=1.0):
 
 
 def test_eig_identity():
-    r, V = linalg.pd_roots(np.eye(2), floor=0.0)
+    r, V = linalg.pd_roots(np.eye(2))
     assert np.allclose(r, [1.0, 1.0])
     assert np.allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_eig_diagonal_sorted():
-    r, _ = linalg.pd_roots(np.diag([3.0, 1.0]), floor=0.0)
+    r, _ = linalg.pd_roots(np.diag([3.0, 1.0]))
     assert np.allclose(r ** 2, [1.0, 3.0])
 
 
 def test_eig_reconstruction(rng):
     M = rand_psd(rng, 4) + 0.1 * np.eye(4)
-    r, V = linalg.pd_roots(M, floor=0.0)
+    r, V = linalg.pd_roots(M)
     assert np.linalg.norm(V @ np.diag(r ** 2) @ V.conj().T - M) < 1e-10 * np.linalg.norm(M)
 
 
@@ -36,7 +36,7 @@ def test_eig_roundtrip_property(rng):
         scale = float(rng.uniform(0.1, 10))
         M = rand_hermitian(rng, n, scale)
         M = M + (1.0 - np.linalg.eigvalsh(M)[0]) * np.eye(n)
-        r, V = linalg.pd_roots(M + 1e-13 * scale * rand_complex(rng, (n, n)), floor=0.0)
+        r, V = linalg.pd_roots(M + 1e-13 * scale * rand_complex(rng, (n, n)))
         resid = np.linalg.norm(V @ np.diag(r ** 2) @ V.conj().T - M)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(M))
         assert np.linalg.norm(V @ V.conj().T - np.eye(n)) <= 1e-10 * n
@@ -71,9 +71,25 @@ def test_inv_sqrt_whitens(rng):
 def test_inv_sqrt_floor():
     with pytest.raises(SingularConstraintMatrix):
         linalg.inv_sqrt(np.diag([1.0, 1e-9]))
-    # explicit floor override admits it
-    N = linalg.inv_sqrt(np.diag([1.0, 1e-9]), floor=1e-12)
-    assert np.isfinite(N).all()
+    # the floor is PD_FLOOR times the largest eigenvalue once that passes 1
+    with pytest.raises(SingularConstraintMatrix):
+        linalg.inv_sqrt(np.diag([1e3, 1e-6]))
+    N = linalg.inv_sqrt(np.diag([1e-3, 2e-8]))
+    assert np.allclose(N, np.diag(np.array([1e-3, 2e-8]) ** -0.5))
+
+
+def test_pd_roots_fails_nan():
+    with pytest.raises(SingularConstraintMatrix):
+        linalg.pd_roots(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_check_pd_checks_symmetry_then_the_rule():
+    A = np.array([[2.0, 1j], [-1j, 2.0]])
+    np.testing.assert_array_equal(linalg.check_pd(A), A)
+    with pytest.raises(InvalidInput):
+        linalg.check_pd([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(SingularConstraintMatrix, match="noise is not positive definite"):
+        linalg.check_pd(np.diag([1e3, 1e-6]), name="noise")
 
 
 def _lu_logdet(M):

@@ -231,6 +231,20 @@ def test_capacity_transform_rejects_singular_A(rng):
         mac_to_bc_capacity(ch, cov, np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("transform, side", [(mac_to_bc_capacity, "mac"),
+                                             (bc_to_mac_capacity, "bc")],
+                         ids=["mac_to_bc", "bc_to_mac"])
+@pytest.mark.parametrize("A", [[[1.0, 0.5], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+                         ids=["not_hermitian", "nan"])
+def test_capacity_transforms_validate_A(rng, transform, side, A):
+    """A non-Hermitian or non-finite A is invalid input: the transforms do
+    not take its Hermitian part, nor let numpy fail on it."""
+    ch = _random_instance(rng, K=2, nt=2, nr=2)
+    cov = CovarianceSet(side, random_mac_cov(rng, 2, 2, 1.0).Q)
+    with pytest.raises(InvalidInput):
+        transform(ch, cov, A)
+
+
 def test_transform_deterministic(rng):
     ch = _random_instance(rng, K=2, nt=2, nr=2)
     A = rand_pd(rng, 2)
