@@ -255,6 +255,8 @@ def brute_wsr(ch, constraints, weights, grid=None):
     amax = _scale_bound(constraints)
     if len(constraints) == 1:
         w, V = np.linalg.eigh(np.real(constraints[0].A))
+        if not w[0] > 1e-12 * max(1.0, w[-1]):
+            raise InvalidInput("constraint matrix must be positive definite")
         W = (V / np.sqrt(w)) @ V.T
         from .model import ChannelSet
 

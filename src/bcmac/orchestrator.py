@@ -133,9 +133,18 @@ class NonlinearResult:
 
 
 def _merged_matrix(lam, mats):
-    """sum_l lam_l A_l; at ``DualWeights`` it passes ``linalg.pd_roots``'s
-    rule, concave in lam, if it does at every floored vertex, as configs must."""
+    """sum_l lam_l A_l (see :func:`check_merges`)."""
     return linalg.hermitian_part(sum(l * M for l, M in zip(lam, mats)))
+
+
+def check_merges(mats, name):
+    """Raise SingularConstraintMatrix unless sum_l lam_l A_l passes
+    ``linalg.pd_roots``'s rule at every ``DualWeights`` lam.  The rule's
+    margin is concave in lam and each ``DualWeights`` lies in the hull of the
+    floored simplex vertices, so a check at those vertices suffices."""
+    for k, vertex in enumerate(np.eye(len(mats))):
+        linalg.pd_roots(_merged_matrix(DualWeights(vertex).values, mats),
+                        f"{name} at multiplier vertex {k + 1} of {len(mats)}")
 
 
 def combined_constraint(constraints, lam):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from . import linalg, model, orchestrator
+from . import model, orchestrator
 from .errors import InvalidInput, SingularConstraintMatrix
 from .macsolver import SolverSettings
 from .model import ChannelSet, LinearConstraint, SinrTargets
@@ -244,22 +244,17 @@ def load_config(path):
         raise ConfigError(f"heuristic: expected true or false, got {heuristic!r}")
     if heuristic and len(constraints) < 2:
         raise ConfigError("heuristic: normalization needs at least two constraints")
-    # the search merges the matrices at floored multipliers, where the margin
-    # of linalg.pd_roots's rule is concave, so its floored simplex vertices are
-    # the worst case; the heuristic solves under constraints[0] alone
+    # the heuristic solves under constraints[0] alone
     if heuristic:
         mats, name = [constraints[0].A], "heuristic: constraints[0] matrix"
     elif nonlinear is not None:
         mats, name = nonlinear.mats, "merged nonlinear.a matrix"
     else:
         mats, name = [c.A for c in constraints], "merged constraint matrix"
-    for k, vertex in enumerate(np.eye(len(mats))):
-        where = f"{name} at multiplier vertex {k + 1} of {len(mats)}" if len(mats) > 1 else name
-        try:
-            linalg.pd_roots(orchestrator._merged_matrix(
-                orchestrator.DualWeights(vertex).values, mats), where)
-        except SingularConstraintMatrix as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        orchestrator.check_merges(mats, name)
+    except SingularConstraintMatrix as exc:
+        raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
         objective=objective,
         channels=ch,

@@ -36,14 +36,6 @@ from . import linalg, model
 from .errors import DegenerateTransform, InvalidInput
 
 
-def _roots(M, name="matrix"):
-    """M^{1/2} and M^{-1/2} of a positive definite M, one eigendecomposition
-    of its Hermitian part (M is a sum of products, Hermitian up to roundoff);
-    an M failing ``linalg.pd_roots``'s rule raises SingularConstraintMatrix."""
-    r, V = linalg.pd_roots(M, name)
-    return (V * r) @ V.conj().T, (V / r) @ V.conj().T
-
-
 def _flip(Phi, Om, Hhat, Q_src, to_bc):
     """Flip one user's covariance through the SVD of the effective channel
     G = Om^{-1/2} Hhat F.  Phi is the (Nt,Nt) uplink-side cumulative
@@ -61,7 +53,8 @@ def _flip(Phi, Om, Hhat, Q_src, to_bc):
     m = min(nr, nt)
     C = np.linalg.cholesky(Phi)
     F = np.linalg.inv(C).conj().T
-    Om_s, Om_is = _roots(Om)
+    w, V = np.linalg.eigh(linalg.hermitian_part(Om))  # Om >= I: positive definite
+    Om_s, Om_is = (V * np.sqrt(w)) @ V.conj().T, (V / np.sqrt(w)) @ V.conj().T
     G = Om_is @ Hhat @ F
     R, _, Lh = np.linalg.svd(G)
     L = Lh.conj().T
@@ -106,7 +99,8 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     """Mirror of :func:`mac_to_bc_capacity`: downlink covariances to uplink
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     model._check_dims(ch, cov_bc, model.BC)
-    As, W = _roots(linalg.check_hermitian(A, name="A"), "A")
+    r, V = linalg.pd_roots(linalg.check_hermitian(A, name="A"), "A")
+    As, W = (V * r) @ V.conj().T, (V / r) @ V.conj().T
     Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
     order = list(ch.encoding_order)
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)

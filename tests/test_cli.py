@@ -157,6 +157,23 @@ def test_merge_singular_at_a_multiplier_vertex_exits_2(tmp_path, capsys, objecti
     assert not out.exists()
 
 
+def test_dominant_rank_deficient_constraint_exits_2(tmp_path, capsys):
+    """An interference constraint h h^H with |h|^2 = 20 beside a sum-power
+    constraint: at the constraint's own floored vertex the merge is about
+    h h^H + 1e-7 I, whose eigenvalue 1e-7 is below 1e-8 * 20, so the config
+    is rejected, although the same constraint written as (A / 20, P / 20)
+    validates."""
+    doc = {"objective": "wsr_region", "sweep": {"resolution": 2},
+           "channels": {"h": [[[1.0, 0.5]], [[0.3, 1.0]]]},
+           "constraints": [{"type": "sum_power", "budget": 1.0},
+                           {"type": "matrix", "a": [[20.0, 0.0], [0.0, 0.0]], "budget": 1.0}]}
+    out = tmp_path / "out"
+    assert cli.main(_args("validate", _write(tmp_path, doc), str(out))) == 2
+    assert "multiplier vertex 2 of 2" in capsys.readouterr().err
+    doc["constraints"][1] = {"type": "matrix", "a": [[1.0, 0.0], [0.0, 0.0]], "budget": 0.05}
+    assert cli.main(_args("validate", _write(tmp_path, doc), str(out))) == 0
+
+
 def test_subcommands_are_the_objective_table_and_validate():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     table = {row.subcommand for row in scenario.OBJECTIVES.values()}

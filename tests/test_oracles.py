@@ -48,6 +48,14 @@ def test_brute_wsr_rejects_unbounded():
         brute_wsr(ch, [LinearConstraint.per_antenna(2, 0, 1.0)], [1.0])
 
 
+def test_brute_wsr_rejects_a_near_singular_constraint():
+    """A single constraint the oracle would whiten with a 1e7 gain is not
+    positive definite to it, although it bounds the feasible set."""
+    ch = ChannelSet([np.eye(2)])
+    with pytest.raises(InvalidInput, match="positive definite"):
+        brute_wsr(ch, [LinearConstraint(np.diag([1.0, 1e-14]), 1.0)], [1.0])
+
+
 def test_grid_budget_guard():
     ch = ChannelSet([np.eye(2).astype(complex) for _ in range(2)])
     cons = [LinearConstraint(np.eye(2), 1.0), LinearConstraint.per_antenna(2, 0, 1.0)]

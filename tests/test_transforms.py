@@ -186,6 +186,37 @@ def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
     assert shapes and (nt, nt) not in shapes
 
 
+def test_capacity_transforms_at_high_snr_with_more_receive_antennas(rng, monkeypatch):
+    """With Nr = 2 > Nt = 1 and a high SNR, a user's downlink-side
+    interference I + Hhat later Hhat^H has eigenvalues 1 and past 1e8.  That
+    matrix is positive definite by construction, so both capacity transforms
+    decompose it without a conditioning gate.  They keep the rates to 1e-6
+    nats, about what that conditioning leaves of double precision."""
+    K, nr, nt = 3, 2, 1
+    ch = ChannelSet(rand_channels(rng, K, nr, nt), None, tuple(rng.permutation(K)))
+    A = np.eye(nt)
+    eigh, conds = np.linalg.eigh, []
+
+    def spy(M, *args, **kwargs):
+        w, V = eigh(M, *args, **kwargs)
+        conds.append(w[-1] / w[0])
+        return w, V
+
+    cov_mac = random_mac_cov(rng, K, nr, 3e8)
+    cov_bc_in = CovarianceSet("bc", [rand_psd(rng, nt, 1e8) for _ in range(K)])
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", spy)
+        cov_bc = mac_to_bc_capacity(ch, cov_mac, A)
+        back = bc_to_mac_capacity(ch, cov_bc_in, A)
+    assert max(conds) > 1e8
+    np.testing.assert_allclose(
+        ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc.Q)),
+        ref_mac_rates(ch.H, ch.encoding_order, list(cov_mac.Q), A), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(
+        ref_mac_rates(ch.H, ch.encoding_order, list(back.Q), A),
+        ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc_in.Q)), rtol=0, atol=1e-6)
+
+
 @pytest.mark.parametrize("transform, side", [(mac_to_bc_capacity, "mac"),
                                              (bc_to_mac_capacity, "bc")])
 def test_capacity_transforms_reject_blocks_of_the_other_side(rng, transform, side):
