@@ -6,9 +6,9 @@
 Each objective of ``scenario.OBJECTIVES`` names the subcommand that runs it
 (region, balance, powermin, nonlinear).  Every setting comes from the
 config; besides ``--config`` and ``--out`` the only flag is ``--log-level``.
-Exit codes: 0 success, 2 invalid config or usage, 3 solver failure (only the
-metadata sidecar is written, with ``partial: true``; rows finished before
-the failure are discarded).
+Exit codes: 0 success, 2 invalid config or usage, 3 solver failure (the
+metadata sidecar, with ``partial: true``, and the result files finished
+before the failure: a region sweep keeps its rows up to the failing point).
 """
 
 import argparse
@@ -66,7 +66,8 @@ def main(argv=None):
         paths = scenario.run_scenario(cfg, args.out)
     except BcMacError as exc:
         log.error("solver failure: %s", exc)
-        scenario.write_outputs(args.out, cfg.basename, {}, cfg, partial=True)
+        scenario.write_outputs(args.out, cfg.basename, getattr(exc, "files", {}), cfg,
+                               partial=True)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     for name in sorted(paths):

@@ -25,13 +25,16 @@ bound holds however inexact the solve) and a subgradient, whose direction
 cuts the simplex through the evaluated multipliers: the optimum lies on the
 side the bound decreases (increases, for power balancing).  Over two
 multipliers lam = (x, 1 - x) the sign of the slope sub_1 - sub_2 along x
-brackets the optimum (a bracket still open after two evaluations takes its
-open simplex vertex), and the search steps by Illinois regula falsi on that
+brackets the optimum, and the search steps by Illinois regula falsi on that
 slope kept inside ITP's bound, so it takes at most ``ITP_N0`` evaluations
 more than bisection (``_bracket_step``); over three or more it takes the
 analytic centre of the simplex the cuts leave, in numpy (``_center``).  The
 cuts use only directions, so they hold for the quasi-convex bounds of
-balancing too.
+balancing too.  A search starts at the simplex centre or at ``start`` (a
+region sweep's previous point's best multipliers, near its own).  An open
+bracket's n-th step goes from its closed end toward the open edge by
+d0 * 16^(n-1), at most to the floored vertex: d0 = 1/4 from the centre
+(x = 1/2, 3/4, then the vertex), ``PROBE`` from a start.
 
 Either way the search names the evaluations that locate the optimum, with
 weights under which their subgradients cancel along the simplex: the last
@@ -73,6 +76,7 @@ LAMBDA_FLOOR = 1e-7
 ITP_EPS = 2.0 ** -53  # bracket width the two-multiplier search resolves
 ITP_N0 = 4  # evaluations it may take beyond bisection's count
 SETTLE_RTOL = 1e-12  # relative move of a settled weighted-sum-rate value
+PROBE = 1e-3  # first one-sided step of a two-multiplier search given a start
 OUTER = SolverSettings(max_iters=80)  # the search's settings when none are given
 
 
@@ -167,7 +171,7 @@ def eval_wsr_relaxation(ch, A, budget, weights, inner=None, init=None):
     return sol.objective, cov_bc, sol
 
 
-def _bracket_step(trace, sign):
+def _bracket_step(trace, sign, probe):
     """Two multipliers lam = (x, 1 - x): the slope sign * (sub_1 - sub_2)
     of the searched bound along x says on which side of each evaluation the
     optimum lies.  Returns the next multipliers and the bracket's two ends
@@ -175,11 +179,13 @@ def _bracket_step(trace, sign):
     or the one end there is; after an exact zero slope, no next multipliers
     and that evaluation alone.
 
-    A one-sided bracket is bisected toward its open edge once; still
-    one-sided after two evaluations, it takes that edge, the simplex vertex
-    ``DualWeights`` floors, which either closes the bracket or repeats as the
-    optimum (a constraint inactive at the optimum leaves every slope one
-    sign).  A two-sided one
+    A one-sided bracket after n evaluations steps from its closed end toward
+    its open edge by ``probe`` * 16^(n-1), at most to that edge, the simplex
+    vertex ``DualWeights`` floors, which either closes the bracket or repeats
+    as the optimum (a constraint inactive at the optimum leaves every slope
+    one sign).  A ``probe`` of 1/4 from the centre bisects once, then takes
+    the edge; a start's small ``PROBE`` brackets a nearby optimum tightly.
+    A two-sided one
     takes the regula-falsi point of the ends' slopes, an end's slope weighted
     by 2^-k when the last k + 1 evaluations fell on the other side (Illinois;
     Dowell and Jarratt, 1971), projected into ITP's ball around the midpoint
@@ -196,8 +202,9 @@ def _bracket_step(trace, sign):
     x_lo = 0.0 if lo is None else x[lo]
     x_hi = 1.0 if hi is None else x[hi]
     mid = 0.5 * (x_lo + x_hi)
-    if lo is None or hi is None:
-        nxt = mid if n < 2 else x_lo if lo is None else x_hi  # the open edge
+    if lo is None or hi is None:  # step toward the open edge, at most to it
+        step = probe * 16.0 ** (n - 1)
+        nxt = max(x_hi - step, 0.0) if lo is None else min(x_lo + step, 1.0)
         return np.array([nxt, 1.0 - nxt]), {hi if lo is None else lo: 1.0}
     f_lo, f_hi = (slope[k] * 0.5 ** max(n - 2 - k, 0) for k in (lo, hi))
     first = max(left[0], right[0])  # the evaluation that closed the bracket
@@ -254,7 +261,7 @@ def _center(trace, sign):
     return x, {int(k): t / theta.sum() for k, t in zip(keep, theta)}
 
 
-def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False):
+def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, start=None):
     """Certified search over L >= 1 multipliers on the unit simplex.
 
     ``merge(lam) -> (A, budget)`` is the merged single constraint at ``lam``
@@ -266,20 +273,21 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False):
     emitted point from the evaluations' results and the search's weights
     ``theta`` (evaluation index: weight).  With ``settles`` the search also
     stops once certified and its emitted value has settled (see the module
-    docstring).  Returns (value, result, multipliers of the best bound,
-    trace)."""
+    docstring).  It starts at ``start`` (a ``DualWeights``) or the simplex
+    centre, which sets ``_bracket_step``'s ``probe``.  Returns (value,
+    result, multipliers of the best bound, trace)."""
     outer = outer or OUTER
     if L < 1:
         raise InvalidInput("need at least one constraint")
     sign = 1.0 if sense == "min" else -1.0
     trace, points, results, last = OuterTrace(), [], [], None
-    nxt = DualWeights(np.full(L, 1.0 / L))
+    nxt = start or DualWeights(np.full(L, 1.0 / L))
+    step = _center if L > 2 else partial(_bracket_step, probe=0.25 if start is None else PROBE)
     while True:
         points.append(nxt)
         bound, sub, result = evaluate(nxt, *merge(nxt))
         trace.record(nxt.values, bound, sub)
         results.append(result)
-        step = _bracket_step if L == 2 else _center
         lam, theta = (None, {0: 1.0}) if L == 1 else step(trace, sign)
         value, out = recover(results, theta)
         best = trace.best_index = int(np.argmin(sign * np.array(trace.value)))
@@ -333,14 +341,16 @@ def _wsr_recover(ch, weights, scale):
     return recover
 
 
-def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
+def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None, start=None):
     """Weighted sum rate maximization under multiple linear constraints.
 
     Minimizes the merged-constraint upper bound over simplex multipliers
     (subgradient entry l is mu * (P_l - tr(Q A_l)) at the inner solution)
-    and emits the time-shared covariances scaled into every constraint.
-    Returns that downlink covariance, the multipliers of the best bound and
-    the search trace (``trace.gap``: the certified relative gap).
+    and emits the time-shared covariances scaled into every constraint,
+    searching from ``start`` (a ``DualWeights``, say a neighbouring weight's
+    best multipliers) or the simplex centre.  Returns that downlink
+    covariance, the multipliers of the best bound and the search trace
+    (``trace.gap``: the certified relative gap).
     """
     constraints = list(constraints)
     _, cov_bc, lam, trace = _multiplier_loop(
@@ -349,7 +359,7 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None):
                       lambda lam, cov: model.constraint_slacks(cov, constraints),
                       len(constraints), outer),
         _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)),
-        settles=True)
+        settles=True, start=start)
     return cov_bc, lam, trace
 
 

@@ -41,7 +41,7 @@ import numpy as np
 import yaml
 
 from . import model, orchestrator
-from .errors import InvalidInput, SingularConstraintMatrix
+from .errors import BcMacError, InvalidInput, SingularConstraintMatrix
 from .macsolver import SolverSettings
 from .model import ChannelSet, LinearConstraint, SinrTargets
 
@@ -303,9 +303,10 @@ def _user_rates(ch, users, solved, cov):
     return rates
 
 
-def _region_point(cfg, t):
-    """One swept weight, solved once: the row, and the channel set, its users
-    and the downlink covariance it was solved on.  A two-user endpoint is the
+def _region_point(cfg, t, start=None):
+    """One swept weight, solved once from the multipliers ``start``: the row,
+    the channel set, its users and the downlink covariance it was solved on,
+    and the multipliers of its best bound.  A two-user endpoint is the
     weighted user's capacity alone (the other rate zero); other weights are
     solved in the weight-sorted order, equal weights in the configured one."""
     ch = cfg.channels
@@ -317,23 +318,29 @@ def _region_point(cfg, t):
         users = list(range(ch.K))
         solved = _weight_sorted(ch, w)
     cov, lam, tr = orchestrator.solve_wsr_multi(solved, cfg.constraints, w[users],
-                                                cfg.outer, cfg.solver)
+                                                cfg.outer, cfg.solver, start)
     rates = _user_rates(ch, users, solved, cov)
     row = [w[0], w[1] if ch.K == 2 else 0.0,
            _order_label(solved if len(users) == ch.K else ch), *rates / LN2, *lam.values,
            *model.constraint_slacks(cov, cfg.constraints), tr.iterations,
            min(tr.value) - float(w @ rates)]
-    return row, solved, users, cov
+    return row, solved, users, cov, lam
 
 
 def sweep_weights(resolution):
     return [i / resolution for i in range(resolution + 1)]
 
 
-def run_region(cfg):
-    """Weighted-sum-rate region sweep; returns the rows of ``region_csv``
-    ordered by weight index."""
-    return [_region_point(cfg, t)[0] for t in sweep_weights(cfg.resolution)]
+def run_region(cfg, rows=None):
+    """Weighted-sum-rate region sweep: appends the rows of ``region_csv`` to
+    ``rows`` in weight order as they finish, and returns them.  Each point's
+    search starts at the best multipliers of the point before it, so a row
+    depends on the rows before it (those of a failed sweep are a full one's)."""
+    rows, lam = [] if rows is None else rows, None
+    for t in sweep_weights(cfg.resolution):
+        row, *_, lam = _region_point(cfg, t, lam)
+        rows.append(row)
+    return rows
 
 
 def run_heuristic_normalization(cfg):
@@ -343,7 +350,7 @@ def run_heuristic_normalization(cfg):
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
     for t in sweep_weights(cfg.resolution):
-        point, solved, users, cov = _region_point(sub_cfg, t)
+        point, solved, users, cov, _ = _region_point(sub_cfg, t)
         scaled = model.CovarianceSet.built(model.BC, model.feasible_scale(cov, others) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append([*point[:3], *rates / LN2, *np.full(len(cfg.constraints), np.nan),
@@ -358,10 +365,17 @@ def region_csv(rows, n_users, n_constraints):
 
 
 def _region_files(cfg):
+    """A solver failure re-raises carrying the files finished before it in
+    ``files``."""
     K, L = cfg.channels.K, len(cfg.constraints)
-    files = {".csv": region_csv(run_region(cfg), K, L)}
-    if cfg.heuristic:
-        files["_heuristic.csv"] = region_csv(run_heuristic_normalization(cfg), K, L)
+    files, rows = {}, []
+    try:
+        files[".csv"] = region_csv(run_region(cfg, rows), K, L)
+        if cfg.heuristic:
+            files["_heuristic.csv"] = region_csv(run_heuristic_normalization(cfg), K, L)
+    except BcMacError as exc:
+        exc.files = files or {".csv": region_csv(rows, K, L)}
+        raise
     return files
 
 

@@ -367,11 +367,12 @@ def test_four_users_four_antenna_constraints_finish(seed):
     assert trace.converged == (trace.gap <= outer.tol)
 
 
-def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80):
+def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80, start=None):
     """The shared search over two constraints with a stub solve: the bound
     and its subgradient come from ``bound(x) -> (value, slope)`` at
     lam = (x, 1 - x), the result is the evaluation's index, and recovery
-    reports ``achieved`` with the weights it was given."""
+    reports ``achieved`` with the weights it was given.  With ``start`` the
+    search begins at lam = (start, 1 - start)."""
     cons = [LinearConstraint.per_antenna(2, 0, 5.0),
             LinearConstraint.per_antenna(2, 1, 5.0)]
     seen = []
@@ -384,9 +385,10 @@ def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80):
     def recover(results, theta):
         return achieved, theta
 
+    start = None if start is None else DualWeights([start, 1 - start])
     out = orchestrator._multiplier_loop(partial(combined_constraint, cons), len(cons),
                                         SolverSettings(max_iters=max_iters, tol=tol), sense,
-                                        evaluate, recover)
+                                        evaluate, recover, start=start)
     return out, seen
 
 
@@ -454,17 +456,60 @@ def test_multiplier_search_worst_case(slope):
 
 def test_multiplier_search_takes_the_vertex_of_an_open_bracket():
     """A slope that never changes sign (a constraint inactive at the optimum)
-    leaves the bracket open: after two evaluations the search takes the
-    open edge's vertex, floored by DualWeights, and stops when it repeats
-    (halving toward the edge took 26 evaluations)."""
+    leaves the bracket open: from the simplex centre the one-sided step of
+    1/4 * 16^(n-1) takes exactly 0.5, then 0.75 (0.25 toward the left edge),
+    then the open edge's vertex, floored by DualWeights, and the search stops
+    when it repeats (halving toward the edge took 26 evaluations)."""
     for bound, vertex in ((lambda x: (1.0 + (1.0 - x) ** 2, -2.0 * (1.0 - x)), [1.0, 0.0]),
                           (lambda x: (1.0 + x * x, 2.0 * x), [0.0, 1.0])):
         (value, theta, lam, trace), seen = _stub_multiplier_loop(bound, 1.0)
-        assert trace.iterations == len(seen) <= 4
+        assert trace.iterations == len(seen)
         _assert_inside_brackets(seen, lambda x: bound(x)[1])
-        assert seen[-1] == DualWeights(vertex).values[0]
+        assert seen == [0.5, 0.75 if vertex[0] else 0.25, DualWeights(vertex).values[0]]
         assert theta == {len(seen) - 1: 1.0} and lam.values[0] == seen[-1]
         assert trace.converged and 0 <= trace.gap <= 1e-8
+
+
+@pytest.mark.parametrize("start", [0.05, 0.29, 0.3 + 2e-4, 0.31, 0.6, 0.95])
+@pytest.mark.parametrize("slope", [
+    lambda x: 2.0 * (x - 0.3),
+    lambda x: 1e3 * (x - 0.3) if x > 0.3 else 1e-3 * (x - 0.3),
+    lambda x: 1.0 if x >= 0.3 else -1.0,
+    lambda x: (x - 0.3) ** 3,
+], ids=["linear", "lopsided", "step", "cubic"])
+def test_warm_search_probes_out_of_its_start(start, slope):
+    """From a start the one-sided steps are PROBE * 16^(n-1) from the
+    bracket's closed end, at most to the floored vertex, every evaluation
+    strictly inside the bracket the earlier ones left, and the search ends
+    at the optimum as a cold one does."""
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0, slope(x)), 1.0, start=start)
+    _assert_inside_brackets(seen, slope)
+    assert seen[0] == DualWeights([start, 1 - start]).values[0]
+    side = np.sign(slope(seen[0]))
+    n = next(k for k, x in enumerate(seen) if np.sign(slope(x)) != side)  # closes the bracket
+    for k in range(n):  # toward the open edge, at most to it
+        x = min(max(seen[k] - side * orchestrator.PROBE * 16.0 ** k, 0.0), 1.0)
+        assert seen[k + 1] == pytest.approx(x, rel=1e-9, abs=2 * orchestrator.LAMBDA_FLOOR)
+    assert all(abs(seen[k] - 0.3) <= 1e-15 for k in theta)
+    assert trace.converged
+
+
+@pytest.mark.parametrize("start", [0.4, 0.999, 1.0], ids=["inside", "near", "at"])
+def test_warm_search_reaches_the_vertex_optimum(start):
+    """A warm start whose optimum is the simplex vertex (a constraint
+    inactive at the optimum) steps PROBE, 16 PROBE, ... toward it and takes
+    the floored vertex once a step passes the edge; started at that vertex
+    it stops after the one evaluation."""
+    bound = lambda x: (1.0 + (1.0 - x) ** 2, -2.0 * (1.0 - x))
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(bound, 1.0, start=start)
+    _assert_inside_brackets(seen, lambda x: bound(x)[1])
+    vertex = DualWeights([1.0, 0.0]).values[0]
+    assert seen[-1] == vertex and lam.values[0] == vertex
+    assert theta == {len(seen) - 1: 1.0} and trace.converged
+    assert np.diff(seen[:-1]) == pytest.approx(
+        orchestrator.PROBE * 16.0 ** np.arange(len(seen) - 2), rel=1e-9)
+    assert len(seen) == {0.4: 5, 0.999: 2, 1.0: 1}[start]
 
 
 def test_multiplier_search_maximizes_with_the_sign_flipped():
