@@ -51,6 +51,15 @@ def check_hermitian(M, name="matrix"):
     return hermitian_part(A)
 
 
+def _pd_rule(w, name):
+    """:func:`pd_roots`'s rule on the ascending eigenvalues ``w``."""
+    low = w.min()  # NaN if any eigenvalue is, and then the test fails
+    if not low > PD_FLOOR * max(1.0, w[-1]):
+        raise SingularConstraintMatrix(
+            f"{name} is not positive definite: eigenvalue {low:g} <= "
+            f"{PD_FLOOR:g} * max(1, {w[-1]:g})")
+
+
 def pd_roots(M, name="matrix"):
     """Square roots r of the eigenvalues (ascending) and the eigenvectors V of
     a positive definite matrix: M^{1/2} = V diag(r) V^H and
@@ -60,11 +69,7 @@ def pd_roots(M, name="matrix"):
     PD_FLOOR * max(1, largest eigenvalue); a NaN fails too.
     """
     w, V = np.linalg.eigh(hermitian_part(M))
-    low = w.min()  # NaN if any eigenvalue is, and then the test fails
-    if not low > PD_FLOOR * max(1.0, w[-1]):
-        raise SingularConstraintMatrix(
-            f"{name} is not positive definite: eigenvalue {low:g} <= "
-            f"{PD_FLOOR:g} * max(1, {w[-1]:g})")
+    _pd_rule(w, name)
     return np.sqrt(w), V
 
 
@@ -76,10 +81,10 @@ def inv_sqrt(M, name="matrix"):
 
 def check_pd(M, name="matrix"):
     """Validate a caller-supplied matrix that must be positive definite
-    (:func:`check_hermitian`, then :func:`pd_roots`'s rule) and return the
-    symmetrized matrix."""
+    (:func:`check_hermitian`, then :func:`pd_roots`'s rule on its
+    eigenvalues alone) and return the symmetrized matrix."""
     A = check_hermitian(M, name)
-    pd_roots(A, name)
+    _pd_rule(np.linalg.eigvalsh(A), name)
     return A
 
 

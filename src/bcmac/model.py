@@ -350,7 +350,7 @@ def whitened_channels(ch, A):
     A^{-1/2}, stacked (K, Nr, Nt), and the whitening matrix A^{-1/2}: the
     weighted-sum-rate path's positive-definiteness gate (``linalg.pd_roots``)."""
     W = linalg.inv_sqrt(A, name="uplink noise covariance")
-    return np.array([ch.H[i] / np.sqrt(ch.sigma2[i]) @ W for i in range(ch.K)]), W
+    return ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W, W
 
 
 def uplink_sic(A, links, q, vanishing):

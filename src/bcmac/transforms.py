@@ -18,10 +18,10 @@ of the left singular vectors with column k of the right ones, so whatever
 phases the SVD picks cancel.  The downlink-side interference of a user is
 the sum of the whitened downlink covariances encoded after it, a running
 sum (MAC to BC) or one suffix cumsum (BC to MAC): O(K) products per transform.
-The uplink-side interference Phi (Nt x Nt) enters a flip only through a
-factor F with F F^H = Phi^{-1}, and every such factor gives the same
-covariance, so F comes from Phi's Cholesky factor: only the Nr x Nr
-downlink side is eigendecomposed.
+Both interference matrices, the uplink-side Phi (Nt x Nt) and the
+downlink-side Omega (Nr x Nr), enter a flip only through their Cholesky
+factors (see :func:`_flip`), so neither direction eigendecomposes anything
+per user: one formula serves both, with the two sides swapped.
 
 The SINR-preserving construction works on beamforming solutions with one
 beam per user, stacked (K, ...) in user order.  It keeps the user-side
@@ -36,39 +36,25 @@ from . import linalg, model
 from .errors import DegenerateTransform, InvalidInput
 
 
-def _flip(Phi, Om, Hhat, Q_src, to_bc):
-    """Flip one user's covariance through the SVD of the effective channel
-    G = Om^{-1/2} Hhat F.  Phi is the (Nt,Nt) uplink-side cumulative
-    interference, Om the (Nr,Nr) downlink-side one.  Rates only pass through
-    the leading min(Nr,Nt) block, which both directions keep intact.
+def _flip(C_src, C_dst, M, Q_src):
+    """Flip one user's covariance Q_src across the link M, which maps the
+    destination side to the source side (Hhat for MAC to BC, Hhat^H for BC
+    to MAC), through the SVD G = C_src^{-1} M C_dst^{-H} = U S V^H.  C_src
+    and C_dst are Cholesky factors (C C^H) of the source- and
+    destination-side interference.  Rates only pass through the leading
+    m = min(Nr, Nt) singular pairs, so the flip is
+    C_dst^{-H} V_m (U_m^H C_src^H Q_src C_src U_m) V_m^H C_dst^{-1}.
 
-    Phi enters only through a factor F with F F^H = Phi^{-1}, and any such
-    factor gives the same flip: F U (U unitary) turns G into G U and the
-    right singular vectors L into U^H L, so F L, and with it the flipped
-    covariance, is unchanged.  So F = C^{-H} from the Cholesky factor
-    Phi = C C^H serves, at a fraction of an eigendecomposition's cost.  F is
-    not Hermitian, so the right-hand factor is F^H, and the flip to the
-    uplink maps Q through F^{-1} Q F^{-H} = C^H Q C."""
-    nr, nt = Hhat.shape
-    m = min(nr, nt)
-    C = np.linalg.cholesky(Phi)
-    F = np.linalg.inv(C).conj().T
-    w, V = np.linalg.eigh(linalg.hermitian_part(Om))  # Om >= I: positive definite
-    Om_s, Om_is = (V * np.sqrt(w)) @ V.conj().T, (V / np.sqrt(w)) @ V.conj().T
-    G = Om_is @ Hhat @ F
-    R, _, Lh = np.linalg.svd(G)
-    L = Lh.conj().T
-    if to_bc:
-        S = R.conj().T @ Om_s @ Q_src @ Om_s @ R
-        Sp = np.zeros((nt, nt), dtype=np.complex128)
-        Sp[:m, :m] = S[:m, :m]
-        out = F @ L @ Sp @ L.conj().T @ F.conj().T
-    else:
-        T = L.conj().T @ C.conj().T @ Q_src @ C @ L
-        Tp = np.zeros((nr, nr), dtype=np.complex128)
-        Tp[:m, :m] = T[:m, :m]
-        out = Om_is @ R @ Tp @ R.conj().T @ Om_is
-    return linalg.hermitian_part(out)
+    Any factors give the flip of the symmetric roots: C_src = X^{1/2} W
+    (X the interference, W unitary) turns G into W^H G and U into W^H U, so
+    C_src U = X^{1/2} U is unchanged, and so is C_dst^{-H} V on the right."""
+    m = min(M.shape)
+    Csi = np.linalg.inv(C_src)
+    D = np.linalg.inv(C_dst).conj().T
+    U, _, Vh = np.linalg.svd(Csi @ M @ D)
+    Um, Vm = U[:, :m], Vh[:m].conj().T
+    S = Um.conj().T @ C_src.conj().T @ Q_src @ C_src @ Um
+    return linalg.hermitian_part(D @ Vm @ S @ Vm.conj().T @ D.conj().T)
 
 
 def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
@@ -89,8 +75,8 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     later = np.zeros((ch.nt, ch.nt), dtype=np.complex128)  # sum of Qw encoded after pos
     for pos in range(ch.K - 1, -1, -1):
         i = order[pos]
-        Om = np.eye(ch.nr) + Hhat[i] @ later @ Hhat[i].conj().T
-        Qw[i] = _flip(Phis[pos], Om, Hhat[i], Z[i], to_bc=True)
+        Om = linalg.hermitian_part(np.eye(ch.nr) + Hhat[i] @ later @ Hhat[i].conj().T)
+        Qw[i] = _flip(np.linalg.cholesky(Om), np.linalg.cholesky(Phis[pos]), Hhat[i], Z[i])
         later = later + Qw[i]
     return model.CovarianceSet.built(model.BC, W @ Qw @ W)
 
@@ -99,9 +85,9 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     """Mirror of :func:`mac_to_bc_capacity`: downlink covariances to uplink
     ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
     model._check_dims(ch, cov_bc, model.BC)
-    r, V = linalg.pd_roots(linalg.check_hermitian(A, name="A"), "A")
-    As, W = (V * r) @ V.conj().T, (V / r) @ V.conj().T
-    Hhat = ch.H / np.sqrt(ch.sigma2)[:, None, None] @ W
+    A = linalg.check_hermitian(A, name="A")
+    Hhat, W = model.whitened_channels(ch, A)
+    As = A @ W  # A^{1/2}
     order = list(ch.encoding_order)
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
     # later[pos] = sum of Qw over the users encoded after pos
@@ -110,8 +96,8 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     Z = np.zeros((ch.K, ch.nr, ch.nr), dtype=np.complex128)
     Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
     for pos, i in enumerate(order):
-        Om = np.eye(ch.nr) + Hhat[i] @ later[pos] @ Hhat[i].conj().T
-        Z[i] = _flip(Phi, Om, Hhat[i], Qw[i], to_bc=False)
+        Om = linalg.hermitian_part(np.eye(ch.nr) + Hhat[i] @ later[pos] @ Hhat[i].conj().T)
+        Z[i] = _flip(np.linalg.cholesky(Phi), np.linalg.cholesky(Om), Hhat[i].conj().T, Qw[i])
         Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
     return model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
 

@@ -155,7 +155,7 @@ def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
     """mac_to_bc_capacity at K = 6, Nr = 2, Nt = 16 under a merged A whose
     multiplier sits at LAMBDA_FLOOR (condition number about 1e7) keeps the
     rates to 1e-10 relative and the budget, and, given the whitened channels,
-    eigendecomposes no Nt x Nt matrix."""
+    eigendecomposes nothing."""
     K, nr, nt = 6, 2, 16
     ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
                     tuple(rng.permutation(K)))
@@ -183,29 +183,29 @@ def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
         np.testing.assert_allclose(r_bc, r_mac, rtol=1e-10, atol=0)
         budget = sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(K))
         assert constraint_value(cov_bc, LinearConstraint(A, budget)) <= budget * (1 + 1e-12)
-    assert shapes and (nt, nt) not in shapes
+    assert not shapes
 
 
 def test_capacity_transforms_at_high_snr_with_more_receive_antennas(rng, monkeypatch):
     """With Nr = 2 > Nt = 1 and a high SNR, a user's downlink-side
     interference I + Hhat later Hhat^H has eigenvalues 1 and past 1e8.  That
     matrix is positive definite by construction, so both capacity transforms
-    decompose it without a conditioning gate.  They keep the rates to 1e-6
+    factorize it without a conditioning gate.  They keep the rates to 1e-6
     nats, about what that conditioning leaves of double precision."""
     K, nr, nt = 3, 2, 1
     ch = ChannelSet(rand_channels(rng, K, nr, nt), None, tuple(rng.permutation(K)))
     A = np.eye(nt)
-    eigh, conds = np.linalg.eigh, []
+    cholesky, conds = np.linalg.cholesky, []
 
     def spy(M, *args, **kwargs):
-        w, V = eigh(M, *args, **kwargs)
+        w = np.linalg.eigvalsh(M)
         conds.append(w[-1] / w[0])
-        return w, V
+        return cholesky(M, *args, **kwargs)
 
     cov_mac = random_mac_cov(rng, K, nr, 3e8)
     cov_bc_in = CovarianceSet("bc", [rand_psd(rng, nt, 1e8) for _ in range(K)])
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", spy)
+        m.setattr(np.linalg, "cholesky", spy)
         cov_bc = mac_to_bc_capacity(ch, cov_mac, A)
         back = bc_to_mac_capacity(ch, cov_bc_in, A)
     assert max(conds) > 1e8
@@ -215,6 +215,27 @@ def test_capacity_transforms_at_high_snr_with_more_receive_antennas(rng, monkeyp
     np.testing.assert_allclose(
         ref_mac_rates(ch.H, ch.encoding_order, list(back.Q), A),
         ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc_in.Q)), rtol=0, atol=1e-6)
+
+
+def test_bc_to_mac_capacity_eigendecomposes_only_A(rng, monkeypatch):
+    """At K = 6, bc_to_mac_capacity makes one eigh call, the whitening of A:
+    every user's interference on either side enters through a Cholesky
+    factor."""
+    ch = _random_instance(rng, K=6, nt=4, nr=2, sigma=True)
+    A = rand_pd(rng, ch.nt)
+    cov_bc = CovarianceSet("bc", [rand_psd(rng, ch.nt, 1.0) for _ in range(ch.K)])
+    eigh, shapes = np.linalg.eigh, []
+
+    def spy(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return eigh(M, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", spy)
+        back = bc_to_mac_capacity(ch, cov_bc, A)
+    assert shapes == [(ch.nt, ch.nt)]
+    np.testing.assert_allclose(mac_rates(ch, back, A), bc_rates_dpc(ch, cov_bc),
+                               rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("transform, side", [(mac_to_bc_capacity, "mac"),
