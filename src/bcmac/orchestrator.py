@@ -48,14 +48,17 @@ those evaluations, SINR balancing after scaling its powers into every
 constraint, power balancing as it is (achievable).  The certified gap is the
 relative distance from the best bound to the value of that repaired point,
 and ``trace.converged`` says whether it is at most ``outer.tol``.  The
-central search stops there.  A weighted-sum-rate search over two
-multipliers stops there too once its emitted value has settled, moving by at
-most ``SETTLE_RTOL`` relative since the previous evaluation: the time-shared
-point settles long before the bracket collapses.  Balancing emits the
-bracket ends themselves, so its two-multiplier search goes on to an exact
-zero slope or to a bracket collapsed to rounding, where the ends meet at the
-optimal multipliers.  Every search stops when its next multipliers repeat
-evaluated ones or after ``outer.max_iters`` evaluations.
+central search stops there.  A search over two multipliers stops there too
+once the gap is at most ``SETTLE_RTOL`` (rounding) or, for a weighted sum
+rate, once its time-shared value has settled, moving by at most
+``SETTLE_RTOL`` relative since the previous evaluation, long before the
+bracket collapses.  Balancing emits a bracket end, optimal only where the
+bracket collapses, so it needs the gap at rounding, or else an exact zero
+slope or a bracket collapsed to rounding.  Power balancing's bound is
+certified; SINR balancing's is the inner fixed point's ratio, not a
+certified bound, so its gap compares the emitted alpha with the best ratio
+met, not with the optimum.  Every search stops when its next multipliers
+repeat evaluated ones or after ``outer.max_iters`` evaluations.
 """
 
 from dataclasses import dataclass, field, replace
@@ -75,7 +78,7 @@ from .macsolver import (
 LAMBDA_FLOOR = 1e-7
 ITP_EPS = 2.0 ** -53  # bracket width the two-multiplier search resolves
 ITP_N0 = 4  # evaluations it may take beyond bisection's count
-SETTLE_RTOL = 1e-12  # relative move of a settled weighted-sum-rate value
+SETTLE_RTOL = 1e-12  # rounding: a gap, or a settling value's relative move, ends a search
 PROBE = 1e-3  # first one-sided step of a two-multiplier search given a start
 OUTER = SolverSettings(max_iters=80)  # the search's settings when none are given
 
@@ -271,11 +274,11 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
     merged bound at ``lam`` (a supergradient for "max").
     ``recover(results, theta) -> (value, result)`` builds and repairs the
     emitted point from the evaluations' results and the search's weights
-    ``theta`` (evaluation index: weight).  With ``settles`` the search also
-    stops once certified and its emitted value has settled (see the module
-    docstring).  It starts at ``start`` (a ``DualWeights``) or the simplex
-    centre, which sets ``_bracket_step``'s ``probe``.  Returns (value,
-    result, multipliers of the best bound, trace)."""
+    ``theta`` (evaluation index: weight).  Over two multipliers it stops
+    once certified with its gap at rounding or, with ``settles``, its value
+    settled (see the module docstring).  It starts at ``start`` (a
+    ``DualWeights``) or the simplex centre, which sets ``_bracket_step``'s
+    ``probe``.  Returns (value, result, multipliers of the best bound, trace)."""
     outer = outer or OUTER
     if L < 1:
         raise InvalidInput("need at least one constraint")
@@ -294,15 +297,14 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
         trace.gap = sign * (trace.value[best] - value) / max(abs(trace.value[best]), 1e-300)
         trace.converged = bool(trace.gap <= outer.tol)
         # a weighted sum rate time-shares the bracket ends, and that value
-        # settles once certified; balancing emits an end, which is optimal
-        # only where the bracket collapses, so it does not stop at the
-        # tolerance: the superlinear steps reach rounding in a few more
-        # warm-started evaluations
+        # settles once certified; balancing emits an end, optimal only where
+        # the bracket collapses, so it stops at a gap at rounding instead,
+        # which the superlinear steps reach in a few warm-started evaluations
         settled = settles and last is not None and abs(value - last) <= SETTLE_RTOL * abs(value)
         last = value
         nxt = None if lam is None else DualWeights(lam)
         if nxt is None or trace.iterations >= outer.max_iters \
-                or (trace.converged and (L > 2 or settled)) \
+                or (trace.converged and (L > 2 or settled or trace.gap <= SETTLE_RTOL)) \
                 or any(np.array_equal(nxt.values, p.values) for p in points):
             return value, out, points[best], trace
 
