@@ -200,11 +200,11 @@ def _objective(ch, Ghat, coeffs, Z, mats=None):
 def _gradient(ch, Ghat, coeffs, Z, mats=None):
     """d(objective)/dZ_i = sum_{m >= pos(i)} c_m Ghat_i Phi_m^{-1} Ghat_i^H,
     summed over the nonzero c_m only: user i takes the suffix sum from the
-    first nonzero position at or after its own (one sum for all if tied)."""
+    first nonzero position at or after its own."""
     nz, c, slot = coeffs
     mats = _cum_mats(ch, Ghat, Z, nz) if mats is None else mats
     suffix = np.cumsum((c[:, None, None] * np.linalg.inv(mats))[::-1], axis=0)[::-1]
-    g = Ghat @ (suffix[0] if len(nz) == 1 else suffix[slot]) @ _ctrans(Ghat)
+    g = Ghat @ suffix[slot] @ _ctrans(Ghat)
     return linalg.hermitian_part(g)
 
 

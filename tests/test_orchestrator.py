@@ -415,7 +415,8 @@ def test_multiplier_search_brackets_and_time_shares_the_ends():
         lambda x: (1.0 + (x - 0.3) ** 2, slope(x)), 1.0)
     _assert_inside_brackets(seen, slope)
     assert trace.converged and 0 <= trace.gap <= 1e-8
-    assert trace.gap == pytest.approx((min(trace.value) - value) / min(trace.value), rel=1e-12)
+    assert value == 1.0 - 1e-9
+    assert trace.gap == pytest.approx((min(trace.value) - (1.0 - 1e-9)) / min(trace.value), rel=1e-12)
     assert trace.iterations == len(seen) <= 4
     assert trace.best_index == int(np.argmin(trace.value))
     assert lam.values[0] == seen[trace.best_index]
