@@ -25,14 +25,11 @@ lambda_max(G_i) is also the budget's Lagrange multiplier.
 The weighted-sum-rate solver holds its per-user blocks as stacked arrays,
 whitened channels ``Ghat`` (K, Nr, Nt) and covariances ``Z`` (K, Nr, Nr),
 so the objective, gradient, projection and gap are each a few batched
-calls.  The stacks stay in user order; only the cumulative matrices Phi_m
-are taken in encoding order, by one permutation of the stacked terms on the
-way in and one on the way back.  Every sum over blocks therefore adds its
-terms in user order whatever the encoding order, which matters for the
-projection's budget test: a warm start meets the budget with equality, and
-the order of the sum decides which side of it the rounding falls on.
+calls.  ``solve_wsr_mac`` permutes the channels, weights and warm start into
+encoding order once on entry and the covariances back to user order once on
+exit; the ascent in between knows only encoding positions.
 
-The objective is telescoped, sum_m c_m logdet(Phi_m) with c_m = w_(m) -
+The objective is telescoped, sum_m c_m logdet(Phi_m) with c_m = w_m -
 w_(m+1) along the encoding order, and only the Phi_m whose c_m is nonzero
 are formed, factorized and inverted.  Tied neighbours drop out: the
 positions between two nonzero c_m form a run, whose terms enter every later
@@ -40,9 +37,6 @@ Phi_m only as their sum, one GEMM over the run's stacked rows.  For the sum
 rate the K users are one run, and an evaluation takes the one
 log|I + sum_i Ghat_i^H Z_i Ghat_i| of sum-capacity iterative water-filling
 (Jindal et al., IEEE Trans. IT 2005) with no per-user Nt x Nt term.
-Weights with no tie keep one batched product of the K terms and a cumsum:
-there every run is one user, and a loop of K small GEMMs costs more in
-per-call overhead than it saves.
 
 SINR balancing and power minimization are fixed points of MMSE receivers
 and a power update (Schubert and Boche, 2004) with one beam per user, stacked
@@ -141,68 +135,49 @@ def _ctrans(X):
     return X.conj().swapaxes(-1, -2)
 
 
-def _lsum(x):
-    """Left-to-right sum of a 1-D array; np.sum pairs terms, rounding apart."""
-    return float(np.cumsum(x)[-1])
-
-
-def _rate_coeffs(ch, weights):
-    """sum_i w_i r_i = sum_m c_m logdet(Phi_m) as (nz, c[nz], slot): the
-    encoding positions with c_m nonzero (always the last, c_(K-1) = w_last > 0),
-    their c_m, and per user the index in nz of the first at or after its own,
-    which is the index of its run (positions nz[r-1] + 1 .. nz[r])."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape != (ch.K,):
-        raise InvalidInput(f"weights must have length {ch.K}")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise InvalidInput("weights must be positive and finite")
-    ordered = w[list(ch.encoding_order)]
-    c = ordered - np.append(ordered[1:], 0.0)
+def _rate_coeffs(w):
+    """sum_m w_m r_m = sum_m c_m logdet(Phi_m), weights w along the encoding
+    order, as (nz, c[nz], slot): the positions with c_m nonzero (always the
+    last, c_(K-1) = w_(K-1) > 0), their c_m, and per position the index in
+    nz of the first at or after it, which is the index of its run (positions
+    nz[r-1] + 1 .. nz[r])."""
+    c = w - np.append(w[1:], 0.0)
     nz = np.flatnonzero(c)
-    return nz, c[nz], np.searchsorted(nz, np.argsort(ch.encoding_order))
+    return nz, c[nz], np.searchsorted(nz, np.arange(len(w)))
 
 
-def _cum_mats(ch, Ghat, Z, nz):
-    """Phi_m = I + sum of Ghat_i^H Z_i Ghat_i over the users encoded at
-    positions 0..m, at the positions m in nz.
-
-    With a tie, each run of positions nz[r-1] + 1 .. nz[r] adds its terms as
-    one GEMM over its rows stacked in encoding order, Ghat_run^H (Z Ghat)_run
-    of shape (Nt x K_run Nr)(K_run Nr x Nt), and the len(nz) run sums are
-    accumulated; the sum rate is one GEMM.  With no tie (nz holds every
-    position) the K terms are one batched product and a cumsum, which costs
-    less per call than K one-user GEMMs (see the module docstring)."""
-    nt = Ghat.shape[2]
-    if len(nz) == ch.K:
-        terms = (_ctrans(Ghat) @ Z @ Ghat)[list(ch.encoding_order)]
-        terms[0] += np.eye(nt)
-        return np.cumsum(terms, axis=0)
-    order = np.array(ch.encoding_order)
-    G, ZG = Ghat[order].reshape(-1, nt), (Z @ Ghat)[order].reshape(-1, nt)
+def _cum_mats(Ghat, Z, nz):
+    """Phi_m = I + sum of Ghat_i^H Z_i Ghat_i over positions 0..m, at the
+    positions m in nz: each run of positions nz[r-1] + 1 .. nz[r] adds its
+    terms as one GEMM over its stacked rows, Ghat_run^H (Z Ghat)_run of shape
+    (Nt x K_run Nr)(K_run Nr x Nt), and the run sums are accumulated; the sum
+    rate is one GEMM."""
+    nr, nt = Ghat.shape[1:]
+    G, ZG = Ghat.reshape(-1, nt), (Z @ Ghat).reshape(-1, nt)
     mats = np.empty((len(nz), nt, nt), dtype=np.complex128)
     acc, start = np.eye(nt), 0
-    for r, stop in enumerate((nz + 1) * ch.nr):
+    for r, stop in enumerate((nz + 1) * nr):
         acc = acc + G[start:stop].conj().T @ ZG[start:stop]
         mats[r], start = acc, stop
     return mats
 
 
-def _objective(ch, Ghat, coeffs, Z, mats=None):
+def _objective(Ghat, coeffs, Z, mats=None):
     """sum_m c_m logdet(Phi_m) over the nonzero c_m of ``coeffs`` (see
     :func:`_rate_coeffs`); -inf off the positive definite cone."""
     nz, c, _ = coeffs
-    sign, ld = np.linalg.slogdet(_cum_mats(ch, Ghat, Z, nz) if mats is None else mats)
+    sign, ld = np.linalg.slogdet(_cum_mats(Ghat, Z, nz) if mats is None else mats)
     if np.any(sign.real <= 0):
         return -np.inf
-    return _lsum(c * ld)
+    return float(c @ ld)
 
 
-def _gradient(ch, Ghat, coeffs, Z, mats=None):
-    """d(objective)/dZ_i = sum_{m >= pos(i)} c_m Ghat_i Phi_m^{-1} Ghat_i^H,
-    summed over the nonzero c_m only: user i takes the suffix sum from the
-    first nonzero position at or after its own."""
+def _gradient(Ghat, coeffs, Z, mats=None):
+    """d(objective)/dZ_m = sum_{n >= m} c_n Ghat_m Phi_n^{-1} Ghat_m^H,
+    summed over the nonzero c_n only: position m takes the suffix sum from
+    the first nonzero position at or after its own."""
     nz, c, slot = coeffs
-    mats = _cum_mats(ch, Ghat, Z, nz) if mats is None else mats
+    mats = _cum_mats(Ghat, Z, nz) if mats is None else mats
     suffix = np.cumsum((c[:, None, None] * np.linalg.inv(mats))[::-1], axis=0)[::-1]
     g = Ghat @ suffix[slot] @ _ctrans(Ghat)
     return linalg.hermitian_part(g)
@@ -235,7 +210,7 @@ def _project_blocks(mats, budget):
     return (V * z[:, None, :]) @ _ctrans(V)
 
 
-def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
+def _run_pg(Ghat, coeffs, budget, settings, Z0):
     """Spectral projected gradient (Birgin, Martinez and Raydan 2000) with
     Barzilai-Borwein steps (1988) from Z0, as in the module docstring, stopped
     once the Frank-Wolfe gap is at most tol * |objective| after at least one
@@ -243,12 +218,12 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
     the iterate, its objective, the accepted steps, the gap and
     max_i lambda_max(G_i)."""
     Z = _project_blocks(Z0, budget)
-    mats = _cum_mats(ch, Ghat, Z, coeffs[0])
-    obj = _objective(ch, Ghat, coeffs, Z, mats)
+    mats = _cum_mats(Ghat, Z, coeffs[0])
+    obj = _objective(Ghat, coeffs, Z, mats)
     t, prev = 1.0, None
     iters = 0
     while True:
-        grads = _gradient(ch, Ghat, coeffs, Z, mats)
+        grads = _gradient(Ghat, coeffs, Z, mats)
         top = float(np.linalg.eigvalsh(grads)[:, -1].max())
         gap = budget * top - float(np.vdot(grads, Z).real)
         if (iters and gap <= settings.tol * abs(obj)) or iters == settings.max_iters:
@@ -259,14 +234,14 @@ def _run_pg(ch, Ghat, coeffs, budget, settings, Z0):
             t = min(max(float(np.vdot(s, s).real) / sy, 1e-10), 1e8) if sy > 0 else 1e8
         prev = Z, grads
         d = _project_blocks(Z + t * grads, budget) - Z
-        progress = _lsum(np.trace(_ctrans(grads) @ d, axis1=1, axis2=2).real)
+        progress = float(np.vdot(grads, d).real)
         a = 1.0
         for _ in range(60):
             if a * progress <= 1e-18 * max(1.0, abs(obj)):
                 return Z, obj, iters, gap, top
             cand = Z + a * d  # between Z and a projection: feasible
-            cand_mats = _cum_mats(ch, Ghat, cand, coeffs[0])
-            new_obj = _objective(ch, Ghat, coeffs, cand, cand_mats)
+            cand_mats = _cum_mats(Ghat, cand, coeffs[0])
+            new_obj = _objective(Ghat, coeffs, cand, cand_mats)
             if new_obj >= obj + ARMIJO_C * a * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
                 break
@@ -280,7 +255,7 @@ def budget_multiplier_wsr(Z, top, budget):
     """Lagrange multiplier of the trace budget at whitened covariances Z:
     ``top`` = max_i lambda_max(G_i) where the budget binds, zero where it is
     slack (the KKT conditions at an optimum)."""
-    used = sum(np.trace(Z, axis1=1, axis2=2).real.tolist())  # summed user by user
+    used = np.trace(Z, axis1=1, axis2=2).real.sum()
     return top if used >= budget * (1.0 - 1e-9) else 0.0
 
 
@@ -302,16 +277,22 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
         raise InvalidInput("budget must be nonnegative")
     noise = linalg.check_hermitian(noise, name="noise")
     whitened = model.whitened_channels(ch, noise)
-    coeffs = _rate_coeffs(ch, weights)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape != (ch.K,):
+        raise InvalidInput(f"weights must have length {ch.K}")
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise InvalidInput("weights must be positive and finite")
+    order = list(ch.encoding_order)
+    coeffs = _rate_coeffs(w[order])
     if np.any(coeffs[1] < 0):
         raise InvalidInput("weights must be nonincreasing along the encoding order")
-    K, nr = ch.K, ch.nr
+    K, nr, sigma2 = ch.K, ch.nr, ch.sigma2[order, None, None]
     if init is not None:
-        Z0 = ch.sigma2[:, None, None] * init.Q
+        Z0 = sigma2 * init.Q[order]
     else:
         Z0 = budget / (K * nr) * np.broadcast_to(np.eye(nr, dtype=np.complex128), (K, nr, nr))
-    Z, obj, iters, gap, top = _run_pg(ch, whitened[0], coeffs, budget, settings, Z0)
-    cov = model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
+    Z, obj, iters, gap, top = _run_pg(whitened[0][order], coeffs, budget, settings, Z0)
+    cov = model.CovarianceSet.built(model.MAC, (Z / sigma2)[np.argsort(order)])
     return MacSolution(cov, obj, iters, gap, bool(gap <= settings.tol * abs(obj)),
                        budget_multiplier_wsr(Z, top, budget), whitened)
 

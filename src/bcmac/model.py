@@ -328,20 +328,14 @@ def sinr_powers(M, gamma, noise, side, degenerate):
     return x
 
 
-def bc_sinr(ch, bf, scheme="dpc"):
-    """Downlink SINRs, (K,) in user order.
-
-    scheme="dpc": a user is interfered only by users encoded after it.
-    scheme="linear": every other user interferes.
-    """
-    if scheme not in ("dpc", "linear"):
-        raise InvalidInput("scheme must be 'dpc' or 'linear'")
+def bc_sinr(ch, bf):
+    """Downlink SINRs under dirty-paper coding, (K,) in user order: a user is
+    interfered only by users encoded after it."""
     order = list(ch.encoding_order)
     M = stream_gains(stream_links(ch, bf.v), bf.u[order])
     p = bf.p[order]
-    others = np.triu(M, 1) if scheme == "dpc" else M - np.diag(np.diag(M))
     sinr = np.empty(ch.K)
-    sinr[order] = p * np.diag(M) / (ch.sigma2[order] + others @ p)
+    sinr[order] = p * np.diag(M) / (ch.sigma2[order] + np.triu(M, 1) @ p)
     return sinr
 
 

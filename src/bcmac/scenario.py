@@ -29,6 +29,8 @@ slacks, ``iters`` and ``gap`` (uncertified for SINR balancing).
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
 config's ``encoding_order`` only orders equal weights (it binds for balancing).
+A one-user ``wsr_region`` sweep has one point, w1 = 1: it is solved once and
+written as one row, whatever ``sweep.resolution``.
 """
 
 import hashlib
@@ -327,8 +329,12 @@ def _region_point(cfg, t, start=None):
     return row, solved, users, cov, lam
 
 
-def sweep_weights(resolution):
-    return [i / resolution for i in range(resolution + 1)]
+def sweep_weights(cfg):
+    """The swept w1: 0 to 1 in ``resolution`` steps, or for one user its
+    one point w1 = 1."""
+    if cfg.channels.K == 1:
+        return [1.0]
+    return [i / cfg.resolution for i in range(cfg.resolution + 1)]
 
 
 def run_region(cfg, rows=None):
@@ -337,7 +343,7 @@ def run_region(cfg, rows=None):
     search starts at the best multipliers of the point before it, so a row
     depends on the rows before it (those of a failed sweep are a full one's)."""
     rows, lam = [] if rows is None else rows, None
-    for t in sweep_weights(cfg.resolution):
+    for t in sweep_weights(cfg):
         row, *_, lam = _region_point(cfg, t, lam)
         rows.append(row)
     return rows
@@ -349,7 +355,7 @@ def run_heuristic_normalization(cfg):
     others = cfg.constraints[1:]
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
-    for t in sweep_weights(cfg.resolution):
+    for t in sweep_weights(cfg):
         point, solved, users, cov, _ = _region_point(sub_cfg, t)
         scaled = model.CovarianceSet.built(model.BC, model.feasible_scale(cov, others) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)

@@ -77,10 +77,10 @@ def ref_mac_rates(H, order, Qm, noise):
     return rates
 
 
-def ref_bc_sinr_dpc(H, sigma2, order, u, v, p, linear=False):
+def ref_bc_sinr_dpc(H, sigma2, order, u, v, p):
     """Per-stream downlink SINRs by explicit scalar loops: stream (i, j) is
     interfered by streams of later-encoded users and later streams of its own
-    user, or with ``linear`` by every other stream."""
+    user."""
     seq = []
     for pos in range(len(H)):
         i = order[pos]
@@ -90,7 +90,7 @@ def ref_bc_sinr_dpc(H, sigma2, order, u, v, p, linear=False):
     for a, (i, j) in enumerate(seq):
         sig = p[i][j] * abs(np.vdot(v[i][j], H[i] @ u[i][j])) ** 2
         interf = 0.0
-        for (k, l) in (seq[:a] if linear else []) + seq[a + 1:]:
+        for (k, l) in seq[a + 1:]:
             interf += p[k][l] * abs(np.vdot(v[i][j], H[i] @ u[k][l])) ** 2
         out[(i, j)] = sig / (interf + sigma2[i])
     return out

@@ -247,6 +247,28 @@ def test_sweep_solves_each_weight_once(tmp_path, monkeypatch, run):
             assert float(cells[f"slack_{l}"]) >= -1e-12 * 5.0
 
 
+def test_one_user_region_solves_its_one_point_once(tmp_path, monkeypatch):
+    """With one user the sweep and the heuristic sweep each solve the single
+    point w1 = 1 once and write it as one row, whatever the resolution."""
+    cons = [{"type": "sum_power", "budget": 8.0}] + PER_ANTENNA
+    doc = _region_doc(channels={"h": [H1_CAP]}, constraints=cons, heuristic=True,
+                      sweep={"resolution": 4})
+    solve, calls = orchestrator.solve_wsr_multi, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "solve_wsr_multi", counted)
+    out = tmp_path / "out"
+    assert cli.main(_args("region", _write(tmp_path, doc), str(out))) == 0
+    assert calls[0] == 2
+    for name in ("wsr_region.csv", "wsr_region_heuristic.csv"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 1
+        assert float(dict(zip(lines[0].split(","), lines[1].split(",")))["w1"]) == 1.0
+
+
 def test_region_rows_are_feasible_with_a_certified_gap(tmp_path):
     """The Section VI sweep: every row meets both per-antenna constraints,
     and its g_gap (least evaluated bound minus the row's weighted sum rate)

@@ -100,14 +100,14 @@ def test_wsr_monotone_iterates(rng):
     """Armijo-accepted steps never decrease the objective."""
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
     Ghat = model.whitened_channels(ch, np.eye(2))[0]
-    coeffs = macsolver._rate_coeffs(ch, [1.5, 1.0])
+    coeffs = macsolver._rate_coeffs(np.array([1.5, 1.0]))
     Z = [np.zeros((2, 2), dtype=complex) for _ in range(2)]
-    obj = macsolver._objective(ch, Ghat, coeffs, Z)
+    obj = macsolver._objective(Ghat, coeffs, Z)
     for _ in range(25):
-        grads = macsolver._gradient(ch, Ghat, coeffs, Z)
+        grads = macsolver._gradient(Ghat, coeffs, Z)
         Z = macsolver._project_blocks(
             [Z[i] + 0.2 * grads[i] for i in range(2)], 2.0)
-        new_obj = macsolver._objective(ch, Ghat, coeffs, Z)
+        new_obj = macsolver._objective(Ghat, coeffs, Z)
         assert new_obj >= obj - 1e-12
         obj = new_obj
 
@@ -119,13 +119,13 @@ def test_gradient_matches_finite_differences(rng):
         A = rand_pd(rng, 2)
         Ghat = model.whitened_channels(ch, A)[0]
         w = rng.uniform(0.5, 2.0, K)
-        coeffs = macsolver._rate_coeffs(ch, w)
+        coeffs = macsolver._rate_coeffs(w)
         Z = [rand_pd(rng, 2, 0.5) for _ in range(K)]
-        grads = macsolver._gradient(ch, Ghat, coeffs, Z)
+        grads = macsolver._gradient(Ghat, coeffs, Z)
         for i in range(K):
             def f(Qi, i=i):
                 Zi = [Qi if j == i else Z[j] for j in range(K)]
-                return macsolver._objective(ch, Ghat, coeffs, Zi)
+                return macsolver._objective(Ghat, coeffs, Zi)
 
             G_fd = finite_diff_gradient(f, Z[i], 1e-5)
             scale = max(1.0, np.max(np.abs(grads[i])))
@@ -293,8 +293,8 @@ def test_settings_validation():
         SolverSettings(tol=0.0)
 
 
-# Stacked layout of the WSR solver (user-order stacks, cumulative matrices in
-# encoding order) against plain per-block references.
+# Stacked layout of the WSR solver (stacks in encoding order between entry and
+# exit) against plain per-block references.
 
 STACK_ORDER = (2, 0, 3, 1)
 STACK_SIGMA2 = [0.7, 1.3, 2.0, 0.9]
@@ -358,18 +358,22 @@ def _rank_one_mac_cov(rng, K, nr, total):
 
 
 def _assert_objective_and_gradient_match(rng, ch, A, w):
-    """The stacked objective and gradient against mac_rates and the
+    """The stacked objective and gradient, taken on stacks in encoding order
+    and the gradient put back in user order, against mac_rates and the
     per-block reference gradient, to 1e-12 relative."""
     G = _ref_whitened(ch, A)
     Ghat = model.whitened_channels(ch, A)[0]
     np.testing.assert_allclose(Ghat, np.array(G), rtol=1e-12, atol=0)
-    coeffs = macsolver._rate_coeffs(ch, w)
+    order = list(ch.encoding_order)
+    coeffs = macsolver._rate_coeffs(w[order])
     for _ in range(3):
         cov = random_mac_cov(rng, ch.K, ch.nr, 2.5)
         Z = np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
         ref_obj = float(w @ mac_rates(ch, cov, A))
-        assert macsolver._objective(ch, Ghat, coeffs, Z) == pytest.approx(ref_obj, rel=1e-12)
-        grads = macsolver._gradient(ch, Ghat, coeffs, Z)
+        obj = macsolver._objective(Ghat[order], coeffs, Z[order])
+        assert obj == pytest.approx(ref_obj, rel=1e-12)
+        grads = np.empty_like(Z)
+        grads[order] = macsolver._gradient(Ghat[order], coeffs, Z[order])
         for i, g_ref in enumerate(_ref_gradient(ch, G, w, Z)):
             assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
@@ -387,7 +391,7 @@ def test_stacked_objective_and_gradient_match_per_block(rng):
 ])
 def test_tied_weights_factorize_only_nonzero_coefficients(rng, w, nz):
     ch, A = _stack_instance(rng)
-    assert macsolver._rate_coeffs(ch, w)[0].tolist() == nz
+    assert macsolver._rate_coeffs(w[list(ch.encoding_order)])[0].tolist() == nz
     _assert_objective_and_gradient_match(rng, ch, A, w)
 
 
@@ -402,7 +406,7 @@ def test_tied_runs_at_eight_users(rng, ordered, nz):
                     tuple(rng.permutation(8)))
     w = np.empty(8)
     w[list(ch.encoding_order)] = ordered
-    assert macsolver._rate_coeffs(ch, w)[0].tolist() == nz
+    assert macsolver._rate_coeffs(w[list(ch.encoding_order)])[0].tolist() == nz
     _assert_objective_and_gradient_match(rng, ch, rand_pd(rng, 5), w)
 
 
@@ -497,9 +501,9 @@ def test_spg_projects_once_per_iteration_onto_feasible_iterates(rng, monkeypatch
         projections[0] += 1
         return project(mats, b)
 
-    def recorded(ch, Ghat, coeffs, Z, mats=None):
+    def recorded(Ghat, coeffs, Z, mats=None):
         iterates.append(Z)
-        return gradient(ch, Ghat, coeffs, Z, mats)
+        return gradient(Ghat, coeffs, Z, mats)
 
     monkeypatch.setattr(macsolver, "_project_blocks", counted)
     monkeypatch.setattr(macsolver, "_gradient", recorded)
@@ -522,6 +526,28 @@ def test_spg_warm_start_at_a_converged_solution_stays_there(rng, tied):
     warm = solve_wsr_mac(ch, A, budget, w, TIGHT, init=sol.cov)
     assert sol.converged and warm.converged
     assert warm.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
+def test_relabelling_users_into_encoding_order_changes_no_bit(rng):
+    """The ascent sees only encoding positions, so a channel set whose users
+    are relabelled into its encoding order solves to the same bits: the
+    covariances (permuted), the objective and the iteration count."""
+    for draw in range(40):
+        K = int(rng.integers(2, 6))
+        H, sigma2 = np.array(rand_channels(rng, K, 2, 3)), rng.uniform(0.5, 2.0, K)
+        order = list(rng.permutation(K))
+        ch = ChannelSet(H, sigma2, order)
+        ordered = np.sort(rng.uniform(0.5, 2.0, K))[::-1]
+        if draw % 2:  # ties: every weight rounded to a half
+            ordered = np.ceil(2 * ordered) / 2
+        w = np.empty(K)
+        w[order] = ordered
+        A = rand_pd(rng, 3)
+        sol = solve_wsr_mac(ch, A, 2.0, w)
+        relabelled = solve_wsr_mac(ChannelSet(H[order], sigma2[order]), A, 2.0, w[order])
+        assert np.array_equal(sol.cov.Q[order], relabelled.cov.Q)
+        assert sol.objective == relabelled.objective
+        assert sol.iterations == relabelled.iterations
 
 
 # the two-antenna users of the beamforming benchmark, under the merged

@@ -121,18 +121,16 @@ def _streams(x):
 def test_bc_sinr_single_stream_no_interference(rng):
     ch = ChannelSet([rand_complex(rng, (2, 2))], sigma2=[0.5])
     bf = _random_bf(rng, ch)
-    s = bc_sinr(ch, bf, "dpc")
+    s = bc_sinr(ch, bf)
     expect = bf.p[0] * abs(np.vdot(bf.v[0], ch.H[0] @ bf.u[0])) ** 2 / 0.5
     assert s.shape == (1,) and s[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_bc_sinr_orthogonal_streams():
-    """Two users on orthogonal antennas interfere with nobody, under either
-    scheme."""
+    """Two users on orthogonal antennas interfere with nobody."""
     ch = ChannelSet([np.eye(2)[:1], np.eye(2)[1:]])
     bf = BeamformingSolution(u=np.eye(2), v=np.ones((2, 1)), p=[2.0, 3.0], q=[0.0, 0.0])
-    assert np.allclose(bc_sinr(ch, bf, "dpc"), [2.0, 3.0])
-    assert np.allclose(bc_sinr(ch, bf, "linear"), [2.0, 3.0])
+    assert np.allclose(bc_sinr(ch, bf), [2.0, 3.0])
 
 
 def _oracle_cases(rng):
@@ -150,21 +148,13 @@ def test_bc_sinr_vs_loop_oracle(rng):
     order."""
     ch = ChannelSet(rand_channels(rng, 2, 1, 3), sigma2=[0.7, 1.3])
     for ch, bf in [(ch, _random_bf(rng, ch))] + list(_oracle_cases(rng)):
-        for scheme in ("dpc", "linear"):
-            got = bc_sinr(ch, bf, scheme)
-            assert got.shape == (ch.K,)
-            ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, _streams(bf.u),
-                                  _streams(bf.v), _streams(bf.p), linear=scheme == "linear")
-            assert sorted(ref) == [(i, 0) for i in range(ch.K)]
-            for (i, _), val in ref.items():
-                assert got[i] == pytest.approx(val, rel=1e-12)
-
-
-def test_bc_sinr_linear_includes_all_interference(rng):
-    ch = ChannelSet(rand_channels(rng, 2, 2, 2))
-    bf = _random_bf(rng, ch)
-    # linear scheme sees at least as much interference
-    assert np.all(bc_sinr(ch, bf, "linear") <= bc_sinr(ch, bf, "dpc") + 1e-15)
+        got = bc_sinr(ch, bf)
+        assert got.shape == (ch.K,)
+        ref = ref_bc_sinr_dpc(ch.H, ch.sigma2, ch.encoding_order, _streams(bf.u),
+                              _streams(bf.v), _streams(bf.p))
+        assert sorted(ref) == [(i, 0) for i in range(ch.K)]
+        for (i, _), val in ref.items():
+            assert got[i] == pytest.approx(val, rel=1e-12)
 
 
 def test_mac_rates_scalar():
@@ -326,7 +316,7 @@ def test_rate_sinr_consistency_with_mmse(rng):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     p = np.array([1.3, 0.8])
     bf = BeamformingSolution(u=u, v=bc_mmse_receivers(ch, u, p), p=p, q=[0.0, 0.0])
-    rates_from_sinr = np.log1p(bc_sinr(ch, bf, "dpc"))
+    rates_from_sinr = np.log1p(bc_sinr(ch, bf))
     rates = bc_rates_dpc(ch, bf.bc_covariances())
     assert np.allclose(rates_from_sinr, rates, atol=1e-6)
 

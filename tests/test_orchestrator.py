@@ -243,7 +243,7 @@ def test_power_balance_vs_oracle(rng):
         comp = [l * (constraint_value(cov, c) - alpha * c.P)
                 for l, c in zip(lam.values, cons)]
         assert np.max(np.abs(comp)) <= 1e-5
-        assert np.all(bc_sinr(ch, bf, "dpc") >= gam.gamma - 1e-6)
+        assert np.all(bc_sinr(ch, bf) >= gam.gamma - 1e-6)
 
 
 def test_balancing_three_constraints_vs_oracle(rng):
