@@ -33,11 +33,16 @@ def as_matrix(M, name="matrix"):
     return A
 
 
+def ctrans(X):
+    """Conjugate transpose of a matrix or of every block of a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(M):
     """Nearest Hermitian matrix, (M + M^H) / 2, of a matrix or of every block
     of a stack (..., n, n)."""
     A = np.asarray(M, dtype=np.complex128)
-    return 0.5 * (A + A.conj().swapaxes(-1, -2))
+    return 0.5 * (A + ctrans(A))
 
 
 def check_hermitian(M, name="matrix"):

@@ -12,8 +12,11 @@ Martinez and Raydan, SIAM J. Optim. 2000): at Z with gradient G it takes the
 Barzilai-Borwein step t = <s, s> / <s, -y> (IMA J. Numer. Anal. 1988), s and
 y the last moves of Z and G, clamped to [1e-10, 1e8], projects once, D =
 proj(Z + t G) - Z, and backtracks along Z + a D, between two feasible
-points, until the objective gains ARMIJO_C * a * <G, D>.  It makes one
-deterministic start and stops on its Frank-Wolfe gap: with gradient blocks
+points, until the objective gains ARMIJO_C * a * <G, D>; where
+|<G, D>| <= ARMIJO_FLAT * max(1, |objective|), a gain no difference of two
+rounded objectives resolves, it takes the full step untested, so that it
+reaches the gap asked for where the objective is flat to roundoff.  It makes
+one deterministic start and stops on its Frank-Wolfe gap: with gradient blocks
 G_i at Z, the linear oracle over {Z_i >= 0, sum_i tr(Z_i) <= P} is P * max_i
 lambda_max(G_i), so gap = P * max_i lambda_max(G_i) - sum_i tr(G_i Z_i)
 bounds the distance of the objective to the optimum (Jaggi, ICML 2013), and
@@ -83,13 +86,14 @@ STALL = 0.99
 SNR_CAP = 1e12
 ARMIJO_BETA = 0.5  # the ascent's backtracking shrinks its step by this factor
 ARMIJO_C = 0.1  # until the step gains this share of its first-order progress
+ARMIJO_FLAT = 8 * np.finfo(float).eps  # or steps untested below this share of max(1, |obj|)
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Settings of the dual-uplink solvers, and of the multiplier search when
     passed as ``outer`` (default ``orchestrator.OUTER``).  Configs set only
-    ``tol`` and ``max_iters``; ARMIJO_BETA, ARMIJO_C and PD_FLOOR are fixed.
+    ``tol`` and ``max_iters``; the ARMIJO_* constants and PD_FLOOR are fixed.
 
     ``tol``: the weighted-sum-rate ascent stops once its Frank-Wolfe gap is
     at most tol * |objective| (min(tol, outer.tol / 10) * |objective| inside a
@@ -128,11 +132,6 @@ class MacSolution:
     converged: bool
     multiplier: float
     whitened: tuple
-
-
-def _ctrans(X):
-    """Conjugate transpose of every block of a stack."""
-    return X.conj().swapaxes(-1, -2)
 
 
 def _rate_coeffs(w):
@@ -179,7 +178,7 @@ def _gradient(Ghat, coeffs, Z, mats=None):
     nz, c, slot = coeffs
     mats = _cum_mats(Ghat, Z, nz) if mats is None else mats
     suffix = np.cumsum((c[:, None, None] * np.linalg.inv(mats))[::-1], axis=0)[::-1]
-    g = Ghat @ suffix[slot] @ _ctrans(Ghat)
+    g = Ghat @ suffix[slot] @ linalg.ctrans(Ghat)
     return linalg.hermitian_part(g)
 
 
@@ -207,7 +206,7 @@ def _project_blocks(mats, budget):
             mu = mu_cand[active[-1]]
             clipped = np.maximum(lam - mu, 0.0)
     z = clipped.reshape(eigs.shape)
-    return (V * z[:, None, :]) @ _ctrans(V)
+    return (V * z[:, None, :]) @ linalg.ctrans(V)
 
 
 def _run_pg(Ghat, coeffs, budget, settings, Z0):
@@ -235,14 +234,15 @@ def _run_pg(Ghat, coeffs, budget, settings, Z0):
         prev = Z, grads
         d = _project_blocks(Z + t * grads, budget) - Z
         progress = float(np.vdot(grads, d).real)
+        flat = abs(progress) <= ARMIJO_FLAT * max(1.0, abs(obj))
         a = 1.0
         for _ in range(60):
-            if a * progress <= 1e-18 * max(1.0, abs(obj)):
+            if not flat and a * progress <= 1e-18 * max(1.0, abs(obj)):
                 return Z, obj, iters, gap, top
             cand = Z + a * d  # between Z and a projection: feasible
             cand_mats = _cum_mats(Ghat, cand, coeffs[0])
             new_obj = _objective(Ghat, coeffs, cand, cand_mats)
-            if new_obj >= obj + ARMIJO_C * a * progress:
+            if flat or new_obj >= obj + ARMIJO_C * a * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
                 break
             a *= ARMIJO_BETA

@@ -10,18 +10,30 @@ for Nr <= Nt and for solver-optimal inputs).
 Everything here reduces to the classical identity-noise duality when A = I
 and sigma^2 = 1.
 
-The rate-preserving construction whitens the constraint (channels H_k A^{-1/2},
-identity noise), then flips each user's covariance through the SVD of its
-effective channel, walking users from the last encoding position to the
-first so each step sees the interference it needs.  A flip pairs column k
-of the left singular vectors with column k of the right ones, so whatever
-phases the SVD picks cancel.  The downlink-side interference of a user is
-the sum of the whitened downlink covariances encoded after it, a running
-sum (MAC to BC) or one suffix cumsum (BC to MAC): O(K) products per transform.
-Both interference matrices, the uplink-side Phi (Nt x Nt) and the
-downlink-side Omega (Nr x Nr), enter a flip only through their Cholesky
-factors (see :func:`_flip`), so neither direction eigendecomposes anything
-per user: one formula serves both, with the two sides swapped.
+The rate-preserving construction whitens the constraint (channels
+Hhat_i = H_i A^{-1/2}, identity noise) and flips each user's covariance
+through the SVD G = C^{-1} Hhat_i L^{-H} = U S V^H, with L L^H = Phi (Nt x
+Nt: I plus the uplink terms of the users encoded before i) and C C^H = Omega
+(Nr x Nr: I plus the downlink interference of those encoded after).  Rates
+pass only through the leading m = min(Nr, Nt) singular pairs, so the MAC to
+BC flip of Z = sigma_i^2 Q_i is L^{-H} V_m (U_m^H C^H Z C U_m) V_m^H L^{-1};
+BC to MAC is the same formula with the sides swapped, walking the users from
+the first encoding position.  Column k of U is paired with column k of V, so
+the phases the SVD picks cancel, and any factors give the flip of the
+symmetric roots (C = Omega^{1/2} X, X unitary, leaves C U unchanged).
+
+Only Omega depends on other flips, so MAC to BC does its Nt-sized work up
+front, one batched call per step over the encoding positions: the prefix
+sums Phi and their Cholesky factors L, the thin SVD L^{-1} Hhat^H =
+Q_R diag(s) V_R, B = L^{-H} Q_R (Nt x m) and the cross gains Hhat_p B_t.
+As G = (C^{-1} V_R^H diag(s)) Q_R^H, the right singular vectors of G are
+Q_R times those, V', of the Nr x m matrix in brackets, and the walk from the
+last position to the first touches Nr x Nr and m x m matrices only: C, that
+SVD, the flip in the basis B, Y = V' (U_m^H C^H Z C U_m) V'^H, and the term
+(Hhat_p B_t) Y_t (Hhat_p B_t)^H it adds to every earlier Omega_p.  The last
+position sees Omega = I, so its flip reads off the up-front SVD.  The
+downlink covariance is A^{-1/2} B Y B^H A^{-1/2}.  Nothing is squared or
+divided by a singular value, and nothing is eigendecomposed per user.
 
 The SINR-preserving construction works on beamforming solutions with one
 beam per user, stacked (K, ...) in user order.  It keeps the user-side
@@ -36,27 +48,6 @@ from . import linalg, model
 from .errors import DegenerateTransform, InvalidInput
 
 
-def _flip(C_src, C_dst, M, Q_src):
-    """Flip one user's covariance Q_src across the link M, which maps the
-    destination side to the source side (Hhat for MAC to BC, Hhat^H for BC
-    to MAC), through the SVD G = C_src^{-1} M C_dst^{-H} = U S V^H.  C_src
-    and C_dst are Cholesky factors (C C^H) of the source- and
-    destination-side interference.  Rates only pass through the leading
-    m = min(Nr, Nt) singular pairs, so the flip is
-    C_dst^{-H} V_m (U_m^H C_src^H Q_src C_src U_m) V_m^H C_dst^{-1}.
-
-    Any factors give the flip of the symmetric roots: C_src = X^{1/2} W
-    (X the interference, W unitary) turns G into W^H G and U into W^H U, so
-    C_src U = X^{1/2} U is unchanged, and so is C_dst^{-H} V on the right."""
-    m = min(M.shape)
-    Csi = np.linalg.inv(C_src)
-    D = np.linalg.inv(C_dst).conj().T
-    U, _, Vh = np.linalg.svd(Csi @ M @ D)
-    Um, Vm = U[:, :m], Vh[:m].conj().T
-    S = Um.conj().T @ C_src.conj().T @ Q_src @ C_src @ Um
-    return linalg.hermitian_part(D @ Vm @ S @ Vm.conj().T @ D.conj().T)
-
-
 def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     """Map dual-uplink covariances to downlink covariances achieving the same
     per-user rate vector, with tr((sum Q) A) <= sum_i sigma_i^2 tr(Q_i^(m)).
@@ -64,31 +55,50 @@ def mac_to_bc_capacity(ch, cov_mac, A, whitened=None):
     already (a weighted-sum-rate solve returns it); ``A`` is then unused."""
     model._check_dims(ch, cov_mac, model.MAC)
     Hhat, W = whitened or model.whitened_channels(ch, linalg.check_hermitian(A, name="A"))
-    order = ch.encoding_order
-    # absorb the per-user noise weights so the budget is a plain trace
-    Z = ch.sigma2[:, None, None] * cov_mac.Q
-    # Phis[pos] = I + sum of the uplink terms of the users encoded before pos
-    Phis = [np.eye(ch.nt, dtype=np.complex128)]
-    for j in order[:-1]:
-        Phis.append(Phis[-1] + Hhat[j].conj().T @ Z[j] @ Hhat[j])
-    Qw = np.zeros((ch.K, ch.nt, ch.nt), dtype=np.complex128)  # whitened downlink
-    later = np.zeros((ch.nt, ch.nt), dtype=np.complex128)  # sum of Qw encoded after pos
-    for pos in range(ch.K - 1, -1, -1):
-        i = order[pos]
-        Om = linalg.hermitian_part(np.eye(ch.nr) + Hhat[i] @ later @ Hhat[i].conj().T)
-        Qw[i] = _flip(np.linalg.cholesky(Om), np.linalg.cholesky(Phis[pos]), Hhat[i], Z[i])
-        later = later + Qw[i]
-    return model.CovarianceSet.built(model.BC, W @ Qw @ W)
+    order = list(ch.encoding_order)
+    K, nr, nt, m = ch.K, ch.nr, ch.nt, min(ch.nr, ch.nt)
+    # whitened channels and noise-weighted uplink covariances in encoding order
+    G, Z = Hhat[order], ch.sigma2[order, None, None] * cov_mac.Q[order]
+    Gh = linalg.ctrans(G)
+    # Phi[pos] = I + the uplink terms of the positions before pos, added block
+    # by block (np.cumsum along the stack strides across it, many times slower)
+    Phi = np.concatenate([np.eye(nt)[None], Gh[:-1] @ Z[:-1] @ G[:-1]])
+    for pos in range(1, K):
+        Phi[pos] += Phi[pos - 1]
+    L = np.linalg.cholesky(Phi)
+    QR, s, Vr = np.linalg.svd(np.linalg.solve(L, Gh), full_matrices=False)
+    rh = linalg.ctrans(Vr) * s[:, None, :]  # G_pos L_pos^{-H} = rh_pos QR_pos^H
+    B = np.linalg.solve(linalg.ctrans(L), QR)
+    del Phi, L  # free the K x Nt x Nt stacks before the output is built
+    # block (p, t) of cross is G_p B_t, and of XY G_p B_t Y_t once Y_t is known
+    cross = G.reshape(K * nr, nt) @ B.swapaxes(0, 1).reshape(nt, K * m)
+    XY = np.empty_like(cross)
+    Y = np.empty((K, m, m), dtype=np.complex128)
+    P = linalg.ctrans(Vr[-1])  # C U_m V'^H; Omega = I at the last position
+    for pos in range(K - 1, -1, -1):
+        Y[pos] = P.conj().T @ Z[pos] @ P
+        if pos:
+            cols = slice(pos * m, (pos + 1) * m)
+            np.matmul(cross[:pos * nr, cols], Y[pos], out=XY[:pos * nr, cols])
+            rows, later = slice((pos - 1) * nr, pos * nr), slice(pos * m, None)
+            C = np.linalg.cholesky(np.eye(nr) + XY[rows, later] @ cross[rows, later].conj().T)
+            U, _, Vh = np.linalg.svd(np.linalg.solve(C, rh[pos - 1]))
+            P = C @ U[:, :m] @ Vh
+    users = np.argsort(order)
+    WB = W @ B[users]
+    return model.CovarianceSet.built(model.BC, WB @ Y[users] @ linalg.ctrans(WB))
 
 
 def bc_to_mac_capacity(ch, cov_bc, A):
     """Mirror of :func:`mac_to_bc_capacity`: downlink covariances to uplink
-    ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A)."""
+    ones preserving rates, with sum_i sigma_i^2 tr(Q_i^(m)) <= tr((sum Q) A),
+    one flip per user from the first encoding position (module docstring)."""
     model._check_dims(ch, cov_bc, model.BC)
     A = linalg.check_hermitian(A, name="A")
     Hhat, W = model.whitened_channels(ch, A)
     As = A @ W  # A^{1/2}
     order = list(ch.encoding_order)
+    m = min(ch.nr, ch.nt)
     Qw = linalg.hermitian_part(As @ cov_bc.Q @ As)
     # later[pos] = sum of Qw over the users encoded after pos
     later = np.zeros_like(Qw)
@@ -97,7 +107,12 @@ def bc_to_mac_capacity(ch, cov_bc, A):
     Phi = np.eye(ch.nt, dtype=np.complex128)  # running I + earlier uplink terms
     for pos, i in enumerate(order):
         Om = linalg.hermitian_part(np.eye(ch.nr) + Hhat[i] @ later[pos] @ Hhat[i].conj().T)
-        Z[i] = _flip(np.linalg.cholesky(Phi), np.linalg.cholesky(Om), Hhat[i].conj().T, Qw[i])
+        L, C = np.linalg.cholesky(Phi), np.linalg.cholesky(Om)
+        D = np.linalg.inv(C).conj().T
+        U, _, Vh = np.linalg.svd(np.linalg.inv(L) @ Hhat[i].conj().T @ D)
+        Um, Vm = U[:, :m], Vh[:m].conj().T
+        S = Um.conj().T @ L.conj().T @ Qw[i] @ L @ Um
+        Z[i] = linalg.hermitian_part(D @ Vm @ S @ Vm.conj().T @ D.conj().T)
         Phi = Phi + Hhat[i].conj().T @ Z[i] @ Hhat[i]
     return model.CovarianceSet.built(model.MAC, Z / ch.sigma2[:, None, None])
 

@@ -528,6 +528,19 @@ def test_spg_warm_start_at_a_converged_solution_stays_there(rng, tied):
     assert warm.objective == pytest.approx(sol.objective, rel=1e-12)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_spg_reaches_tolerances_where_the_objective_is_flat_to_roundoff(rng, tol):
+    """On the K = 8 tied instance (objective about 30) the ascent's steps
+    gain less than the objective's rounding long before the gap reaches
+    1e-12 relative.  Such a step is taken unchecked, so the ascent reaches
+    the tolerance asked; it stopped at a gap of 4.8e-9 relative after 22
+    steps, converged=False, when it backtracked on them."""
+    ch, A, budget, w = _spg_instance(rng, True)
+    sol = solve_wsr_mac(ch, A, budget, w, SolverSettings(tol=tol))
+    assert sol.converged and sol.gap <= tol * abs(sol.objective)
+    assert sol.objective >= solve_wsr_mac(ch, A, budget, w, TIGHT).objective
+
+
 def test_relabelling_users_into_encoding_order_changes_no_bit(rng):
     """The ascent sees only encoding positions, so a channel set whose users
     are relabelled into its encoding order solves to the same bits: the

@@ -151,6 +151,61 @@ def test_capacity_transforms_at_eight_users(rng):
                                    rtol=0, atol=1e-8)
 
 
+def test_capacity_transform_factorizes_nt_sized_matrices_up_front(rng, monkeypatch):
+    """mac_to_bc_capacity makes its Cholesky, solve, QR, SVD and inverse calls
+    on Nt-row operands as batched calls before its loop over encoding
+    positions, so their number is the same at K = 2 and K = 8 (Nt = 16,
+    Nr = 2); the loop itself factorizes Nr x Nr matrices only, and none for
+    the last position, which sees no downlink interference."""
+    nr, nt = 2, 16
+    counts = {}
+    for K in (2, 8):
+        ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
+                        tuple(rng.permutation(K)))
+        A = rand_pd(rng, nt)
+        cov_mac = random_mac_cov(rng, K, nr, 4.0)
+        whitened = model.whitened_channels(ch, A)
+        calls = counts[K] = {"nt": 0, "nr": 0}
+
+        def spy(fn):
+            def counted(M, *args, **kwargs):
+                calls["nt" if np.shape(M)[-2] == nt else "nr"] += 1
+                return fn(M, *args, **kwargs)
+            return counted
+
+        with monkeypatch.context() as m:
+            for name in ("cholesky", "solve", "qr", "svd", "inv"):
+                m.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+            cov_bc = mac_to_bc_capacity(ch, cov_mac, A, whitened)
+        r_mac = ref_mac_rates([Hi / np.sqrt(s) for Hi, s in zip(ch.H, ch.sigma2)],
+                              ch.encoding_order,
+                              [ch.sigma2[i] * cov_mac.Q[i] for i in range(K)], A)
+        r_bc = ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc.Q))
+        np.testing.assert_allclose(r_bc, r_mac, rtol=0, atol=1e-9)
+    assert counts[2]["nt"] == counts[8]["nt"] > 0
+    # a Cholesky factor, a solve and an SVD at every position but the last
+    assert [counts[K]["nr"] for K in (2, 8)] == [3, 21]
+
+
+def test_capacity_transform_at_ladder_size(rng):
+    """mac_to_bc_capacity at the benchmark ladder's largest size, K = 32,
+    Nr = 2, Nt = 32, with a random encoding order and noise powers, keeps
+    every user's rate and (Nr <= Nt) spends the budget exactly."""
+    K, nr, nt = 32, 2, 32
+    ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
+                    tuple(rng.permutation(K)))
+    A = np.eye(nt)
+    cov_mac = random_mac_cov(rng, K, nr, 10.0)
+    cov_bc = mac_to_bc_capacity(ch, cov_mac, A)
+    r_mac = ref_mac_rates([Hi / np.sqrt(s) for Hi, s in zip(ch.H, ch.sigma2)],
+                          ch.encoding_order, [ch.sigma2[i] * cov_mac.Q[i] for i in range(K)], A)
+    r_bc = ref_bc_rates(ch.H, ch.sigma2, ch.encoding_order, list(cov_bc.Q))
+    np.testing.assert_allclose(r_bc, r_mac, rtol=0, atol=1e-9)
+    budget = sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(K))
+    assert constraint_value(cov_bc, LinearConstraint(A, budget)) == pytest.approx(
+        budget, rel=1e-12)
+
+
 def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
     """mac_to_bc_capacity at K = 6, Nr = 2, Nt = 16 under a merged A whose
     multiplier sits at LAMBDA_FLOOR (condition number about 1e7) keeps the
