@@ -46,7 +46,9 @@ and a power update (Schubert and Boche, 2004) with one beam per user, stacked
 (K, ...) in user order in their solutions.  A sweep takes the MMSE receivers
 at the previous sweep's powers, one batched uplink SIC pass
 (``model.uplink_sic``) in encoding order, and then the powers for those
-receivers, one triangular solve (``model.sinr_powers``).  Multi-antenna
+receivers, one triangular solve (``model.sinr_powers``); for SINR balancing
+at the ratio that spends the budget, one over the Perron root of the
+receivers' extended coupling matrix (:func:`_balanced_ratio`).  Multi-antenna
 users' vectors are refreshed after each sweep as downlink MMSE receivers
 (``model.bc_mmse_receivers``) at the downlink powers that meet given SINRs
 against a SIC pass's stream gains.  Power minimization uses its sweep's own
@@ -161,22 +163,21 @@ def _cum_mats(Ghat, Z, nz):
     return mats
 
 
-def _objective(Ghat, coeffs, Z, mats=None):
+def _objective(coeffs, mats):
     """sum_m c_m logdet(Phi_m) over the nonzero c_m of ``coeffs`` (see
-    :func:`_rate_coeffs`); -inf off the positive definite cone."""
-    nz, c, _ = coeffs
-    sign, ld = np.linalg.slogdet(_cum_mats(Ghat, Z, nz) if mats is None else mats)
+    :func:`_rate_coeffs`), ``mats`` the Phi_m of :func:`_cum_mats`; -inf off
+    the positive definite cone."""
+    sign, ld = np.linalg.slogdet(mats)
     if np.any(sign.real <= 0):
         return -np.inf
-    return float(c @ ld)
+    return float(coeffs[1] @ ld)
 
 
-def _gradient(Ghat, coeffs, Z, mats=None):
+def _gradient(Ghat, coeffs, mats):
     """d(objective)/dZ_m = sum_{n >= m} c_n Ghat_m Phi_n^{-1} Ghat_m^H,
     summed over the nonzero c_n only: position m takes the suffix sum from
     the first nonzero position at or after its own."""
-    nz, c, slot = coeffs
-    mats = _cum_mats(Ghat, Z, nz) if mats is None else mats
+    _, c, slot = coeffs
     suffix = np.cumsum((c[:, None, None] * np.linalg.inv(mats))[::-1], axis=0)[::-1]
     g = Ghat @ suffix[slot] @ linalg.ctrans(Ghat)
     return linalg.hermitian_part(g)
@@ -186,10 +187,7 @@ def _project_blocks(mats, budget):
     """Exact Euclidean projection onto {Z_i >= 0, sum_i tr(Z_i) <= budget}:
     eigen-clip every block, and if the trace budget is exceeded subtract the
     common level mu solving sum (lam - mu)_+ = budget."""
-    M = np.asarray(mats, dtype=np.complex128)
-    if not np.all(np.isfinite(M)):
-        raise InvalidInput("covariance blocks have non-finite entries")
-    eigs, V = np.linalg.eigh(linalg.hermitian_part(M))
+    eigs, V = np.linalg.eigh(linalg.hermitian_part(mats))
     lam = eigs.ravel()
     clipped = np.maximum(lam, 0.0)
     if clipped.sum() > budget:
@@ -218,11 +216,11 @@ def _run_pg(Ghat, coeffs, budget, settings, Z0):
     max_i lambda_max(G_i)."""
     Z = _project_blocks(Z0, budget)
     mats = _cum_mats(Ghat, Z, coeffs[0])
-    obj = _objective(Ghat, coeffs, Z, mats)
+    obj = _objective(coeffs, mats)
     t, prev = 1.0, None
     iters = 0
     while True:
-        grads = _gradient(Ghat, coeffs, Z, mats)
+        grads = _gradient(Ghat, coeffs, mats)
         top = float(np.linalg.eigvalsh(grads)[:, -1].max())
         gap = budget * top - float(np.vdot(grads, Z).real)
         if (iters and gap <= settings.tol * abs(obj)) or iters == settings.max_iters:
@@ -241,7 +239,7 @@ def _run_pg(Ghat, coeffs, budget, settings, Z0):
                 return Z, obj, iters, gap, top
             cand = Z + a * d  # between Z and a projection: feasible
             cand_mats = _cum_mats(Ghat, cand, coeffs[0])
-            new_obj = _objective(Ghat, coeffs, cand, cand_mats)
+            new_obj = _objective(coeffs, cand_mats)
             if flat or new_obj >= obj + ARMIJO_C * a * progress:
                 Z, obj, mats = cand, new_obj, cand_mats
                 break
@@ -273,8 +271,8 @@ def solve_wsr_mac(ch, noise, budget, weights, settings=None, init=None):
     the gap met ``settings.tol`` before the iteration budget ran out.
     """
     settings = settings or SolverSettings()
-    if not (budget >= 0):
-        raise InvalidInput("budget must be nonnegative")
+    if not (0 <= budget < np.inf):
+        raise InvalidInput("budget must be nonnegative and finite")
     noise = linalg.check_hermitian(noise, name="noise")
     whitened = model.whitened_channels(ch, noise)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -330,29 +328,18 @@ def _zero_gain(users):
 def _balanced_ratio(gamma, M, c, sigma2, budget, degenerate):
     """The ratio alpha whose uplink powers (:func:`model.sinr_powers` at
     targets alpha * gamma, noise c) spend the budget.  With D =
-    diag(gamma / diag(M)) and B = triu(M, 1)^T, those powers are
-    q(alpha) = sum_k alpha^k (D B)^(k-1) D c, so sigma^2 . q(alpha) =
-    sum_k s_k alpha^k has nonnegative coefficients: it is convex and
-    increasing for alpha >= 0, and Newton's method from the upper bound
-    min_k (budget / s_k)^(1/k) descends onto the root monotonically."""
+    diag(gamma / diag(M)) and B = triu(M, 1)^T those powers solve
+    q = alpha D (B q + c), so [q; 1] is the Perron vector, at eigenvalue
+    1 / alpha, of the nonnegative extended coupling matrix
+    Psi = [[D B, D c], [sigma^2 D B / P, sigma^2 D c / P]] (Schubert and
+    Boche, IEEE Trans. Veh. Technol. 2004): alpha is one over its spectral
+    radius, the largest real part of its eigenvalues."""
     a = np.diag(M)
     if np.any(a <= 0):
         raise degenerate(int(np.argmax(a <= 0)))
-    K = len(gamma)
-    d, B = gamma / a, M.T * (np.arange(K)[:, None] > np.arange(K))  # triu(M, 1).T
-    s, x = np.zeros(K), d * c
-    for k in range(K):
-        s[k] = sigma2 @ x
-        x = d * (B @ x)
-    k = np.arange(1, K + 1)
-    alpha = float(np.min((budget / s[s > 0]) ** (1.0 / k[s > 0])))
-    for _ in range(100):
-        powers = alpha ** k
-        step = (s @ powers - budget) / (s @ (k * powers)) * alpha
-        if not step > 1e-15 * alpha:
-            break
-        alpha -= step
-    return alpha
+    top = (gamma / a)[:, None] * np.column_stack([np.tril(M.T, -1), c])
+    psi = np.vstack([top, sigma2 @ top / budget])
+    return 1.0 / float(np.linalg.eigvals(psi).real.max())
 
 
 def _refreshed_vectors(ch, users, M, u, gamma):
@@ -406,21 +393,21 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
 
     Alternates MMSE receive vectors at the base station with an exact power
     rebalance: for fixed vectors the powers meeting a common ratio are a
-    triangular system, and the ratio exhausting the budget is the root of a
-    polynomial (:func:`_balanced_ratio`).  When users have several antennas
-    the user-side vectors are refreshed as downlink MMSE receivers through
-    the SINR-preserving transformation of the rebalanced powers, which keeps
-    the iteration monotone; an extrapolated sweep is kept only where alpha
-    does not fall.  Starts from ``init``, its powers rescaled to ``budget``,
-    or from scratch (see the module docstring).  At return every ratio
-    equals alpha to rounding.
+    triangular system, and the ratio exhausting the budget is one over the
+    Perron root of the extended coupling matrix (:func:`_balanced_ratio`).
+    When users have several antennas the user-side vectors are refreshed as
+    downlink MMSE receivers through the SINR-preserving transformation of
+    the rebalanced powers, which keeps the iteration monotone; an
+    extrapolated sweep is kept only where alpha does not fall.  Starts from
+    ``init``, its powers rescaled to ``budget``, or from scratch (see the
+    module docstring).  At return every ratio equals alpha to rounding.
     """
     settings = settings or SolverSettings()
     A = linalg.check_pd(noise, name="uplink noise covariance")
     if targets.gamma.shape != (ch.K,):
         raise InvalidInput(f"need {ch.K} SINR targets")
-    if not (budget > 0):
-        raise InvalidInput("budget must be positive")
+    if not (0 < budget < np.inf):
+        raise InvalidInput("budget must be positive and finite")
     v, q = _start(ch, init)
     users = np.array(ch.encoding_order)
     gamma, sigma2, zero_gain = targets.gamma[users], ch.sigma2[users], _zero_gain(users)

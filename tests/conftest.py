@@ -47,18 +47,26 @@ def ref_logdet(M):
 
 
 def ref_bc_rates(H, sigma2, order, Q):
-    """Downlink rates by direct determinant evaluation (independent path)."""
+    """Downlink rates by direct determinant evaluation (independent path).
+    With more receive than transmit antennas each determinant is taken on the
+    Nt side, det(s I_Nr + H S H^H) = s^(Nr - Nt) det(s I_Nt + S H^H H): the
+    Nr x Nr matrix has Nr - Nt eigenvalues s beside ones of order
+    ||H S H^H||, and at high SNR its float64 determinant loses their digits."""
     K = len(H)
-    nr = H[0].shape[0]
+    nr, nt = H[0].shape
+
+    def logdet(s, Hi, S):
+        if nr > nt:
+            return (nr - nt) * np.log(s) + ref_logdet(s * np.eye(nt) + S @ Hi.conj().T @ Hi)
+        return ref_logdet(s * np.eye(nr) + Hi @ S @ Hi.conj().T)
+
     rates = np.zeros(K)
     for pos in range(K):
         i = order[pos]
         later = [Q[order[p]] for p in range(pos + 1, K)]
         S_all = sum([Q[i]] + later) if later else Q[i]
         S_later = sum(later) if later else np.zeros_like(Q[i])
-        noise = sigma2[i] * np.eye(nr)
-        rates[i] = ref_logdet(noise + H[i] @ S_all @ H[i].conj().T) \
-            - ref_logdet(noise + H[i] @ S_later @ H[i].conj().T)
+        rates[i] = logdet(sigma2[i], H[i], S_all) - logdet(sigma2[i], H[i], S_later)
     return rates
 
 

@@ -102,12 +102,12 @@ def test_wsr_monotone_iterates(rng):
     Ghat = model.whitened_channels(ch, np.eye(2))[0]
     coeffs = macsolver._rate_coeffs(np.array([1.5, 1.0]))
     Z = [np.zeros((2, 2), dtype=complex) for _ in range(2)]
-    obj = macsolver._objective(Ghat, coeffs, Z)
+    obj = macsolver._objective(coeffs, macsolver._cum_mats(Ghat, Z, coeffs[0]))
     for _ in range(25):
-        grads = macsolver._gradient(Ghat, coeffs, Z)
+        grads = macsolver._gradient(Ghat, coeffs, macsolver._cum_mats(Ghat, Z, coeffs[0]))
         Z = macsolver._project_blocks(
             [Z[i] + 0.2 * grads[i] for i in range(2)], 2.0)
-        new_obj = macsolver._objective(Ghat, coeffs, Z)
+        new_obj = macsolver._objective(coeffs, macsolver._cum_mats(Ghat, Z, coeffs[0]))
         assert new_obj >= obj - 1e-12
         obj = new_obj
 
@@ -121,11 +121,11 @@ def test_gradient_matches_finite_differences(rng):
         w = rng.uniform(0.5, 2.0, K)
         coeffs = macsolver._rate_coeffs(w)
         Z = [rand_pd(rng, 2, 0.5) for _ in range(K)]
-        grads = macsolver._gradient(Ghat, coeffs, Z)
+        grads = macsolver._gradient(Ghat, coeffs, macsolver._cum_mats(Ghat, Z, coeffs[0]))
         for i in range(K):
             def f(Qi, i=i):
                 Zi = [Qi if j == i else Z[j] for j in range(K)]
-                return macsolver._objective(Ghat, coeffs, Zi)
+                return macsolver._objective(coeffs, macsolver._cum_mats(Ghat, Zi, coeffs[0]))
 
             G_fd = finite_diff_gradient(f, Z[i], 1e-5)
             scale = max(1.0, np.max(np.abs(grads[i])))
@@ -370,10 +370,11 @@ def _assert_objective_and_gradient_match(rng, ch, A, w):
         cov = random_mac_cov(rng, ch.K, ch.nr, 2.5)
         Z = np.array([ch.sigma2[i] * cov.Q[i] for i in range(ch.K)])
         ref_obj = float(w @ mac_rates(ch, cov, A))
-        obj = macsolver._objective(Ghat[order], coeffs, Z[order])
+        mats = macsolver._cum_mats(Ghat[order], Z[order], coeffs[0])
+        obj = macsolver._objective(coeffs, mats)
         assert obj == pytest.approx(ref_obj, rel=1e-12)
         grads = np.empty_like(Z)
-        grads[order] = macsolver._gradient(Ghat[order], coeffs, Z[order])
+        grads[order] = macsolver._gradient(Ghat[order], coeffs, mats)
         for i, g_ref in enumerate(_ref_gradient(ch, G, w, Z)):
             assert np.max(np.abs(grads[i] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
@@ -434,11 +435,17 @@ def test_stacked_projection_matches_per_block(rng):
         assert total <= budget * (1 + 1e-12)
 
 
-def test_project_blocks_rejects_nan():
-    M = np.array([np.eye(2, dtype=complex)] * 3)
-    M[1, 0, 1] = np.nan
-    with pytest.raises(InvalidInput):
-        macsolver._project_blocks(M, 1.0)
+def test_solvers_reject_an_infinite_budget(rng):
+    """An infinite budget is refused where it enters, by name: by the
+    weighted-sum-rate solver from a cold start and from a warm one, and by
+    SINR balancing."""
+    ch = ChannelSet(rand_channels(rng, 2, 2, 2))
+    warm = solve_wsr_mac(ch, np.eye(2), 1.0, [1, 1]).cov
+    for init in (None, warm):
+        with pytest.raises(InvalidInput, match="budget"):
+            solve_wsr_mac(ch, np.eye(2), np.inf, [1, 1], init=init)
+    with pytest.raises(InvalidInput, match="budget"):
+        solve_sinr_balance_mac(ch, np.eye(2), np.inf, SinrTargets([1.0, 1.0]))
 
 
 def test_stacked_gap_and_multiplier_match_per_block(rng):
@@ -494,18 +501,24 @@ def test_spg_projects_once_per_iteration_onto_feasible_iterates(rng, monkeypatch
     iterate it accepts (each one's gradient is taken) is PSD within the
     budget: a backtrack moves between two feasible points."""
     ch, A, budget, w = _spg_instance(rng, tied)
-    projections, iterates = [0], []
-    project, gradient = macsolver._project_blocks, macsolver._gradient
+    projections, formed, iterates = [0], [], []
+    project, cum_mats = macsolver._project_blocks, macsolver._cum_mats
+    gradient = macsolver._gradient
 
     def counted(mats, b):
         projections[0] += 1
         return project(mats, b)
 
-    def recorded(Ghat, coeffs, Z, mats=None):
-        iterates.append(Z)
-        return gradient(Ghat, coeffs, Z, mats)
+    def kept(Ghat, Z, nz):
+        formed.append((Z, cum_mats(Ghat, Z, nz)))
+        return formed[-1][1]
+
+    def recorded(Ghat, coeffs, mats):  # the iterate whose Phi_m these are
+        iterates.append(next(Z for Z, m in formed if m is mats))
+        return gradient(Ghat, coeffs, mats)
 
     monkeypatch.setattr(macsolver, "_project_blocks", counted)
+    monkeypatch.setattr(macsolver, "_cum_mats", kept)
     monkeypatch.setattr(macsolver, "_gradient", recorded)
     sol = solve_wsr_mac(ch, A, budget, w, TIGHT)
     assert sol.converged and sol.iterations > 1
@@ -601,30 +614,36 @@ def test_warm_start_from_a_nearby_multiplier_matches_the_cold_solve(monkeypatch,
 def test_balanced_ratio_matches_a_bisection(rng):
     """The closed-form ratio spends the budget: it matches a tight bisection
     of the powers' total over alpha, for fixed receivers (stream gains M,
-    receiver noise c, streams in encoding order)."""
+    receiver noise c, streams in encoding order), up to 16 streams and with
+    entries over eight decades."""
     def zero_gain(s):
         return InfeasibleTargets(f"user {s}: zero gain")
 
-    for K in (2, 3, 4):
-        for _ in range(4):
-            gam, sigma2 = rng.uniform(0.5, 2.0, K), rng.uniform(0.5, 2.0, K)
-            M = rng.uniform(0.0, 1.0, (K, K))  # the uplink reads its upper triangle
-            np.fill_diagonal(M, rng.uniform(0.1, 2.0, K))
-            c = rng.uniform(0.5, 2.0, K)
-            budget = float(rng.uniform(1.0, 10.0))
+    def draws():
+        for K in (2, 3, 4):
+            for _ in range(4):
+                gam, sigma2 = rng.uniform(0.5, 2.0, K), rng.uniform(0.5, 2.0, K)
+                M = rng.uniform(0.0, 1.0, (K, K))  # the uplink reads its upper triangle
+                np.fill_diagonal(M, rng.uniform(0.1, 2.0, K))
+                yield gam, sigma2, M, rng.uniform(0.5, 2.0, K), float(rng.uniform(1.0, 10.0))
+        for K in (2, 4, 8, 16):  # every entry over eight decades
+            for _ in range(4):
+                gam, sigma2, M, c = (10.0 ** rng.uniform(-4, 4, n) for n in (K, K, (K, K), K))
+                yield gam, sigma2, M, c, float(10.0 ** rng.uniform(-4, 4))
 
-            def total(al):
-                return float(sigma2 @ model.sinr_powers(M, al * gam, c, model.MAC, zero_gain))
+    for gam, sigma2, M, c, budget in draws():
+        def total(al):
+            return float(sigma2 @ model.sinr_powers(M, al * gam, c, model.MAC, zero_gain))
 
-            lo, hi = 0.0, 1.0
-            while total(hi) < budget:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
-            alpha = macsolver._balanced_ratio(gam, M, c, sigma2, budget, zero_gain)
-            assert alpha == pytest.approx(lo, rel=1e-12)
-            assert total(alpha) == pytest.approx(budget, rel=1e-12)
+        lo, hi = 0.0, 1.0
+        while total(hi) < budget:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
+        alpha = macsolver._balanced_ratio(gam, M, c, sigma2, budget, zero_gain)
+        assert alpha == pytest.approx(lo, rel=1e-12)
+        assert total(alpha) == pytest.approx(budget, rel=1e-12)
     M[1, 1] = 0.0
     with pytest.raises(InfeasibleTargets, match="user 1"):
         macsolver._balanced_ratio(gam, M, c, sigma2, budget, zero_gain)
