@@ -168,10 +168,6 @@ class CovarianceSet:
         cov._set(side, linalg.hermitian_part(Q))
         return cov
 
-    @property
-    def K(self):
-        return len(self.Q)
-
     def total(self):
         """Sum of the blocks, added in user order."""
         return sum(self.Q[1:], start=self.Q[0].copy())

@@ -17,24 +17,24 @@ optimum for every c and meets it at the optimal normal.  Linear constraints
 are the case h(c) = c . P, and an affine one a . p <= offset is the linear
 constraint with matrix sum_l a_l A_l.
 
-Weighted sum rate (under linear constraints or a ball), SINR balancing
-and power balancing share one search (``_multiplier_loop``).  Each
-evaluation solves the merged problem and returns a bound on the optimum (for
-a weighted sum rate the inner objective plus its Frank-Wolfe gap, so the
-bound holds however inexact the solve) and a subgradient, whose direction
-cuts the simplex through the evaluated multipliers: the optimum lies on the
-side the bound decreases (increases, for power balancing).  Over two
-multipliers lam = (x, 1 - x) the sign of the slope sub_1 - sub_2 along x
-brackets the optimum, and the search steps by Illinois regula falsi on that
-slope kept inside ITP's bound, so it takes at most ``ITP_N0`` evaluations
-more than bisection (``_bracket_step``); over three or more it takes the
-analytic centre of the simplex the cuts leave, in numpy (``_center``).  The
-cuts use only directions, so they hold for the quasi-convex bounds of
-balancing too.  A search starts at the simplex centre or at ``start`` (a
-region sweep's previous point's best multipliers, near its own).  An open
-bracket's n-th step goes from its closed end toward the open edge by
-d0 * 16^(n-1), at most to the floored vertex: d0 = 1/4 from the centre
-(x = 1/2, 3/4, then the vertex), ``PROBE`` from a start.
+Weighted sum rate (under linear constraints or a ball, both through
+``_wsr_search``), SINR balancing and power balancing share one search
+(``_multiplier_loop``).  Each evaluation solves the merged problem and
+returns a bound on the optimum (for a weighted sum rate the inner objective
+plus its Frank-Wolfe gap, so the bound holds however inexact the solve) and
+a subgradient, whose direction cuts the simplex through the evaluated
+multipliers: the optimum lies on the side the bound decreases (increases,
+for power balancing).  Over two multipliers lam = (x, 1 - x) the sign of the
+slope sub_1 - sub_2 along x brackets the optimum, and the search steps by
+Illinois regula falsi on that slope kept inside ITP's bound, so it takes at
+most ``ITP_N0`` evaluations more than bisection (``_bracket_step``); over
+three or more it takes the analytic centre of the simplex the cuts leave, in
+numpy (``_center``).  The cuts use only directions, so they hold for the
+quasi-convex bounds of balancing too.  A search starts at the simplex centre
+or at ``start`` (a region sweep's previous point's best multipliers, near
+its own).  An open bracket's n-th step goes from its closed end toward the
+open edge by d0 * 16^(n-1), at most to the floored vertex: d0 = 1/4 from the
+centre (x = 1/2, 3/4, then the vertex), ``PROBE`` from a start.
 
 Either way the search names the evaluations that locate the optimum, with
 weights under which their subgradients cancel along the simplex: the last
@@ -309,15 +309,18 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
             return value, out, points[best], trace
 
 
-def _wsr_evaluate(ch, weights, inner, slacks, L, outer):
-    """``evaluate`` of a weighted-sum-rate search: the merged constraint's
-    solve, warm-started from the previous evaluation; its bound is the
-    objective plus the Frank-Wolfe gap, and its subgradient is
-    mu * ``slacks(lam, cov_bc)`` with mu the merged budget's own multiplier
-    (without the mu factor the direction is the same but the subgradient
-    inequality fails).  Over L >= 2 multipliers the solves stop on a gap of
-    min(inner.tol, outer.tol / 10) relative: the search makes few evaluations,
-    so each bound must be tight on its own."""
+def _wsr_search(ch, weights, merge, L, slacks, scale, outer, inner, start=None):
+    """The weighted-sum-rate search over L multipliers of the merged
+    constraint ``merge(lam)``.  Each evaluation solves it warm-started from
+    the previous one; its bound is the objective plus the Frank-Wolfe gap,
+    and its subgradient is mu * ``slacks(lam, cov_bc)`` with mu the merged
+    budget's own multiplier (without the mu factor the direction is the same
+    but the subgradient inequality fails).  Over L >= 2 multipliers the
+    solves stop on a gap of min(inner.tol, outer.tol / 10) relative: the
+    search makes few evaluations, so each bound must be tight on its own.
+    The emitted point is the covariances time-shared by the search's
+    weights, scaled by ``scale(cov)`` (at most 1) into the constraints.
+    Returns (downlink covariance, multipliers of the best bound, trace)."""
     inner = inner or SolverSettings()
     if L >= 2:
         inner = replace(inner, tol=min(inner.tol, (outer or OUTER).tol / 10))
@@ -328,19 +331,14 @@ def _wsr_evaluate(ch, weights, inner, slacks, L, outer):
         warm[0] = sol.cov
         return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc
 
-    return evaluate
-
-
-def _wsr_recover(ch, weights, scale):
-    """``recover`` of a weighted-sum-rate search: the covariances
-    time-shared by ``theta``, scaled by ``scale(cov)`` (at most 1) into the
-    constraints, and their weighted sum rate."""
     def recover(results, theta):
         cov = model.CovarianceSet.built(model.BC, sum(t * results[k].Q for k, t in theta.items()))
         cov = model.CovarianceSet.built(model.BC, scale(cov) * cov.Q)
         return float(np.dot(weights, model.bc_rates_dpc(ch, cov))), cov
 
-    return recover
+    _, cov, lam, trace = _multiplier_loop(merge, L, outer, "min", evaluate, recover,
+                                          settles=True, start=start)
+    return cov, lam, trace
 
 
 def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None, start=None):
@@ -355,14 +353,9 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None, start=None
     (``trace.gap``: the certified relative gap).
     """
     constraints = list(constraints)
-    _, cov_bc, lam, trace = _multiplier_loop(
-        partial(combined_constraint, constraints), len(constraints), outer, "min",
-        _wsr_evaluate(ch, weights, inner,
-                      lambda lam, cov: model.constraint_slacks(cov, constraints),
-                      len(constraints), outer),
-        _wsr_recover(ch, weights, lambda cov: model.feasible_scale(cov, constraints)),
-        settles=True, start=start)
-    return cov_bc, lam, trace
+    return _wsr_search(ch, weights, partial(combined_constraint, constraints), len(constraints),
+                       lambda lam, cov: model.constraint_slacks(cov, constraints),
+                       lambda cov: model.feasible_scale(cov, constraints), outer, inner, start)
 
 
 def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -477,10 +470,7 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     """
     if not isinstance(f, QuadraticBall):
         raise InvalidInput("constraint must be a QuadraticBall")
-    _, cov_bc, lam, trace = _multiplier_loop(
-        f.merged, len(f.mats), outer, "min",
-        _wsr_evaluate(ch, weights, inner,
-                      lambda lam, cov: f.support_point(lam.values) - f.traces(cov),
-                      len(f.mats), outer),
-        _wsr_recover(ch, weights, f.room), settles=True)
+    cov_bc, lam, trace = _wsr_search(
+        ch, weights, f.merged, len(f.mats),
+        lambda lam, cov: f.support_point(lam.values) - f.traces(cov), f.room, outer, inner)
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

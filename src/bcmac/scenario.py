@@ -246,15 +246,14 @@ def load_config(path):
         raise ConfigError(f"heuristic: expected true or false, got {heuristic!r}")
     if heuristic and len(constraints) < 2:
         raise ConfigError("heuristic: normalization needs at least two constraints")
-    # the heuristic solves under constraints[0] alone
-    if heuristic:
-        mats, name = [constraints[0].A], "heuristic: constraints[0] matrix"
-    elif nonlinear is not None:
-        mats, name = nonlinear.mats, "merged nonlinear.a matrix"
-    else:
-        mats, name = [c.A for c in constraints], "merged constraint matrix"
+    # the search merges every constraint (or the ball's matrices); the
+    # heuristic sweep also solves under constraints[0] alone, checked first
+    checks = [([constraints[0].A], "heuristic: constraints[0] matrix")] if heuristic else []
+    checks.append((nonlinear.mats, "merged nonlinear.a matrix") if nonlinear is not None
+                  else ([c.A for c in constraints], "merged constraint matrix"))
     try:
-        orchestrator.check_merges(mats, name)
+        for mats, name in checks:
+            orchestrator.check_merges(mats, name)
     except SingularConstraintMatrix as exc:
         raise ConfigError(str(exc)) from exc
     return ScenarioConfig(

@@ -84,13 +84,49 @@ def _args(command, config, out):
                     nonlinear=dict(BALL, budget=100.0, a=[[[1.0, 0.0], [0.0, 0.0]],
                                                           [[-0.5, 0.0], [0.0, 1.0]]])),
      "nonlinear: constraint matrix must be PSD"),
+    (_region_doc(channels={"h": [[[1.0, [0.0, 0.1, 0.2]], [0.2, 0.6]], H2_CAP]}),
+     "channels.h[0]: matrix entries must be numbers or [re, im] pairs"),
+    (_region_doc(channels={"h": [[1.0, 0.0], H2_CAP]}), "channels.h[0]: expected a list of rows"),
+    (_region_doc(channels={"h": [[[1.0, 0.0], [0.2]], H2_CAP]}), "channels.h[0]: ragged matrix"),
+    (_region_doc(sweep=3), "sweep: expected a mapping"),
+    (_region_doc(channels={"sigma2": [1.0, 1.0]}), "channels.h is required"),
+    (_region_doc(constraints=[{"budget": 5.0}, PER_ANTENNA[1]]),
+     "constraints[0]: expected a mapping with a 'type'"),
+    (_region_doc(constraints=[dict(PER_ANTENNA[0], antenna=3), PER_ANTENNA[1]]),
+     "constraints[0]: antenna must be in 1..2"),
+    (_region_doc(constraints=[dict(PER_ANTENNA[0], type="per_user"), PER_ANTENNA[1]]),
+     "constraints[0]: unknown type 'per_user'"),
+    (_nonlinear_doc(nonlinear=dict(BALL, form="cube")), "nonlinear.form 'cube' is not supported"),
+    ([_region_doc()], "config must be a mapping"),
+    (_region_doc(objective="sum_rate"), "objective must be one of"),
+    ({k: v for k, v in _balance_doc().items() if k != "targets"},
+     "objective sinr_balance requires 'targets'"),
+    (_nonlinear_doc(weights=[0.5]), "weights must be 2 positive numbers"),
+    (_nonlinear_doc(weights=[0.5, 0.0]), "weights must be 2 positive numbers"),
+    (_balance_doc(targets=[1.0]), "targets must list 2 values"),
+    (_region_doc(sweep={"resolution": 0}), "sweep.resolution must be >= 1"),
+    # the heuristic sweep solves under constraints[0] alone after the main
+    # sweep merged every constraint, so both are checked: the config of
+    # test_dominant_rank_deficient_constraint_exits_2, its first constraint
+    # definite, fails at its merge's second vertex
+    (_region_doc(heuristic=True, channels={"h": [[[1.0, 0.5]], [[0.3, 1.0]]]},
+                 constraints=[{"type": "sum_power", "budget": 1.0},
+                              {"type": "matrix", "a": [[20.0, 0.0], [0.0, 0.0]],
+                               "budget": 1.0}]),
+     "multiplier vertex 2 of 2"),
 ], ids=["three_users", "heuristic_singular_first", "heuristic_one_constraint",
         "nonlinear_matrix_size", "single_per_antenna", "seed_not_a_number",
         "resolution_not_a_number",
         "antenna_not_a_number", "sigma2_not_numbers", "encoding_order_not_numbers",
         "targets_not_numbers", "weights_not_numbers", "heuristic_not_a_boolean",
         "antenna_not_an_integer", "resolution_not_an_integer", "weights_not_finite",
-        "budget_not_finite", "tol_not_finite", "nonlinear_matrix_indefinite"])
+        "budget_not_finite", "tol_not_finite", "nonlinear_matrix_indefinite",
+        "entry_not_a_pair", "rows_not_lists", "ragged_matrix", "section_not_a_mapping",
+        "channels_without_h", "constraint_without_type", "antenna_out_of_range",
+        "unknown_constraint_type", "nonlinear_form_unsupported", "config_not_a_mapping",
+        "unknown_objective", "required_key_missing", "weights_wrong_length",
+        "weights_not_positive", "targets_wrong_length", "resolution_zero",
+        "heuristic_merge_singular"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2
@@ -175,6 +211,26 @@ def test_dominant_rank_deficient_constraint_exits_2(tmp_path, capsys):
     assert "multiplier vertex 2 of 2" in capsys.readouterr().err
     doc["constraints"][1] = {"type": "matrix", "a": [[1.0, 0.0], [0.0, 0.0]], "budget": 0.05}
     assert cli.main(_args("validate", _write(tmp_path, doc), str(out))) == 0
+
+
+def test_matrix_entries_as_re_im_pairs(tmp_path):
+    """Matrix entries written as [re, im] pairs: [x, 0.0] gives the same
+    region CSV, byte for byte, as the plain number x, and a channel with
+    imaginary parts loads to its complex matrices and runs."""
+    pairs = [[[[x, 0.0] for x in row] for row in H] for H in (H1_CAP, H2_CAP)]
+    csv = []
+    for name, h in (("plain", [H1_CAP, H2_CAP]), ("pairs", pairs)):
+        out = tmp_path / name
+        assert cli.main(_args("region", _write(tmp_path, _region_doc(channels={"h": h})),
+                              str(out))) == 0
+        csv.append((out / "wsr_region.csv").read_bytes())
+    assert csv[0] == csv[1]
+    h = [[[[1.0, 0.5], 0.0], [0.2, [0.6, -0.3]]], [[[0.5, -0.2], 0.0], [0.2, [1.0, 0.1]]]]
+    config = _write(tmp_path, _region_doc(channels={"h": h}))
+    ch = scenario.load_config(config).channels
+    assert np.array_equal(ch.H[0], [[1.0 + 0.5j, 0.0], [0.2, 0.6 - 0.3j]])
+    assert np.array_equal(ch.H[1], [[0.5 - 0.2j, 0.0], [0.2, 1.0 + 0.1j]])
+    assert cli.main(_args("region", config, str(tmp_path / "complex"))) == 0
 
 
 def test_subcommands_are_the_objective_table_and_validate():

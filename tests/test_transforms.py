@@ -384,14 +384,15 @@ def test_sinr_transform_single_user_identity(rng):
     assert abs(abs(np.vdot(mf, bf.u[0])) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("A, error", [
-    ([[1.0, 0.5], [0.0, 1.0]], InvalidInput),  # not Hermitian
-    (np.diag([1.0, 0.0]), SingularConstraintMatrix),
-])
-def test_sinr_transform_validates_A(A, error):
+@pytest.mark.parametrize("A, q, error, match", [
+    ([[1.0, 0.5], [0.0, 1.0]], [1.0], InvalidInput, None),  # not Hermitian
+    (np.diag([1.0, 0.0]), [1.0], SingularConstraintMatrix, None),
+    (np.eye(2), None, InvalidInput, "uplink powers required"),
+], ids=["A0-InvalidInput", "A1-SingularConstraintMatrix", "no_uplink_powers"])
+def test_sinr_transform_validates_A(A, q, error, match):
     ch = ChannelSet([[[1.0, 0.5]]])
-    bf_mac = BeamformingSolution(u=[[1.0, 0.0]], v=[[1.0]], q=[1.0])
-    with pytest.raises(error):
+    bf_mac = BeamformingSolution(u=[[1.0, 0.0]], v=[[1.0]], q=q)
+    with pytest.raises(error, match=match):
         mac_to_bc_sinr(ch, bf_mac, A)
 
 
