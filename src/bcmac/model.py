@@ -170,7 +170,7 @@ class CovarianceSet:
 
     def total(self):
         """Sum of the blocks, added in user order."""
-        return sum(self.Q[1:], start=self.Q[0].copy())
+        return self.Q.sum(axis=0)
 
     @staticmethod
     def zeros(side, K, dim):
@@ -376,17 +376,22 @@ def mac_sinr(ch, bf, noise):
     return sinr
 
 
+def _value_at(total, c):
+    """tr(total A) for the summed covariance ``total``."""
+    if total.shape != c.A.shape:
+        raise InvalidInput("constraint matrix dimension mismatch")
+    return float(np.real(np.trace(total @ c.A)))
+
+
 def constraint_value(cov, c):
     """tr((sum_i Q_i) A) for a downlink covariance set; linear in each Q_i."""
-    _tot = cov.total()
-    if _tot.shape != c.A.shape:
-        raise InvalidInput("constraint matrix dimension mismatch")
-    return float(np.real(np.trace(_tot @ c.A)))
+    return _value_at(cov.total(), c)
 
 
 def constraint_slacks(cov, constraints):
-    """P_l - tr((sum_i Q_i) A_l) for every constraint."""
-    return np.array([c.P - constraint_value(cov, c) for c in constraints])
+    """P_l - tr((sum_i Q_i) A_l) for every constraint, summing the blocks once."""
+    total = cov.total()
+    return np.array([c.P - _value_at(total, c) for c in constraints])
 
 
 def step_down(s, meets):

@@ -26,15 +26,17 @@ a subgradient, whose direction cuts the simplex through the evaluated
 multipliers: the optimum lies on the side the bound decreases (increases,
 for power balancing).  Over two multipliers lam = (x, 1 - x) the sign of the
 slope sub_1 - sub_2 along x brackets the optimum, and the search steps by
-Illinois regula falsi on that slope kept inside ITP's bound, so it takes at
-most ``ITP_N0`` evaluations more than bisection (``_bracket_step``); over
-three or more it takes the analytic centre of the simplex the cuts leave, in
-numpy (``_center``).  The cuts use only directions, so they hold for the
-quasi-convex bounds of balancing too.  A search starts at the simplex centre
-or at ``start`` (a region sweep's previous point's best multipliers, near
-its own).  An open bracket's n-th step goes from its closed end toward the
-open edge by d0 * 16^(n-1), at most to the floored vertex: d0 = 1/4 from the
-centre (x = 1/2, 3/4, then the vertex), ``PROBE`` from a start.
+inverse quadratic interpolation of the last three slopes (Brent, 1973) where
+that lands inside the bracket, else by Illinois regula falsi, either kept
+inside ITP's bound, so it takes at most ``ITP_N0`` evaluations more than
+bisection (``_bracket_step``); over three or more it takes the analytic
+centre of the simplex the cuts leave, in numpy (``_center``).  The cuts use
+only directions, so they hold for the quasi-convex bounds of balancing too.
+A search starts at the simplex centre or at ``start`` (a region sweep's
+previous point's best multipliers, near its own).  An open bracket's n-th
+step goes from its closed end toward the open edge by d0 * 16^(n-1), at
+most to the floored vertex: d0 = 1/4 from the centre (x = 1/2, 3/4, then the
+vertex), ``PROBE`` from a start.
 
 Either way the search names the evaluations that locate the optimum, with
 weights under which their subgradients cancel along the simplex: the last
@@ -188,12 +190,18 @@ def _bracket_step(trace, sign, probe):
     as the optimum (a constraint inactive at the optimum leaves every slope
     one sign).  A ``probe`` of 1/4 from the centre bisects once, then takes
     the edge; a start's small ``PROBE`` brackets a nearby optimum tightly.
-    A two-sided one
-    takes the regula-falsi point of the ends' slopes, an end's slope weighted
-    by 2^-k when the last k + 1 evaluations fell on the other side (Illinois;
-    Dowell and Jarratt, 1971), projected into ITP's ball around the midpoint
-    (Oliveira and Takahashi, 2020), whose radius shrinks so that the search
-    takes at most ITP_N0 evaluations more than bisection would."""
+
+    A two-sided one takes the zero of the quadratic x(s) through the last
+    three (slope, x) pairs, x = sum_k x_k prod_{j != k} s_j / (s_j - s_k)
+    (inverse quadratic interpolation; Brent, 1973), when those slopes are
+    distinct, not all of one sign, and the point lies strictly inside the
+    bracket; else the regula-falsi point of the ends' slopes, an end's slope
+    weighted by 2^-k when the last k + 1 evaluations fell on the other side
+    (Illinois; Dowell and Jarratt, 1971), which alone creeps beside one end
+    when the other's slope is far steeper, as a floored vertex's is.  Either
+    point is projected into ITP's ball around the midpoint (Oliveira and
+    Takahashi, 2020), whose radius shrinks so that the search takes at most
+    ITP_N0 evaluations more than bisection would."""
     x = np.array([lam[0] for lam in trace.lam])
     slope = sign * np.array([s[0] - s[1] for s in trace.subgrad])
     n = len(x)
@@ -210,12 +218,18 @@ def _bracket_step(trace, sign, probe):
         nxt = max(x_hi - step, 0.0) if lo is None else min(x_lo + step, 1.0)
         return np.array([nxt, 1.0 - nxt]), {hi if lo is None else lo: 1.0}
     f_lo, f_hi = (slope[k] * 0.5 ** max(n - 2 - k, 0) for k in (lo, hi))
+    nxt = x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi)
+    xs, s = x[-3:], slope[-3:]
+    if n >= 3 and len(set(s)) == 3 and s.min() < 0 < s.max():
+        iqi = sum(xs[k] * np.prod([s[j] / (s[j] - s[k]) for j in range(3) if j != k])
+                  for k in range(3))
+        nxt = iqi if x_lo < iqi < x_hi else nxt
     first = max(left[0], right[0])  # the evaluation that closed the bracket
     j = n - 1 - first  # steps taken from a two-sided bracket
     width0 = np.min(x[right[right <= first]]) - np.max(x[left[left <= first]])
     n_max = np.ceil(np.log2(width0 / (2 * ITP_EPS))) + ITP_N0
     r = max(ITP_EPS * 2.0 ** (n_max - j) - 0.5 * (x_hi - x_lo), 0.0)
-    nxt = np.clip(x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi), mid - r, mid + r)
+    nxt = np.clip(nxt, mid - r, mid + r)
     nxt = nxt if x_lo < nxt < x_hi else mid
     theta = slope[hi] / (slope[hi] - slope[lo])
     return np.array([nxt, 1.0 - nxt]), {lo: theta, hi: 1.0 - theta}
