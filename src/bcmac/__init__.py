@@ -8,7 +8,6 @@ from .errors import (
     GridBudgetExceeded,
     InfeasibleTargets,
     InvalidInput,
-    MaxItersExceeded,
     NotPositiveDefinite,
     SingularConstraintMatrix,
 )

@@ -23,10 +23,6 @@ class DegenerateTransform(BcMacError):
     singular (a beam carries positive rate through a vanishing gain)."""
 
 
-class MaxItersExceeded(BcMacError):
-    """An iterative solver hit its iteration budget before converging."""
-
-
 class InfeasibleTargets(BcMacError):
     """SINR targets cannot be met (power fixed point diverged)."""
 

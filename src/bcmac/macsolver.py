@@ -65,11 +65,12 @@ power relative to its value at x2: x' = x0 - 2 s r + s^2 w, r = x1 - x0,
 w = x2 - 2 x1 + x0, s = -max(1, ||r|| / ||w||), with unit vectors and
 positive (for SINR balancing, spent) powers.  The sweep from x' is kept,
 and starts the next two, only if it is no worse than x2; else they go on
-from x2.  Near singular noise (a merged constraint near a vertex of the
-multiplier simplex) SINR balancing's receiver updates can stall, the powers
-and alpha creeping on for thousands of sweeps: a plain sweep that moves
-both by at least STALL times as much as the one before, and alpha by at
-most ``tol`` relative, stops it too.  Power minimization gives up past a
+from x2.  At ``max_iters`` sweeps a solve returns its last kept sweep as on
+POWER_RTOL, flagged as not settled: its ratios still equal its alpha, or its
+powers meet every target, but alpha lies below the fixed point's, or the
+total above it.  Near singular noise (a merged constraint near a vertex of
+the multiplier simplex) SINR balancing's receiver updates can creep for
+thousands of sweeps, up to the cap.  Power minimization gives up past a
 received SNR q_s M_ss / c_s of SNR_CAP, a test that rescaling leaves alone.
 """
 
@@ -78,13 +79,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, model
-from .errors import InfeasibleTargets, InvalidInput, MaxItersExceeded
+from .errors import InfeasibleTargets, InvalidInput
 
 # The beamforming fixed points stop once a sweep moves every power by at
-# most POWER_RTOL, relative, or stalls by STALL; power minimization gives up
-# past a received signal-to-noise ratio of SNR_CAP (see the module docstring).
+# most POWER_RTOL, relative; power minimization gives up past a received
+# signal-to-noise ratio of SNR_CAP (see the module docstring).
 POWER_RTOL = 1e-11
-STALL = 0.99
 SNR_CAP = 1e12
 ARMIJO_BETA = 0.5  # the ascent's backtracking shrinks its step by this factor
 ARMIJO_C = 0.1  # until the step gains this share of its first-order progress
@@ -102,12 +102,11 @@ class SolverSettings:
     multiplier search over two or more constraints, whose few evaluations
     need each bound tight); for the multiplier search it is the certified
     relative gap that counts as converged.  The beamforming fixed points
-    stop on POWER_RTOL instead, SINR balancing on ``tol`` only where it
-    stalls, and extrapolate with no setting of their own (see the module
-    docstring).  ``max_iters`` caps iterations (sweeps, for the fixed
-    points; evaluations, for the search).  ``seed`` and ``restarts`` do nothing:
-    the ascent makes one deterministic start; ``perfbench/`` passes them,
-    and configs reject them.
+    read only ``max_iters``: they stop on POWER_RTOL and extrapolate with no
+    setting of their own (see the module docstring).  ``max_iters`` caps
+    iterations (sweeps, for the fixed points; evaluations, for the search).
+    ``seed`` and ``restarts`` do nothing: the ascent makes one deterministic
+    start; ``perfbench/`` passes them, and configs reject them.
     """
 
     max_iters: int = 4000
@@ -352,29 +351,26 @@ def _refreshed_vectors(ch, users, M, u, gamma):
     return model.bc_mmse_receivers(ch, u[pos], p[pos])
 
 
-def _fixed_point(sweep, v, q, settings, spend, stall_tol, name):
-    """Extrapolated sweeps from (v, q), as in the module docstring; a sweep
-    can stall only where ``stall_tol`` is not None.  ``sweep(v, q)`` returns
-    a value no plain sweep lowers, the powers, the receivers and a thunk
-    refreshing the vectors; ``spend`` rescales the powers of x'.  Returns
-    the last sweep's value, powers and receivers and the vectors it started
-    from."""
-    run, held, value, move, gain = [(v, q)], None, -np.inf, np.inf, np.inf
-    for it in range(settings.max_iters):
-        new_value, new_q, u, refresh = sweep(v, q)
-        if held is not None and new_value < held[2]:  # x' lost ground: go on from x2
-            (v, q, value), run, move, held = held, [held[:2]], np.inf, None
+def _fixed_point(sweep, v, q, settings, spend):
+    """Extrapolated sweeps from (v, q), as in the module docstring.
+    ``sweep(v, q)`` returns a value no plain sweep lowers, the powers, the
+    receivers and a thunk refreshing the vectors; ``spend`` rescales the
+    powers of x'.  Returns the last kept sweep's value, powers and receivers,
+    the vectors it started from, and whether it settled: False where
+    ``settings.max_iters`` sweeps (at least one) ran out first."""
+    run, held = [(v, q)], None
+    for it in range(max(settings.max_iters, 1)):
+        value, new_q, u, refresh = sweep(v, q)
+        if held is not None and value < held[2]:  # x' lost ground: go on from x2
+            (v, q, _), run, held = held, [held[:2]], None
             continue
-        last, last_gain = move, gain
-        move, gain = _move(new_q, q), abs(new_value - value)
-        stalled = stall_tol is not None and move > STALL * last \
-            and STALL * last_gain <= gain <= stall_tol * new_value
-        value, q = new_value, new_q
-        if it > 0 and (move <= POWER_RTOL or stalled):
-            return value, q, u, v
+        settled = _move(new_q, q) <= POWER_RTOL and it > 0
+        q, kept = new_q, (value, new_q, u, v)
+        if settled:
+            break
         v = refresh()
         if held is not None:  # the sweep from x' starts the next run
-            run, move, held = [], np.inf, None
+            run, held = [], None
         run.append((v, q))
         if len(run) == 3:  # SqS3, each power relative to its value at x2
             held, scale = (v, q, value), np.maximum(q, 1e-300)
@@ -383,8 +379,8 @@ def _fixed_point(sweep, v, q, settings, spend, stall_tol, name):
             s = -max(1.0, np.linalg.norm(r) / np.linalg.norm(w)) if w.any() else -1.0
             x = x0 - 2 * s * r + s * s * w
             v, q = x[:v.size].reshape(v.shape), spend(np.abs(x[v.size:].real) * scale)
-            v, move = v / np.linalg.norm(v, axis=1, keepdims=True), np.inf
-    raise MaxItersExceeded(f"{name} did not converge")
+            v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return (*kept, settled)
 
 
 def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None):
@@ -400,7 +396,8 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
     the rebalanced powers, which keeps the iteration monotone; an
     extrapolated sweep is kept only where alpha does not fall.  Starts from
     ``init``, its powers rescaled to ``budget``, or from scratch (see the
-    module docstring).  At return every ratio equals alpha to rounding.
+    module docstring).  Returns alpha, the uplink solution, whose every
+    ratio equals alpha to rounding, and whether it settled.
     """
     settings = settings or SolverSettings()
     A = linalg.check_pd(noise, name="uplink noise covariance")
@@ -427,9 +424,8 @@ def solve_sinr_balance_mac(ch, noise, budget, targets, settings=None, init=None)
             return _refreshed_vectors(ch, users, model.stream_gains(links, u_bc), u_bc, sinr)
         return alpha, q, u, (lambda: v) if ch.nr == 1 else refresh
 
-    alpha, q, u, v = _fixed_point(sweep, v, spend(q), settings, spend, settings.tol,
-                                  "SINR balancing")
-    return alpha, _uplink_solution(ch, u, v, q)
+    alpha, q, u, v, settled = _fixed_point(sweep, v, spend(q), settings, spend)
+    return alpha, _uplink_solution(ch, u, v, q), settled
 
 
 def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
@@ -445,7 +441,8 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
     only where the total power does not rise.  Starts from the user-side
     vectors and powers of ``init`` or from scratch (see the module
     docstring).  A received SNR q_s M_ss / c_s beyond SNR_CAP raises
-    InfeasibleTargets.
+    InfeasibleTargets.  Returns the total power, the uplink solution and
+    whether it settled.
     """
     settings = settings or SolverSettings()
     A = linalg.check_pd(noise, name="uplink noise covariance")
@@ -465,6 +462,5 @@ def solve_power_min_mac(ch, noise, targets, settings=None, init=None):
         return (-float(sigma2 @ q), q, u,
                 lambda: v if ch.nr == 1 else _refreshed_vectors(ch, users, M, u, gamma))
 
-    value, q, u, v = _fixed_point(sweep, v, q, settings, lambda q: q, None,
-                                  "power minimization")
-    return -value, _uplink_solution(ch, u, v, q)  # the value is minus the total
+    value, q, u, v, settled = _fixed_point(sweep, v, q, settings, lambda q: q)
+    return -value, _uplink_solution(ch, u, v, q), settled  # the value is minus the total

@@ -45,22 +45,26 @@ zero), or every cut by its inverse slack at the centre.  Each caller builds
 its point from them and repairs it last.  A weighted sum rate time-shares
 their covariances and scales the result into every constraint (min(1, P_l /
 tr(Q A_l)), or the ball's radius over |p|, stepped down to the rounding);
-balancing, whose beamformers cannot be time-shared, emits the best of
-those evaluations, SINR balancing after scaling its powers into every
-constraint, power balancing as it is (achievable).  The certified gap is the
-relative distance from the best bound to the value of that repaired point,
-and ``trace.converged`` says whether it is at most ``outer.tol``.  The
-central search stops there.  A search over two multipliers stops there too
-once the gap is at most ``SETTLE_RTOL`` (rounding) or, for a weighted sum
-rate, once its time-shared value has settled, moving by at most
-``SETTLE_RTOL`` relative since the previous evaluation, long before the
-bracket collapses.  Balancing emits a bracket end, optimal only where the
-bracket collapses, so it needs the gap at rounding, or else an exact zero
-slope or a bracket collapsed to rounding.  Power balancing's bound is
-certified; SINR balancing's is the inner fixed point's ratio, not a
-certified bound, so its gap compares the emitted alpha with the best ratio
-met, not with the optimum.  Every search stops when its next multipliers
-repeat evaluated ones or after ``outer.max_iters`` evaluations.
+balancing, whose beamformers cannot be time-shared, emits the best of those
+evaluations, SINR balancing after scaling its powers into every constraint,
+power balancing as it is (achievable).  The certified gap is the relative
+distance from the best bound to the value of that repaired point, and
+``trace.converged`` says whether it is at most ``outer.tol`` and the best
+bound's evaluation settled: a balancing evaluation whose fixed point ran out
+of sweeps steers the search, but its value is no bound (a ratio below its
+fixed point, a total above its minimum); a weighted-sum-rate bound holds
+however its ascent stopped.  The central search stops there.  A search over
+two multipliers stops there too once the gap is at most ``SETTLE_RTOL``
+(rounding) or, for a weighted sum rate, once its time-shared value has
+settled, moving by at most ``SETTLE_RTOL`` relative since the previous
+evaluation, long before the bracket collapses.  Balancing emits a bracket
+end, optimal only where the bracket collapses, so it needs the gap at
+rounding, or else an exact zero slope or a bracket collapsed to rounding.
+A settled power-balancing bound is certified; SINR balancing's is the inner
+fixed point's ratio, not a certified bound, so its gap compares the emitted
+alpha with the best ratio met, not with the optimum.  Every search stops
+when its next multipliers repeat evaluated ones or after ``outer.max_iters``
+evaluations.
 """
 
 from dataclasses import dataclass, field, replace
@@ -109,21 +113,23 @@ class DualWeights:
 @dataclass
 class OuterTrace:
     """Per-evaluation records of the multiplier search: multipliers, bound
-    on the optimum and subgradient; the index of the best bound, the
-    certified relative gap from it to the emitted point's value, and whether
-    that gap is within tolerance."""
+    on the optimum, subgradient and whether the inner solve settled; the
+    index of the best bound, the relative gap from it to the emitted
+    point's value, and whether that gap is certified within tolerance."""
 
     lam: list = field(default_factory=list)
     value: list = field(default_factory=list)
     subgrad: list = field(default_factory=list)
+    settled: list = field(default_factory=list)
     converged: bool = False
     best_index: int = -1
     gap: float = np.inf
 
-    def record(self, lam, value, subgrad):
+    def record(self, lam, value, subgrad, settled=True):
         self.lam.append(np.array(lam))
         self.value.append(float(value))
         self.subgrad.append(np.array(subgrad))
+        self.settled.append(bool(settled))
 
     @property
     def iterations(self):
@@ -283,9 +289,10 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
 
     ``merge(lam) -> (A, budget)`` is the merged single constraint at ``lam``
     (a ``DualWeights``), and ``evaluate(lam, A, budget)`` solves it and
-    returns (bound, subgradient, result): a bound on the optimum, from above
-    for sense "min" and from below for "max", and a subgradient of the
-    merged bound at ``lam`` (a supergradient for "max").
+    returns (bound, subgradient, result, settled): a bound on the optimum,
+    from above for sense "min" and from below for "max", a subgradient of
+    the merged bound at ``lam`` (a supergradient for "max"), and whether
+    the inner solve settled, without which the bound does not certify.
     ``recover(results, theta) -> (value, result)`` builds and repairs the
     emitted point from the evaluations' results and the search's weights
     ``theta`` (evaluation index: weight).  Over two multipliers it stops
@@ -302,23 +309,23 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
     step = _center if L > 2 else partial(_bracket_step, probe=0.25 if start is None else PROBE)
     while True:
         points.append(nxt)
-        bound, sub, result = evaluate(nxt, *merge(nxt))
-        trace.record(nxt.values, bound, sub)
+        bound, sub, result, settled = evaluate(nxt, *merge(nxt))
+        trace.record(nxt.values, bound, sub, settled)
         results.append(result)
         lam, theta = (None, {0: 1.0}) if L == 1 else step(trace, sign)
         value, out = recover(results, theta)
         best = trace.best_index = int(np.argmin(sign * np.array(trace.value)))
         trace.gap = sign * (trace.value[best] - value) / max(abs(trace.value[best]), 1e-300)
-        trace.converged = bool(trace.gap <= outer.tol)
+        trace.converged = bool(trace.gap <= outer.tol and trace.settled[best])
         # a weighted sum rate time-shares the bracket ends, and that value
         # settles once certified; balancing emits an end, optimal only where
         # the bracket collapses, so it stops at a gap at rounding instead,
         # which the superlinear steps reach in a few warm-started evaluations
-        settled = settles and last is not None and abs(value - last) <= SETTLE_RTOL * abs(value)
+        steady = settles and last is not None and abs(value - last) <= SETTLE_RTOL * abs(value)
         last = value
         nxt = None if lam is None else DualWeights(lam)
         if nxt is None or trace.iterations >= outer.max_iters \
-                or (trace.converged and (L > 2 or settled or trace.gap <= SETTLE_RTOL)) \
+                or (trace.converged and (L > 2 or steady or trace.gap <= SETTLE_RTOL)) \
                 or any(np.array_equal(nxt.values, p.values) for p in points):
             return value, out, points[best], trace
 
@@ -343,7 +350,7 @@ def _wsr_search(ch, weights, merge, L, slacks, scale, outer, inner, start=None):
     def evaluate(lam, A, budget):
         g, cov_bc, sol = eval_wsr_relaxation(ch, A, budget, weights, inner, warm[0])
         warm[0] = sol.cov
-        return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc
+        return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc, True
 
     def recover(results, theta):
         cov = model.CovarianceSet.built(model.BC, sum(t * results[k].Q for k, t in theta.items()))
@@ -383,9 +390,10 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     warm = [None]  # uplink solution of the previous evaluation
 
     def evaluate(lam, A, budget):
-        alpha, warm[0] = solve_sinr_balance_mac(ch, A, budget, targets, inner, warm[0])
+        alpha, warm[0], settled = solve_sinr_balance_mac(ch, A, budget, targets, inner, warm[0])
         bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
-        return alpha, model.constraint_slacks(bf.bc_covariances(), constraints), repaired(bf)
+        sub = model.constraint_slacks(bf.bc_covariances(), constraints)
+        return alpha, sub, repaired(bf), settled
 
     def repaired(bf):
         scaled = lambda s: model.BeamformingSolution.built(bf.u, bf.v, s * bf.p, bf.q)
@@ -414,7 +422,7 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
     warm = [None]  # uplink solution of the previous evaluation
 
     def evaluate(lam, A, budget):
-        total, warm[0] = solve_power_min_mac(ch, A, targets, inner, warm[0])
+        total, warm[0], settled = solve_power_min_mac(ch, A, targets, inner, warm[0])
         bound = total / budget
         bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
         cov_bc = bf.bc_covariances()
@@ -422,7 +430,7 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
         achieved = float(np.max(used / [c.P for c in constraints]))
         # supergradient of the bound: (tr(Q A_l) - bound * P_l) / (lam . P)
         sub = np.array([u - bound * c.P for u, c in zip(used, constraints)]) / budget
-        return bound, sub, (achieved, bf)
+        return bound, sub, (achieved, bf), settled
 
     return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
                             outer, "max", evaluate,

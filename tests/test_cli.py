@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 from bcmac import cli, model, orchestrator, scenario
-from bcmac.errors import MaxItersExceeded
+from bcmac.errors import InfeasibleTargets
 
 from conftest import rand_channels
+from test_orchestrator import _crawl_family
 
 H1_CAP = [[1.0, 0.0], [0.2, 0.6]]
 H2_CAP = [[0.5, 0.0], [0.2, 1.0]]
@@ -431,7 +432,7 @@ def test_solver_failure_keeps_the_rows_before_it(tmp_path, monkeypatch, heuristi
     def failing(*args):
         calls.append(args)
         if len(calls) > k:
-            raise MaxItersExceeded("forced failure")
+            raise InfeasibleTargets("forced failure")
         return solve(*args)
 
     monkeypatch.setattr(orchestrator, "solve_wsr_multi", failing)
@@ -467,6 +468,24 @@ def test_balancing_rows_end_with_the_search_gap(tmp_path, monkeypatch, command, 
     gap = float(row.split(",")[-1])
     assert gap == traces[0].gap
     assert -1e-12 <= gap <= 1e-6
+
+
+def test_balance_returns_where_an_evaluation_runs_out_of_sweeps(tmp_path):
+    """``bcmac balance`` on the crawl family's seed-0 draw at L = 3, whose
+    search evaluates a simplex vertex where the fixed point creeps to its
+    sweep cap: the run exits 0 (it exited 3 with a partial sidecar while the
+    cap raised) and writes a row whose every slack is nonnegative."""
+    ch, cons, targets = _crawl_family(0, L=3)
+    H = [[[[z.real, z.imag] for z in row] for row in Hk] for Hk in np.asarray(ch.H).tolist()]
+    doc = _balance_doc(channels={"h": H}, targets=targets.gamma.tolist(), constraints=[
+        {"type": "sum_power", "budget": 4.0},
+        *({"type": "per_antenna", "antenna": a, "budget": 1.5} for a in (1, 2))])
+    out = tmp_path / "out"
+    assert cli.main(_args("balance", _write(tmp_path, doc), str(out))) == 0
+    header, row = (out / "sinr_balance.csv").read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), map(float, row.split(","))))
+    slacks = [v for k, v in cells.items() if k.startswith("slack_")]
+    assert len(slacks) == 3 and min(slacks) >= 0
 
 
 def test_two_constraint_region_does_not_import_scipy(tmp_path):

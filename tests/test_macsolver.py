@@ -1,4 +1,3 @@
-import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +17,7 @@ from bcmac import (
     solve_wsr_mac,
 )
 from bcmac import linalg, macsolver, model
-from bcmac.errors import (
-    InfeasibleTargets,
-    InvalidInput,
-    MaxItersExceeded,
-    SingularConstraintMatrix,
-)
+from bcmac.errors import InfeasibleTargets, InvalidInput, SingularConstraintMatrix
 from bcmac.model import CovarianceSet
 from bcmac.oracles import GridSpec, brute_sinr_balance, brute_wsr, finite_diff_gradient
 
@@ -184,14 +178,14 @@ def test_wsr_rejects_weights_increasing_along_the_encoding_order(rng):
 
 def test_balance_scalar_closed_form():
     ch = ChannelSet([[[1.5]]])
-    alpha, bf = solve_sinr_balance_mac(ch, [[0.7]], 2.0, SinrTargets([2.0]), TIGHT)
+    alpha, bf, _ = solve_sinr_balance_mac(ch, [[0.7]], 2.0, SinrTargets([2.0]), TIGHT)
     assert alpha == pytest.approx(2.0 * 1.5 ** 2 / (0.7 * 2.0), rel=1e-9)
 
 
 def test_balance_orthogonal_split():
     ch = ChannelSet([[[1.0, 0.0]], [[0.0, 2.0]]])
     gam = SinrTargets([1.0, 1.0])
-    alpha, bf = solve_sinr_balance_mac(ch, np.eye(2), 3.0, gam, TIGHT)
+    alpha, bf, _ = solve_sinr_balance_mac(ch, np.eye(2), 3.0, gam, TIGHT)
     # independent water-level: q_i |h_i|^2 = alpha, sum q = budget
     assert alpha == pytest.approx(3.0 / (1.0 + 0.25), rel=1e-9)
 
@@ -202,7 +196,7 @@ def test_balance_equal_ratio_and_budget(rng):
         ch = ChannelSet(rand_channels(rng, K, 1, 3), sigma2=rng.uniform(0.5, 2, K))
         A = rand_pd(rng, 3)
         gam = SinrTargets(rng.uniform(0.5, 2.0, K))
-        alpha, bf = solve_sinr_balance_mac(ch, A, 2.0, gam, TIGHT)
+        alpha, bf, _ = solve_sinr_balance_mac(ch, A, 2.0, gam, TIGHT)
         ratios = mac_sinr(ch, bf, A) / gam.gamma
         assert np.max(np.abs(ratios - alpha)) <= 1e-6 * alpha
         assert ch.sigma2 @ bf.q == pytest.approx(2.0, abs=1e-8)
@@ -213,8 +207,8 @@ def test_balance_scenario_channels_vs_grid():
     H2 = [[0.4, 0.0], [0.5, 1.5]]
     ch = ChannelSet([H1, H2])
     gam = SinrTargets([1.0, 1.0])
-    alpha, bf = solve_sinr_balance_mac(ch, np.eye(2), 10.0, gam,
-                                       SolverSettings(tol=1e-10))
+    alpha, bf, _ = solve_sinr_balance_mac(ch, np.eye(2), 10.0, gam,
+                                          SolverSettings(tol=1e-10))
     ref = brute_sinr_balance(ch, [LinearConstraint(np.eye(2), 10.0)], gam,
                              GridSpec(resolution=40, rounds=7, shrink=0.35))
     assert alpha == pytest.approx(ref, abs=1e-3)
@@ -222,7 +216,7 @@ def test_balance_scenario_channels_vs_grid():
 
 def test_power_min_scalar():
     ch = ChannelSet([[[1.5]]])
-    tot, bf = solve_power_min_mac(ch, [[0.7]], SinrTargets([2.0]))
+    tot, bf, _ = solve_power_min_mac(ch, [[0.7]], SinrTargets([2.0]))
     assert tot == pytest.approx(0.7 * 2.0 / 1.5 ** 2, rel=1e-12)
 
 
@@ -230,7 +224,7 @@ def test_power_min_small_targets(rng):
     ch = ChannelSet(rand_channels(rng, 2, 1, 2))
     tots = []
     for g in (1e-3, 1e-6, 1e-9):
-        tot, _ = solve_power_min_mac(ch, np.eye(2), SinrTargets([g, g]))
+        tot = solve_power_min_mac(ch, np.eye(2), SinrTargets([g, g]))[0]
         tots.append(tot)
     assert tots[0] > tots[1] > tots[2]
     assert tots[2] < 1e-8
@@ -242,7 +236,7 @@ def test_power_min_meets_targets_exactly(rng):
         ch = ChannelSet(rand_channels(rng, K, 1, 3), sigma2=rng.uniform(0.5, 2, K))
         A = rand_pd(rng, 3)
         gam = SinrTargets(rng.uniform(0.5, 3.0, K))
-        tot, bf = solve_power_min_mac(ch, A, gam)
+        tot, bf, _ = solve_power_min_mac(ch, A, gam)
         assert mac_sinr(ch, bf, A) == pytest.approx(gam.gamma, rel=1e-8)
 
 
@@ -264,7 +258,7 @@ def test_power_min_meets_every_target(rng, nr):
         ch = ChannelSet(rand_channels(rng, K, nr, 3), sigma2=rng.uniform(0.5, 2, K),
                         encoding_order=rng.permutation(K))
         A, gam = rand_pd(rng, 3), SinrTargets(rng.uniform(0.5, 3.0, K))
-        _, bf = solve_power_min_mac(ch, A, gam)
+        bf = solve_power_min_mac(ch, A, gam)[1]
         assert np.all(mac_sinr(ch, bf, A) >= gam.gamma * (1 - 1e-9))
 
 
@@ -599,11 +593,11 @@ def test_warm_start_from_a_nearby_multiplier_matches_the_cold_solve(monkeypatch,
         return real(*args)
 
     monkeypatch.setattr(model, "uplink_sic", counted)
-    _, near = solve(ch, 0.40, gam, None)
+    near = solve(ch, 0.40, gam, None)[1]
     runs = []
     for init in (None, near):
         sweeps[0] = 0
-        value, bf = solve(ch, 0.42, gam, init)
+        value, bf, _ = solve(ch, 0.42, gam, init)
         runs.append((value, float(ch.sigma2 @ bf.q), sweeps[0]))
     (cold, cold_power, cold_sweeps), (warm, warm_power, warm_sweeps) = runs
     assert warm == pytest.approx(cold, rel=1e-9)
@@ -670,14 +664,28 @@ def test_power_min_refresh_matches_the_sinr_transform(rng, nr):
 def test_sinr_balance_stops_where_its_receiver_updates_stall():
     """Near singular noise, as merged at a vertex of the multiplier simplex,
     two-antenna users' alternating receiver updates stall: the powers creep
-    on by about 5e-7 relative a sweep and never settle.  A stalled sweep
-    that moves alpha by at most tol stops the solve within a few sweeps,
-    at a solution whose ratios all equal alpha."""
+    on by about 5e-7 relative a sweep and never settle.  At its sweep cap
+    the solve returns its last kept sweep, flagged as not settled, at a
+    solution whose ratios all equal alpha."""
     ch = ChannelSet(rand_channels(np.random.default_rng(1), 2, 2, 3))
     A = np.diag([1e-7, 1.0, 1e-7])
-    alpha, bf = solve_sinr_balance_mac(ch, A, 3.0, SinrTargets([1.0, 1.0]),
-                                       SolverSettings(max_iters=50))
+    alpha, bf, settled = solve_sinr_balance_mac(ch, A, 3.0, SinrTargets([1.0, 1.0]),
+                                                SolverSettings(max_iters=50))
+    assert not settled
     assert mac_sinr(ch, bf, A) == pytest.approx([alpha, alpha], rel=1e-9)
+
+
+def test_power_min_at_its_sweep_cap_returns_an_unsettled_total():
+    """Two sweeps do not settle power minimization: it returns the last
+    kept sweep, flagged as not settled, whose powers meet every target and
+    whose total is no less than the settled minimum."""
+    ch, gam = ChannelSet(BAL_H), SinrTargets([1.0, 2.0])
+    total, _, settled = solve_power_min_mac(ch, np.eye(2), gam)
+    capped, bf, capped_settled = solve_power_min_mac(ch, np.eye(2), gam,
+                                                     SolverSettings(max_iters=2))
+    assert settled and not capped_settled
+    assert capped >= total
+    assert np.all(mac_sinr(ch, bf, np.eye(2)) >= gam.gamma * (1 - 1e-9))
 
 
 # Extrapolated sweeps of the beamforming fixed points against plain sweeps.
@@ -735,9 +743,9 @@ def test_extrapolated_sweeps_reach_the_plain_fixed_point(budget, nr, warm):
         init = (solve_power_min_mac(ch, near, gam) if budget is None
                 else solve_sinr_balance_mac(ch, near, budget, gam))[1]
     if budget is None:
-        value, bf = solve_power_min_mac(ch, A, gam, init=init)
+        value, bf, _ = solve_power_min_mac(ch, A, gam, init=init)
     else:
-        value, bf = solve_sinr_balance_mac(ch, A, budget, gam, init=init)
+        value, bf, _ = solve_sinr_balance_mac(ch, A, budget, gam, init=init)
     ref, ref_bf = _plain_sweeps(ch, A, gam, budget, init)
     assert value == pytest.approx(ref, rel=1e-10)
     assert float(ch.sigma2 @ bf.q) == pytest.approx(float(ch.sigma2 @ ref_bf.q), rel=1e-10)
@@ -813,11 +821,10 @@ def test_power_min_total_scales_with_the_channels(s):
 def test_sinr_balance_climbs_further_where_its_receiver_updates_creep(monkeypatch):
     """At a vertex of the multiplier simplex of three per-antenna
     constraints, SINR balancing's ratio creeps up by about 2e-6 relative a
-    sweep, above ``tol``, so the power rule does not stop it and the stall
-    fallback may not (the multiplier search raises MaxItersExceeded on this
-    channel draw, with or without the extrapolation).  The extrapolated
-    sweeps climb further: within 400 sweeps their ratio gets over 4% above
-    that of 400 plain sweeps (15% here)."""
+    sweep, so the power rule does not stop it before its sweep cap (the
+    multiplier search on this channel draw goes on with the capped ratio).  The
+    extrapolated sweeps climb further: within 400 sweeps their ratio gets
+    over 4% above that of 400 plain sweeps (15% here)."""
     rng = np.random.default_rng(0)
     K, nr, nt = rng.integers(2, 4), rng.integers(1, 4), max(rng.integers(2, 4), 2)
     ch = ChannelSet(rand_channels(rng, K, nr, nt))
@@ -830,8 +837,7 @@ def test_sinr_balance_climbs_further_where_its_receiver_updates_creep(monkeypatc
         return alphas[-1]
 
     monkeypatch.setattr(macsolver, "_balanced_ratio", ratio)
-    with contextlib.suppress(MaxItersExceeded):
-        solve_sinr_balance_mac(ch, A, 3.0, gam, SolverSettings(max_iters=400))
+    solve_sinr_balance_mac(ch, A, 3.0, gam, SolverSettings(max_iters=400))
     climbed = max(alphas)
     plain = _plain_sweeps(ch, A, gam, 3.0, max_sweeps=400)[0]
     assert climbed > 1.04 * plain

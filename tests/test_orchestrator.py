@@ -199,7 +199,7 @@ def test_power_balance_single_constraint_is_power_min(rng):
     alpha, bf, lam, tr = solve_power_balance_multi(ch, cons, gam, OUTER, INNER)
     from bcmac import solve_power_min_mac
 
-    total, _ = solve_power_min_mac(ch, np.eye(2), gam, INNER)
+    total = solve_power_min_mac(ch, np.eye(2), gam, INNER)[0]
     assert alpha == pytest.approx(total / 2.0, rel=1e-8)
 
 
@@ -379,14 +379,15 @@ def test_four_users_four_antenna_constraints_finish(seed):
 
 
 def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80, start=None,
-                          short=1e-9):
+                          short=1e-9, settled=lambda x: True):
     """The shared search over two constraints with a stub solve: the bound
     and its subgradient come from ``bound(x) -> (value, slope)`` at
-    lam = (x, 1 - x), the result is the evaluation's index, and recovery
-    reports ``achieved`` moved ``short`` away from the bound's side with
-    the weights it was given: a gap above SETTLE_RTOL, so that the search
-    takes its bracket steps rather than stopping at rounding.  With
-    ``start`` the search begins at lam = (start, 1 - start)."""
+    lam = (x, 1 - x), the solve settles where ``settled(x)``, the result is
+    the evaluation's index, and recovery reports ``achieved`` moved
+    ``short`` away from the bound's side with the weights it was given: a
+    gap above SETTLE_RTOL, so that the search takes its bracket steps rather
+    than stopping at rounding.  With ``start`` the search begins at
+    lam = (start, 1 - start)."""
     cons = [LinearConstraint.per_antenna(2, 0, 5.0),
             LinearConstraint.per_antenna(2, 1, 5.0)]
     seen = []
@@ -394,7 +395,7 @@ def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80, 
     def evaluate(lam, A, budget):
         value, slope = bound(float(lam.values[0]))
         seen.append(float(lam.values[0]))
-        return value, np.array([0.5 * slope, -0.5 * slope]), len(seen) - 1
+        return value, np.array([0.5 * slope, -0.5 * slope]), len(seen) - 1, settled(seen[-1])
 
     def recover(results, theta):
         return achieved - (short if sense == "min" else -short), theta
@@ -569,6 +570,21 @@ def test_multiplier_search_stops_at_a_gap_at_rounding(sense):
     assert len(seen) > 1 and trace.gap > orchestrator.SETTLE_RTOL
 
 
+def test_an_unsettled_best_bound_certifies_nothing():
+    """An evaluation whose inner solve ran out of sweeps steers the search
+    but certifies no gap: where it holds the best bound (the first of equal
+    bounds) the search goes on past a gap of zero and never converges; where
+    a settled evaluation holds it, the search converges as before."""
+    unsettled = lambda x: x != 0.5
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0, x - 0.3), 1.0, short=0.0, settled=unsettled)
+    assert trace.best_index == 0 and not trace.settled[0] and all(trace.settled[1:])
+    assert trace.gap == 0 and not trace.converged and len(seen) > 1
+    (value, theta, lam, trace), seen = _stub_multiplier_loop(
+        lambda x: (1.0 + (x - 0.3) ** 2, 2.0 * (x - 0.3)), 1.0, settled=unsettled)
+    assert not trace.settled[0] and trace.best_index > 0 and trace.converged
+
+
 def test_multiplier_search_maximizes_with_the_sign_flipped():
     (value, theta, lam, trace), seen = _stub_multiplier_loop(
         lambda x: (1.0 - (x - 0.7) ** 2, -2.0 * (x - 0.7)), 1.0, sense="max")
@@ -734,11 +750,25 @@ def test_three_constraint_balancing_converges(solve, seed):
 
 
 def test_sinr_balancing_under_three_antenna_budgets_returns():
-    """Under 3 on each of three antennas, SINR balancing at seed 9 raised
-    ``MaxItersExceeded`` when the largest-ball centre led it to multipliers
-    where the inner fixed point creeps; it now returns a feasible point."""
+    """Under 3 on each of three antennas, SINR balancing at seed 9 aborted
+    when the largest-ball centre led it to multipliers where the inner fixed
+    point creeps; it returns a certified, feasible point."""
     ch, cons, targets = _crawl_family(9, L=3, stall=True)
     _, bf, _, trace = solve_sinr_balance_multi(ch, cons, targets)
+    assert trace.converged
+    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+
+
+@pytest.mark.parametrize("stall", [False, True], ids=["crawl", "stall"])
+def test_sinr_balancing_goes_on_past_a_capped_evaluation(stall):
+    """At seed 0 of both L = 3 families an evaluation at a floored simplex
+    vertex creeps to its sweep cap (and aborted the whole search when the
+    cap raised); its ratio, far above the optimum, steers the search on,
+    which converges to a feasible point."""
+    ch, cons, targets = _crawl_family(0, L=3, stall=stall)
+    _, bf, _, trace = solve_sinr_balance_multi(ch, cons, targets)
+    capped = [v for v, settled in zip(trace.value, trace.settled) if not settled]
+    assert capped and min(capped) > 1e3 * trace.value[trace.best_index]
     assert trace.converged
     assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
 
