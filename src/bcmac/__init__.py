@@ -20,7 +20,6 @@ from .model import (
     bc_mmse_receivers,
     bc_rates_dpc,
     bc_sinr,
-    constraint_value,
     mac_rates,
     mac_sinr,
 )

@@ -376,41 +376,6 @@ def mac_sinr(ch, bf, noise):
     return sinr
 
 
-def _value_at(total, c):
-    """tr(total A) for the summed covariance ``total``."""
-    if total.shape != c.A.shape:
-        raise InvalidInput("constraint matrix dimension mismatch")
-    return float(np.real(np.trace(total @ c.A)))
-
-
-def constraint_value(cov, c):
-    """tr((sum_i Q_i) A) for a downlink covariance set; linear in each Q_i."""
-    return _value_at(cov.total(), c)
-
-
-def constraint_slacks(cov, constraints):
-    """P_l - tr((sum_i Q_i) A_l) for every constraint, summing the blocks once."""
-    total = cov.total()
-    return np.array([c.P - _value_at(total, c) for c in constraints])
-
-
-def step_down(s, meets):
-    """The factor ``s`` stepped down an ulp at a time, at most 16, until ``meets(s)``."""
-    for _ in range(16):
-        if meets(s):
-            break
-        s = float(np.nextafter(s, 0.0))
-    return s
-
-
-def feasible_scale(cov, constraints, scaled=None):
-    """min(1, P_l / tr((sum_i Q_i) A_l)) over the constraints, stepped down until
-    ``scaled(s)``, the covariance emitted at s (default s * cov), meets them rounded."""
-    scaled = scaled or (lambda s: CovarianceSet.built(cov.side, s * cov.Q))
-    s = min([1.0] + [c.P / max(constraint_value(cov, c), 1e-300) for c in constraints])
-    return step_down(s, lambda s: np.all(constraint_slacks(scaled(s), constraints) >= 0))
-
-
 def bc_mmse_receivers(ch, u, p):
     """Unit-norm MMSE receive vectors, (K, Nr) in user order, of the downlink
     beams u (K, Nt) at powers p (K,) under the DPC interference structure

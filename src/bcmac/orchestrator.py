@@ -9,33 +9,34 @@ larger), the bound is convex and scale-invariant in the multipliers, and it
 is tight at the optimal multipliers, so the search minimizes it over the
 unit simplex (power balancing maximizes a lower bound instead).
 
-A quadratic ball |p| <= r on the trace values p_l = tr(Q A_l)
-(``QuadraticBall``) merges the same way: at a normal c >= 0 the single
-constraint tr(Q sum_l c_l A_l) <= h(c) = r |c|, with h the ball's support
-function, contains the feasible set, so its weighted sum rate bounds the
-optimum for every c and meets it at the optimal normal.  Linear constraints
-are the case h(c) = c . P, and an affine one a . p <= offset is the linear
-constraint with matrix sum_l a_l A_l.
+Both kinds of constraint are sets of trace values p_l = tr(Q A_l)
+(``TraceSet``): linear constraints p <= P (``LinearSet``) and a quadratic
+ball |p| <= r (``QuadraticBall``).  Each merges the same way: at a normal
+c >= 0 the single constraint tr(Q sum_l c_l A_l) <= h(c), with h the set's
+support function (c . P for linear constraints, r |c| for the ball),
+contains the feasible set, so its weighted sum rate bounds the optimum for
+every c and meets it at the optimal normal.  An affine constraint a . p <=
+offset is the linear constraint with matrix sum_l a_l A_l.
 
-Weighted sum rate (under linear constraints or a ball, both through
-``_wsr_search``), SINR balancing and power balancing share one search
-(``_multiplier_loop``).  Each evaluation solves the merged problem and
-returns a bound on the optimum (for a weighted sum rate the inner objective
-plus its Frank-Wolfe gap, so the bound holds however inexact the solve) and
-a subgradient, whose direction cuts the simplex through the evaluated
-multipliers: the optimum lies on the side the bound decreases (increases,
-for power balancing).  Over two multipliers lam = (x, 1 - x) the sign of the
-slope sub_1 - sub_2 along x brackets the optimum, and the search steps by
-inverse quadratic interpolation of the last three slopes (Brent, 1973) where
-that lands inside the bracket, else by Illinois regula falsi, either kept
-inside ITP's bound, so it takes at most ``ITP_N0`` evaluations more than
-bisection (``_bracket_step``); over three or more it takes the analytic
-centre of the simplex the cuts leave, in numpy (``_center``).  The cuts use
-only directions, so they hold for the quasi-convex bounds of balancing too.
-A search starts at the simplex centre or at ``start`` (a region sweep's
+Weighted sum rate (under either set, through ``_wsr_search``), SINR
+balancing and power balancing share one search (``_multiplier_loop``).  Each
+evaluation solves the merged problem and returns a bound on the optimum (for
+a weighted sum rate the inner objective plus its Frank-Wolfe gap, so the
+bound holds however inexact the solve) and a subgradient, whose direction
+cuts the simplex through the evaluated multipliers: the optimum lies on the
+side the bound decreases (increases, for power balancing).  Over two
+multipliers lam = (x, 1 - x) the sign of the slope sub_1 - sub_2 along x
+brackets the optimum, and the search steps by inverse quadratic
+interpolation of the last three slopes (Brent, 1973) where that lands inside
+the bracket, else by Illinois regula falsi, either kept inside ITP's bound,
+so it takes at most ``ITP_N0`` evaluations more than bisection
+(``_bracket_step``); over three or more it takes the analytic centre of the
+simplex the cuts leave, in numpy (``_center``).  The cuts use only
+directions, so they hold for the quasi-convex bounds of balancing too.  A
+search starts at the simplex centre or at ``start`` (a region sweep's
 previous point's best multipliers, near its own).  An open bracket's n-th
-step goes from its closed end toward the open edge by d0 * 16^(n-1), at
-most to the floored vertex: d0 = 1/4 from the centre (x = 1/2, 3/4, then the
+step goes from its closed end toward the open edge by d0 * 16^(n-1), at most
+to the floored vertex: d0 = 1/4 from the centre (x = 1/2, 3/4, then the
 vertex), ``PROBE`` from a start.
 
 Either way the search names the evaluations that locate the optimum, with
@@ -43,23 +44,23 @@ weights under which their subgradients cancel along the simplex: the last
 evaluation on each side of the bracket (or the one whose slope is exactly
 zero), or every cut by its inverse slack at the centre.  Each caller builds
 its point from them and repairs it last.  A weighted sum rate time-shares
-their covariances and scales the result into every constraint (min(1, P_l /
-tr(Q A_l)), or the ball's radius over |p|, stepped down to the rounding);
-balancing, whose beamformers cannot be time-shared, emits the best of those
-evaluations, SINR balancing after scaling its powers into every constraint,
-power balancing as it is (achievable).  The certified gap is the relative
-distance from the best bound to the value of that repaired point, and
-``trace.converged`` says whether it is at most ``outer.tol`` and the best
-bound's evaluation settled: a balancing evaluation whose fixed point ran out
-of sweeps steers the search, but its value is no bound (a ratio below its
-fixed point, a total above its minimum); a weighted-sum-rate bound holds
-however its ascent stopped.  The central search stops there.  A search over
-two multipliers stops there too once the gap is at most ``SETTLE_RTOL``
-(rounding) or, for a weighted sum rate, once its time-shared value has
-settled, moving by at most ``SETTLE_RTOL`` relative since the previous
-evaluation, long before the bracket collapses.  Balancing emits a bracket
-end, optimal only where the bracket collapses, so it needs the gap at
-rounding, or else an exact zero slope or a bracket collapsed to rounding.
+their covariances and scales the result into the set by its ``room`` (min(1,
+P_l / tr(Q A_l)), or the ball's radius over |p|, stepped down to the
+rounding); balancing, whose beamformers cannot be time-shared, emits the
+best of those evaluations, SINR balancing after scaling its powers into
+every constraint, power balancing as it is (achievable).  The certified gap
+is the relative distance from the best bound to the value of that repaired
+point, and ``trace.converged`` says whether it is at most ``outer.tol`` and
+the best bound's evaluation settled: a balancing evaluation whose fixed
+point ran out of sweeps steers the search, but its value is no bound (a
+ratio below its fixed point, a total above its minimum); a weighted-sum-rate
+bound holds however its ascent stopped.  The central search stops there.  A
+search over two multipliers stops there too once the gap is at most
+``SETTLE_RTOL`` (rounding) or, for a weighted sum rate, once its time-shared
+value has settled, moving by at most ``SETTLE_RTOL`` relative since the
+previous evaluation, long before the bracket collapses.  Balancing emits a
+bracket end, optimal only where the bracket collapses, so it needs the gap
+at rounding, or else an exact zero slope or a bracket collapsed to rounding.
 A settled power-balancing bound is certified; SINR balancing's is the inner
 fixed point's ratio, not a certified bound, so its gap compares the emitted
 alpha with the best ratio met, not with the optimum.  Every search stops
@@ -147,34 +148,105 @@ class NonlinearResult:
     trace: OuterTrace
 
 
-def _merged_matrix(lam, mats):
-    """sum_l lam_l A_l (see :func:`check_merges`)."""
-    return linalg.hermitian_part(sum(l * M for l, M in zip(lam, mats)))
+class TraceSet:
+    """A convex set of the trace values p_l = tr(Q A_l) of a downlink
+    covariance (A_l Hermitian PSD, so p >= 0), given by its ``support_point``
+    c -> argmax{c . p : p in the set}, its ``gauge`` p -> the largest s with
+    s p in the set, and ``fits`` p -> whether p lies in it."""
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+
+    def traces(self, cov_bc):
+        """p_l = tr((sum_i Q_i) A_l), summing the blocks once."""
+        tot = cov_bc.total()
+        return np.array([float(np.real(np.trace(tot @ A))) for A in self.mats])
+
+    def merged(self, lam):
+        """Noise matrix sum_l c_l A_l and budget h(c) = c . support_point(c),
+        the single constraint every point of the set meets, at the normal
+        ``lam``, a ``DualWeights``."""
+        c = lam.values
+        A = linalg.hermitian_part(sum(l * M for l, M in zip(c, self.mats)))
+        return A, float(c @ self.support_point(c))
+
+    def check_merges(self, name):
+        """Raise SingularConstraintMatrix unless the merged matrix passes
+        ``linalg.pd_roots``'s rule at every ``DualWeights`` lam.  The rule's
+        margin is concave in lam and each ``DualWeights`` lies in the hull of
+        the floored simplex vertices, so a check at those vertices suffices."""
+        L = len(self.mats)
+        for k, vertex in enumerate(np.eye(L)):
+            linalg.pd_roots(self.merged(DualWeights(vertex))[0],
+                            f"{name} at multiplier vertex {k + 1} of {L}")
+
+    def room(self, cov, emitted=None):
+        """The factor min(1, gauge(p)) at the traces p of ``cov``, stepped
+        down an ulp at a time, at most 16 times, until the covariance
+        ``emitted(s)`` emits at s (default s * cov) fits once rounded."""
+        emitted = emitted or (lambda s: model.CovarianceSet.built(cov.side, s * cov.Q))
+        s = min(1.0, self.gauge(self.traces(cov)))
+        for _ in range(16):
+            if self.fits(self.traces(emitted(s))):
+                break
+            s = float(np.nextafter(s, 0.0))
+        return s
 
 
-def check_merges(mats, name):
-    """Raise SingularConstraintMatrix unless sum_l lam_l A_l passes
-    ``linalg.pd_roots``'s rule at every ``DualWeights`` lam.  The rule's
-    margin is concave in lam and each ``DualWeights`` lies in the hull of the
-    floored simplex vertices, so a check at those vertices suffices."""
-    for k, vertex in enumerate(np.eye(len(mats))):
-        linalg.pd_roots(_merged_matrix(DualWeights(vertex).values, mats),
-                        f"{name} at multiplier vertex {k + 1} of {len(mats)}")
+class LinearSet(TraceSet):
+    """Linear constraints tr(Q A_l) <= P_l, from ``LinearConstraint``s."""
+
+    def __init__(self, constraints):
+        constraints = list(constraints)
+        super().__init__(c.A for c in constraints)
+        self.P = np.array([c.P for c in constraints])
+
+    def support_point(self, c):
+        return self.P
+
+    def gauge(self, p):
+        return float(np.min(self.P / np.maximum(p, 1e-300)))
+
+    def fits(self, p):
+        return bool(np.all(self.P - p >= 0))
+
+    def slacks(self, cov_bc):
+        """P_l - tr(Q A_l) for every constraint."""
+        return self.P - self.traces(cov_bc)
 
 
-def combined_constraint(constraints, lam):
-    """Merged single constraint at the multipliers ``lam``, a
-    ``DualWeights``: noise matrix sum_l lam_l A_l and budget sum_l lam_l P_l."""
-    if len(constraints) != lam.values.size:
-        raise InvalidInput("multiplier count must match constraint count")
-    budget = float(sum(l * c.P for l, c in zip(lam.values, constraints)))
-    return _merged_matrix(lam.values, [c.A for c in constraints]), budget
+class QuadraticBall(TraceSet):
+    """Convex constraint (tr(Q A_1))^2 + ... + (tr(Q A_L))^2 <= radius_sq on
+    the trace values p_l = tr(Q A_l), with support function h(c) = r |c|
+    (r = sqrt(radius_sq)) and gauge r / |p|.  An affine constraint a . p <=
+    offset needs no class of its own: it is ``LinearConstraint(sum_l a_l
+    A_l, offset)``."""
+
+    def __init__(self, mats, radius_sq):
+        super().__init__(model.LinearConstraint(A, 1.0).A for A in mats)  # Hermitian PSD
+        if not (0 < radius_sq < np.inf):
+            raise InvalidInput("radius_sq must be positive and finite")
+        self.radius_sq = float(radius_sq)
+
+    def support_point(self, c):
+        c = np.asarray(c, dtype=float)
+        return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
+
+    def gauge(self, p):
+        return np.sqrt(self.radius_sq) / max(np.linalg.norm(p), 1e-300)
+
+    def fits(self, p):
+        return float(np.sum(p ** 2)) <= self.radius_sq
+
+    def value(self, cov_bc):
+        """phi(p) = |p|^2 - radius_sq at the trace values of ``cov_bc``."""
+        return float(np.sum(self.traces(cov_bc) ** 2) - self.radius_sq)
 
 
 def eval_wsr_relaxation(ch, A, budget, weights, inner=None, init=None):
     """Value and downlink covariance of the weighted sum rate under the
-    merged constraint tr(Q A) <= budget (``combined_constraint`` or
-    ``QuadraticBall.merged`` at some multipliers), and the inner solution,
+    merged constraint tr(Q A) <= budget (a ``TraceSet``'s ``merged`` at
+    some multipliers), and the inner solution,
     whose objective plus gap bounds the multi-constraint optimum for every
     multiplier.  A is whitened once, by the solve, for the transform too."""
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
@@ -284,11 +356,12 @@ def _center(trace, sign):
     return x, {int(k): t / theta.sum() for k, t in zip(keep, theta)}
 
 
-def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, start=None):
-    """Certified search over L >= 1 multipliers on the unit simplex.
+def _multiplier_loop(cset, outer, sense, evaluate, recover, settles=False, start=None):
+    """Certified search over the L >= 1 multipliers of the ``TraceSet``
+    ``cset`` on the unit simplex.
 
-    ``merge(lam) -> (A, budget)`` is the merged single constraint at ``lam``
-    (a ``DualWeights``), and ``evaluate(lam, A, budget)`` solves it and
+    ``cset.merged(lam) -> (A, budget)`` is the merged single constraint at
+    ``lam`` (a ``DualWeights``), and ``evaluate(lam, A, budget)`` solves it and
     returns (bound, subgradient, result, settled): a bound on the optimum,
     from above for sense "min" and from below for "max", a subgradient of
     the merged bound at ``lam`` (a supergradient for "max"), and whether
@@ -300,7 +373,7 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
     settled (see the module docstring).  It starts at ``start`` (a
     ``DualWeights``) or the simplex centre, which sets ``_bracket_step``'s
     ``probe``.  Returns (value, result, multipliers of the best bound, trace)."""
-    outer = outer or OUTER
+    outer, L = outer or OUTER, len(cset.mats)
     if L < 1:
         raise InvalidInput("need at least one constraint")
     sign = 1.0 if sense == "min" else -1.0
@@ -309,7 +382,7 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
     step = _center if L > 2 else partial(_bracket_step, probe=0.25 if start is None else PROBE)
     while True:
         points.append(nxt)
-        bound, sub, result, settled = evaluate(nxt, *merge(nxt))
+        bound, sub, result, settled = evaluate(nxt, *cset.merged(nxt))
         trace.record(nxt.values, bound, sub, settled)
         results.append(result)
         lam, theta = (None, {0: 1.0}) if L == 1 else step(trace, sign)
@@ -330,34 +403,35 @@ def _multiplier_loop(merge, L, outer, sense, evaluate, recover, settles=False, s
             return value, out, points[best], trace
 
 
-def _wsr_search(ch, weights, merge, L, slacks, scale, outer, inner, start=None):
-    """The weighted-sum-rate search over L multipliers of the merged
-    constraint ``merge(lam)``.  Each evaluation solves it warm-started from
-    the previous one; its bound is the objective plus the Frank-Wolfe gap,
-    and its subgradient is mu * ``slacks(lam, cov_bc)`` with mu the merged
-    budget's own multiplier (without the mu factor the direction is the same
-    but the subgradient inequality fails).  Over L >= 2 multipliers the
-    solves stop on a gap of min(inner.tol, outer.tol / 10) relative: the
+def _wsr_search(ch, weights, cset, outer, inner, start=None):
+    """The weighted-sum-rate search over the multipliers of the merged
+    constraint ``cset.merged(lam)``.  Each evaluation solves it warm-started
+    from the previous one; its bound is the objective plus the Frank-Wolfe
+    gap, and its subgradient is mu * (support_point(lam) - p(Q)) with mu the
+    merged budget's own multiplier (without the mu factor the direction is
+    the same but the subgradient inequality fails).  Over L >= 2 multipliers
+    the solves stop on a gap of min(inner.tol, outer.tol / 10) relative: the
     search makes few evaluations, so each bound must be tight on its own.
     The emitted point is the covariances time-shared by the search's
-    weights, scaled by ``scale(cov)`` (at most 1) into the constraints.
-    Returns (downlink covariance, multipliers of the best bound, trace)."""
+    weights, scaled by ``cset.room`` into the set.  Returns (downlink
+    covariance, multipliers of the best bound, trace)."""
     inner = inner or SolverSettings()
-    if L >= 2:
+    if len(cset.mats) >= 2:
         inner = replace(inner, tol=min(inner.tol, (outer or OUTER).tol / 10))
     warm = [None]  # uplink covariances of the previous evaluation
 
     def evaluate(lam, A, budget):
         g, cov_bc, sol = eval_wsr_relaxation(ch, A, budget, weights, inner, warm[0])
         warm[0] = sol.cov
-        return g + sol.gap, sol.multiplier * slacks(lam, cov_bc), cov_bc, True
+        sub = sol.multiplier * (cset.support_point(lam.values) - cset.traces(cov_bc))
+        return g + sol.gap, sub, cov_bc, True
 
     def recover(results, theta):
         cov = model.CovarianceSet.built(model.BC, sum(t * results[k].Q for k, t in theta.items()))
-        cov = model.CovarianceSet.built(model.BC, scale(cov) * cov.Q)
+        cov = model.CovarianceSet.built(model.BC, cset.room(cov) * cov.Q)
         return float(np.dot(weights, model.bc_rates_dpc(ch, cov))), cov
 
-    _, cov, lam, trace = _multiplier_loop(merge, L, outer, "min", evaluate, recover,
+    _, cov, lam, trace = _multiplier_loop(cset, outer, "min", evaluate, recover,
                                           settles=True, start=start)
     return cov, lam, trace
 
@@ -373,10 +447,7 @@ def solve_wsr_multi(ch, constraints, weights, outer=None, inner=None, start=None
     covariance, the multipliers of the best bound and the search trace
     (``trace.gap``: the certified relative gap).
     """
-    constraints = list(constraints)
-    return _wsr_search(ch, weights, partial(combined_constraint, constraints), len(constraints),
-                       lambda lam, cov: model.constraint_slacks(cov, constraints),
-                       lambda cov: model.feasible_scale(cov, constraints), outer, inner, start)
+    return _wsr_search(ch, weights, LinearSet(constraints), outer, inner, start)
 
 
 def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -386,26 +457,22 @@ def solve_sinr_balance_multi(ch, constraints, targets, outer=None, inner=None):
     once, and of those the search weights, the one with the largest least
     SINR_i / gamma_i, the emitted alpha, is kept.  Returns (alpha, downlink
     beamforming solution, multipliers, trace)."""
-    constraints = list(constraints)
-    warm = [None]  # uplink solution of the previous evaluation
+    cset, warm = LinearSet(constraints), [None]  # warm: the previous uplink solution
 
     def evaluate(lam, A, budget):
         alpha, warm[0], settled = solve_sinr_balance_mac(ch, A, budget, targets, inner, warm[0])
         bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
-        sub = model.constraint_slacks(bf.bc_covariances(), constraints)
-        return alpha, sub, repaired(bf), settled
+        return alpha, cset.slacks(bf.bc_covariances()), repaired(bf), settled
 
     def repaired(bf):
         scaled = lambda s: model.BeamformingSolution.built(bf.u, bf.v, s * bf.p, bf.q)
-        bf = scaled(model.feasible_scale(bf.bc_covariances(), constraints,
-                                         lambda s: scaled(s).bc_covariances()))
+        bf = scaled(cset.room(bf.bc_covariances(), lambda s: scaled(s).bc_covariances()))
         return float(np.min(model.bc_sinr(ch, bf) / targets.gamma)), bf
 
     def recover(results, theta):
         return max((results[k] for k in theta), key=lambda out: out[0])
 
-    return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
-                            outer, "min", evaluate, recover)
+    return _multiplier_loop(cset, outer, "min", evaluate, recover)
 
 
 def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
@@ -418,65 +485,20 @@ def solve_power_balance_multi(ch, constraints, targets, outer=None, inner=None):
     achievable; the maximized bound approaches it from below.  Returns
     (alpha, beamforming solution, multipliers, trace).
     """
-    constraints = list(constraints)
-    warm = [None]  # uplink solution of the previous evaluation
+    cset, warm = LinearSet(constraints), [None]  # warm: the previous uplink solution
 
     def evaluate(lam, A, budget):
         total, warm[0], settled = solve_power_min_mac(ch, A, targets, inner, warm[0])
         bound = total / budget
         bf = transforms.mac_to_bc_sinr(ch, warm[0], A)
-        cov_bc = bf.bc_covariances()
-        used = np.array([model.constraint_value(cov_bc, c) for c in constraints])
-        achieved = float(np.max(used / [c.P for c in constraints]))
+        used = cset.traces(bf.bc_covariances())
         # supergradient of the bound: (tr(Q A_l) - bound * P_l) / (lam . P)
-        sub = np.array([u - bound * c.P for u, c in zip(used, constraints)]) / budget
-        return bound, sub, (achieved, bf), settled
+        sub = (used - bound * cset.P) / budget
+        return bound, sub, (float(np.max(used / cset.P)), bf), settled
 
-    return _multiplier_loop(partial(combined_constraint, constraints), len(constraints),
-                            outer, "max", evaluate,
+    return _multiplier_loop(cset, outer, "max", evaluate,
                             lambda results, theta: min((results[k] for k in theta),
                                                        key=lambda out: out[0]))
-
-
-class QuadraticBall:
-    """Convex constraint (tr(Q A_1))^2 + ... + (tr(Q A_L))^2 <= radius_sq on
-    the trace values p_l = tr(Q A_l) (A_l PSD, so p >= 0).
-
-    At a normal c >= 0 its support function h(c) = sup{c . p : |p|^2 <=
-    radius_sq} is attained at ``support_point(c)``, and ``merged(c)`` is the
-    single linear constraint tr(Q sum_l c_l A_l) <= h(c), which every
-    feasible Q meets.  ``room(cov)`` is the largest factor s <= 1 with s cov
-    in the ball once rounded.  An affine constraint a . p <= offset needs no
-    class of its own: it is ``LinearConstraint(sum_l a_l A_l, offset)``."""
-
-    def __init__(self, mats, radius_sq):
-        self.mats = [model.LinearConstraint(A, 1.0).A for A in mats]  # Hermitian PSD
-        if not (0 < radius_sq < np.inf):
-            raise InvalidInput("radius_sq must be positive and finite")
-        self.radius_sq = float(radius_sq)
-
-    def support_point(self, c):
-        c = np.asarray(c, dtype=float)
-        return np.sqrt(self.radius_sq) * c / np.linalg.norm(c)
-
-    def room(self, cov_bc):
-        s = min(1.0, np.sqrt(self.radius_sq) / max(np.linalg.norm(self.traces(cov_bc)), 1e-300))
-        return model.step_down(s, lambda s: self.value(
-            model.CovarianceSet.built(model.BC, s * cov_bc.Q)) <= 0)
-
-    def merged(self, lam):
-        """Noise matrix sum_l c_l A_l (as in ``combined_constraint``) and
-        budget h(c) at the normal ``lam``, a ``DualWeights``."""
-        c = lam.values
-        return _merged_matrix(c, self.mats), float(c @ self.support_point(c))
-
-    def traces(self, cov_bc):
-        tot = cov_bc.total()
-        return np.array([float(np.real(np.trace(tot @ A))) for A in self.mats])
-
-    def value(self, cov_bc):
-        """phi(p) = |p|^2 - radius_sq at the trace values of ``cov_bc``."""
-        return float(np.sum(self.traces(cov_bc) ** 2) - self.radius_sq)
 
 
 def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
@@ -492,7 +514,5 @@ def solve_wsr_nonlinear(ch, f, weights, outer=None, inner=None):
     """
     if not isinstance(f, QuadraticBall):
         raise InvalidInput("constraint must be a QuadraticBall")
-    cov_bc, lam, trace = _wsr_search(
-        ch, weights, f.merged, len(f.mats),
-        lambda lam, cov: f.support_point(lam.values) - f.traces(cov), f.room, outer, inner)
+    cov_bc, lam, trace = _wsr_search(ch, weights, f, outer, inner)
     return cov_bc, NonlinearResult([model.LinearConstraint(*f.merged(lam))], lam, trace)

@@ -46,6 +46,7 @@ from . import model, orchestrator
 from .errors import BcMacError, InvalidInput, SingularConstraintMatrix
 from .macsolver import SolverSettings
 from .model import ChannelSet, LinearConstraint, SinrTargets
+from .orchestrator import LinearSet
 
 LN2 = math.log(2.0)
 
@@ -69,6 +70,11 @@ class ScenarioConfig:
     basename: str = "result"
     heuristic: bool = False
     raw: dict = None
+
+    @property
+    def linear(self):
+        """``constraints`` as one ``LinearSet``."""
+        return LinearSet(self.constraints)
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,8 @@ def _parse_constraints(doc, nt):
             A = np.diag(np.eye(nt)[ant - 1])
         elif kind == "matrix":
             A = _parse_matrix(spec.get("a"), f"{where}.a")
+            if A.shape != (nt, nt):
+                raise ConfigError(f"{where}.a: need a {nt}x{nt} matrix")
         else:
             raise ConfigError(f"{where}: unknown type '{kind}'")
         out.append(_converted(where, lambda A: LinearConstraint(A, budget), A))
@@ -248,12 +256,13 @@ def load_config(path):
         raise ConfigError("heuristic: normalization needs at least two constraints")
     # the search merges every constraint (or the ball's matrices); the
     # heuristic sweep also solves under constraints[0] alone, checked first
-    checks = [([constraints[0].A], "heuristic: constraints[0] matrix")] if heuristic else []
-    checks.append((nonlinear.mats, "merged nonlinear.a matrix") if nonlinear is not None
-                  else ([c.A for c in constraints], "merged constraint matrix"))
+    checks = [(nonlinear, "merged nonlinear.a matrix") if nonlinear is not None
+              else (LinearSet(constraints), "merged constraint matrix")]
+    if heuristic:
+        checks.insert(0, (LinearSet(constraints[:1]), "heuristic: constraints[0] matrix"))
     try:
-        for mats, name in checks:
-            orchestrator.check_merges(mats, name)
+        for cset, name in checks:
+            cset.check_merges(name)
     except SingularConstraintMatrix as exc:
         raise ConfigError(str(exc)) from exc
     return ScenarioConfig(
@@ -323,7 +332,7 @@ def _region_point(cfg, t, start=None):
     rates = _user_rates(ch, users, solved, cov)
     row = [w[0], w[1] if ch.K == 2 else 0.0,
            _order_label(solved if len(users) == ch.K else ch), *rates / LN2, *lam.values,
-           *model.constraint_slacks(cov, cfg.constraints), tr.iterations,
+           *cfg.linear.slacks(cov), tr.iterations,
            min(tr.value) - float(w @ rates)]
     return row, solved, users, cov, lam
 
@@ -351,15 +360,15 @@ def run_region(cfg, rows=None):
 def run_heuristic_normalization(cfg):
     """Achievable (suboptimal) region: solve under the first constraint only,
     then shrink the covariance so every remaining constraint holds."""
-    others = cfg.constraints[1:]
+    others = LinearSet(cfg.constraints[1:])
     sub_cfg = replace(cfg, constraints=cfg.constraints[:1])
     rows = []
     for t in sweep_weights(cfg):
         point, solved, users, cov, _ = _region_point(sub_cfg, t)
-        scaled = model.CovarianceSet.built(model.BC, model.feasible_scale(cov, others) * cov.Q)
+        scaled = model.CovarianceSet.built(model.BC, others.room(cov) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append([*point[:3], *rates / LN2, *np.full(len(cfg.constraints), np.nan),
-                     *model.constraint_slacks(scaled, cfg.constraints), 0, np.nan])
+                     *cfg.linear.slacks(scaled), 0, np.nan])
     return rows
 
 
@@ -404,15 +413,14 @@ def _scalar_files(lead, lam, slacks, trace, trace_label=None):
 def _sinr_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_sinr_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
-    slacks = model.constraint_slacks(bf.bc_covariances(), cfg.constraints)
+    slacks = cfg.linear.slacks(bf.bc_covariances())
     return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "alpha")
 
 
 def _power_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_power_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
-    cov = bf.bc_covariances()
-    slacks = [alpha * c.P - model.constraint_value(cov, c) for c in cfg.constraints]
+    slacks = alpha * cfg.linear.P - cfg.linear.traces(bf.bc_covariances())
     return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "bound")
 
 

@@ -160,13 +160,23 @@ class TransformReport:
     constraint_slack: float
 
 
+def constraint_value(cov, c):
+    """Reference tr((sum_i Q_i) A) of a downlink covariance set under ``c``."""
+    return float(np.real(np.trace(np.sum(cov.Q, axis=0) @ c.A)))
+
+
+def slacks(cov, constraints):
+    """Reference P_l - tr((sum_i Q_i) A_l) for every constraint."""
+    return np.array([c.P - constraint_value(cov, c) for c in constraints])
+
+
 def verify_capacity_transform(ch, cov_mac, cov_bc, A):
     """Audit record for a rate-preserving transformation pair."""
     r_mac = model.mac_rates(ch, cov_mac, A)
     r_bc = model.bc_rates_dpc(ch, cov_bc)
     gap = float(np.max(np.abs(r_mac - r_bc)))
     budget = float(sum(ch.sigma2[i] * np.trace(cov_mac.Q[i]).real for i in range(ch.K)))
-    used = model.constraint_value(cov_bc, model.LinearConstraint(A, max(budget, 1e-300)))
+    used = constraint_value(cov_bc, model.LinearConstraint(A, max(budget, 1e-300)))
     return TransformReport(model.MAC, model.BC, gap, budget - used)
 
 

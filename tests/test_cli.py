@@ -115,6 +115,13 @@ def _args(command, config, out):
                               {"type": "matrix", "a": [[20.0, 0.0], [0.0, 0.0]],
                                "budget": 1.0}]),
      "multiplier vertex 2 of 2"),
+    # a matrix constraint sized for another antenna count, alone (it passed
+    # validation and crashed the solve) or beside sum power (its merge crashed)
+    (_region_doc(constraints=[{"type": "matrix", "a": np.eye(3).tolist(), "budget": 1.0}]),
+     "constraints[0].a: need a 2x2 matrix"),
+    (_region_doc(constraints=[{"type": "sum_power", "budget": 10.0},
+                              {"type": "matrix", "a": np.eye(3).tolist(), "budget": 1.0}]),
+     "constraints[1].a: need a 2x2 matrix"),
 ], ids=["three_users", "heuristic_singular_first", "heuristic_one_constraint",
         "nonlinear_matrix_size", "single_per_antenna", "seed_not_a_number",
         "resolution_not_a_number",
@@ -127,7 +134,8 @@ def _args(command, config, out):
         "unknown_constraint_type", "nonlinear_form_unsupported", "config_not_a_mapping",
         "unknown_objective", "required_key_missing", "weights_wrong_length",
         "weights_not_positive", "targets_wrong_length", "resolution_zero",
-        "heuristic_merge_singular"])
+        "heuristic_merge_singular", "matrix_constraint_size",
+        "matrix_constraint_size_beside_sum_power"])
 def test_config_errors_exit_2(tmp_path, capsys, command, doc, message):
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 2

@@ -9,14 +9,15 @@ from bcmac import (
     bc_mmse_receivers,
     bc_rates_dpc,
     bc_sinr,
-    constraint_value,
     mac_rates,
     mac_sinr,
 )
 from bcmac.errors import InvalidInput, SingularConstraintMatrix
 from bcmac import linalg, model
+from bcmac.orchestrator import LinearSet, QuadraticBall
 
 from conftest import (
+    constraint_value,
     rand_channels,
     rand_complex,
     rand_pd,
@@ -251,45 +252,70 @@ def test_batched_uplink_sic_matches_a_sequential_pass(rng, K, nr):
 
 
 def test_constraint_value_cases(rng):
+    """``LinearSet.traces`` gives tr((sum_i Q_i) A_l) for every constraint."""
     Q1, Q2 = rand_psd(rng, 2), rand_psd(rng, 2)
     cov = CovarianceSet("bc", [Q1, Q2])
     tot = Q1 + Q2
-    # sum power
-    assert constraint_value(cov, LinearConstraint(np.eye(2), 1.0)) == \
-        pytest.approx(float(np.trace(tot).real), rel=1e-12)
-    # per-antenna
-    c = LinearConstraint.per_antenna(2, 1, 1.0)
-    assert constraint_value(cov, c) == pytest.approx(float(tot[1, 1].real), rel=1e-12)
-    # point-receiver interference power: A = h h^H
     h = rand_complex(rng, (2,))
-    c = LinearConstraint(np.outer(h, h.conj()), 1.0)
-    assert constraint_value(cov, c) == pytest.approx(
-        float(np.real(h.conj() @ tot @ h)), rel=1e-12)
+    cons = LinearSet([LinearConstraint(np.eye(2), 1.0),  # sum power
+                      LinearConstraint.per_antenna(2, 1, 1.0),
+                      LinearConstraint(np.outer(h, h.conj()), 1.0)])  # interference at h
+    assert cons.traces(cov) == pytest.approx(
+        [np.trace(tot).real, tot[1, 1].real, np.real(h.conj() @ tot @ h)], rel=1e-12)
 
 
 def test_constraint_value_linear_in_q(rng):
     Q1, Q2 = rand_psd(rng, 2), rand_psd(rng, 2)
-    c = LinearConstraint(rand_pd(rng, 2), 1.0)
-    v12 = constraint_value(CovarianceSet("bc", [Q1, Q2]), c)
-    v1 = constraint_value(CovarianceSet("bc", [Q1, np.zeros((2, 2))]), c)
-    v2 = constraint_value(CovarianceSet("bc", [np.zeros((2, 2)), Q2]), c)
+    c = LinearSet([LinearConstraint(rand_pd(rng, 2), 1.0)])
+    v12 = c.traces(CovarianceSet("bc", [Q1, Q2]))[0]
+    v1 = c.traces(CovarianceSet("bc", [Q1, np.zeros((2, 2))]))[0]
+    v2 = c.traces(CovarianceSet("bc", [np.zeros((2, 2)), Q2]))[0]
     assert v12 == pytest.approx(v1 + v2, rel=1e-12)
-    v_scaled = constraint_value(CovarianceSet("bc", [3 * Q1, 3 * Q2]), c)
+    v_scaled = c.traces(CovarianceSet("bc", [3 * Q1, 3 * Q2]))[0]
     assert v_scaled == pytest.approx(3 * v12, rel=1e-12)
 
 
-def test_feasible_scale_lands_on_the_feasible_side():
-    """The rounded factor P / tr(Q) overshoots this sum-power budget by an
-    ulp; the repair's factor meets every budget exactly."""
-    cov = CovarianceSet.built("bc", np.diag([1.372849829498692, 3.011873244080891,
-                                             2.9415685347227503])[None].astype(complex))
-    cons = [LinearConstraint(np.eye(3), 5.0), LinearConstraint.per_antenna(3, 1, 5.0)]
-    plain = 5.0 / constraint_value(cov, cons[0])
-    assert constraint_value(CovarianceSet.built("bc", plain * cov.Q), cons[0]) > 5.0
-    factor = model.feasible_scale(cov, cons)
+def _inside(cset, cov):
+    """Whether ``cov`` meets ``cset``, from the reference trace values."""
+    p = np.array([constraint_value(cov, LinearConstraint(A, 1.0)) for A in cset.mats])
+    if isinstance(cset, QuadraticBall):
+        return np.sum(p ** 2) <= cset.radius_sq
+    return np.all(p <= cset.P)
+
+
+@pytest.mark.parametrize("cset, diag", [
+    (LinearSet([LinearConstraint(np.eye(3), 5.0), LinearConstraint.per_antenna(3, 1, 5.0)]),
+     [1.372849829498692, 3.011873244080891, 2.9415685347227503]),
+    (QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 100.0), [4.0, 9.5]),
+], ids=["LinearSet", "QuadraticBall"])
+def test_feasible_scale_lands_on_the_feasible_side(cset, diag):
+    """The rounded gauge (P / tr(Q) for the sum-power budget, r / |p| for the
+    ball) overshoots the set by an ulp; ``room`` steps the factor down until
+    the scaled covariance meets it exactly."""
+    cov = CovarianceSet.built("bc", np.diag(diag)[None].astype(complex))
+    plain = cset.gauge(cset.traces(cov))
+    assert plain < 1 and not _inside(cset, CovarianceSet.built("bc", plain * cov.Q))
+    factor = cset.room(cov)
     assert plain - 4 * np.spacing(plain) <= factor < plain
-    scaled = CovarianceSet.built("bc", factor * cov.Q)
-    assert np.all(model.constraint_slacks(scaled, cons) >= 0.0)
+    assert _inside(cset, CovarianceSet.built("bc", factor * cov.Q))
+
+
+def test_room_steps_down_on_the_emitted_beamformer():
+    """SINR balancing scales powers, and the covariance of the scaled
+    beamformer rounds differently from the scaled covariance: here the
+    factor that fits s * Q (0.25 + 1 ulp) leaves the beamformer's covariance
+    over the sum-power budget, and ``room`` given that emitted covariance
+    steps down to 0.25."""
+    u = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    p = np.array([1.0, 3.0])
+    cov = BeamformingSolution.built(u, np.ones((2, 1), complex), p).bc_covariances()
+    cset = LinearSet([LinearConstraint(np.eye(2), 1.0), LinearConstraint.per_antenna(2, 0, 1.0)])
+    emitted = lambda s: BeamformingSolution.built(u, None, s * p).bc_covariances()
+    plain = cset.room(cov)
+    assert plain > 0.25 and not _inside(cset, emitted(plain))
+    factor = cset.room(cov, emitted)
+    assert factor == 0.25 and _inside(cset, emitted(factor))
 
 
 @pytest.mark.parametrize("nr", [1, 3])

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,15 +10,14 @@ from bcmac import (
     SolverSettings,
     bc_rates_dpc,
     bc_sinr,
-    constraint_value,
     solve_wsr_mac,
 )
-from bcmac import model, orchestrator
+from bcmac import orchestrator
 from bcmac.errors import InvalidInput
 from bcmac.orchestrator import (
     DualWeights,
+    LinearSet,
     QuadraticBall,
-    combined_constraint,
     eval_wsr_relaxation,
     solve_power_balance_multi,
     solve_sinr_balance_multi,
@@ -29,7 +26,14 @@ from bcmac.orchestrator import (
 )
 from bcmac.oracles import GridSpec, brute_power_min, brute_sinr_balance
 
-from conftest import rand_channels, rand_pd, rand_psd, running_best
+from conftest import (
+    constraint_value,
+    rand_channels,
+    rand_pd,
+    rand_psd,
+    running_best,
+    slacks,
+)
 
 INNER = SolverSettings(tol=1e-8)
 OUTER = SolverSettings(max_iters=60, tol=1e-8)
@@ -47,9 +51,10 @@ def test_dual_weights_normalize():
 
 
 def test_combined_constraint_jitters_singular():
-    cons = [LinearConstraint.per_antenna(2, 0, 5.0),
-            LinearConstraint.per_antenna(2, 1, 5.0)]
-    A, budget = combined_constraint(cons, DualWeights([1.0, 0.0]))
+    """The merge at a floored simplex vertex keeps every multiplier positive."""
+    cons = LinearSet([LinearConstraint.per_antenna(2, 0, 5.0),
+                      LinearConstraint.per_antenna(2, 1, 5.0)])
+    A, budget = cons.merged(DualWeights([1.0, 0.0]))
     assert np.linalg.eigvalsh(A)[0] > 0
     assert budget == pytest.approx(5.0, rel=1e-6)
 
@@ -57,7 +62,7 @@ def test_combined_constraint_jitters_singular():
 def test_relaxation_single_constraint_reduction(rng):
     ch = ChannelSet(rand_channels(rng, 2, 2, 2))
     c = LinearConstraint(rand_pd(rng, 2), 3.0)
-    merged = combined_constraint([c], DualWeights([1.0]))
+    merged = LinearSet([c]).merged(DualWeights([1.0]))
     g, cov, sol = eval_wsr_relaxation(ch, *merged, [1, 1], INNER)
     direct = solve_wsr_mac(ch, c.A, c.P, [1, 1], INNER)
     assert g == pytest.approx(direct.objective, abs=1e-7)
@@ -87,7 +92,7 @@ def test_relaxation_upper_bounds_multi(rng):
     cov, lam, tr = solve_wsr_multi(ch, cons, [1, 1], OUTER, INNER)
     final = float(np.sum(bc_rates_dpc(ch, cov)))
     for lam_try in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
-        merged = combined_constraint(cons, DualWeights(lam_try))
+        merged = LinearSet(cons).merged(DualWeights(lam_try))
         g, _, _ = eval_wsr_relaxation(ch, *merged, [1, 1], INNER)
         assert g >= final - 1e-6
 
@@ -97,13 +102,13 @@ def test_subgradient_inequality(rng):
     cons = [LinearConstraint(rand_pd(rng, 2), 2.0),
             LinearConstraint(rand_pd(rng, 2), 1.5)]
     w = [1.5, 1.0]
-    merged = partial(combined_constraint, cons)
+    merged = LinearSet(cons).merged
     for _ in range(10):
         lam = DualWeights(rng.dirichlet([1.5, 1.5])).values
         lam2 = DualWeights(rng.dirichlet([1.5, 1.5])).values
         g1, cov1, sol1 = eval_wsr_relaxation(ch, *merged(DualWeights(lam)), w, INNER)
         g2, _, _ = eval_wsr_relaxation(ch, *merged(DualWeights(lam2)), w, INNER)
-        sub = sol1.multiplier * model.constraint_slacks(cov1, cons)  # mu (P_l - tr(Q A_l))
+        sub = sol1.multiplier * slacks(cov1, cons)  # mu (P_l - tr(Q A_l))
         assert g2 >= g1 + float(sub @ (lam2 - lam)) - 1e-5
 
 
@@ -112,7 +117,7 @@ def test_bound_convexity_midpoint(rng):
     cons = [LinearConstraint(rand_pd(rng, 2), 2.0),
             LinearConstraint(rand_pd(rng, 2), 1.5)]
     w = [1.0, 1.0]
-    merged = partial(combined_constraint, cons)
+    merged = LinearSet(cons).merged
     for _ in range(5):
         lam = rng.dirichlet([2, 2])
         lam2 = rng.dirichlet([2, 2])
@@ -401,9 +406,9 @@ def _stub_multiplier_loop(bound, achieved, sense="min", tol=1e-8, max_iters=80, 
         return achieved - (short if sense == "min" else -short), theta
 
     start = None if start is None else DualWeights([start, 1 - start])
-    out = orchestrator._multiplier_loop(partial(combined_constraint, cons), len(cons),
-                                        SolverSettings(max_iters=max_iters, tol=tol), sense,
-                                        evaluate, recover, start=start)
+    outer = SolverSettings(max_iters=max_iters, tol=tol)
+    out = orchestrator._multiplier_loop(LinearSet(cons), outer, sense, evaluate, recover,
+                                        start=start)
     return out, seen
 
 
@@ -696,7 +701,7 @@ def test_sinr_balancing_repair_emits_nonnegative_slacks(seed):
     emitted slacks of -2.2e-16 to -8.9e-16 when it checked the latter)."""
     rng, ch, cons = _two_constraint_family(seed)
     _, bf, _, _ = solve_sinr_balance_multi(ch, cons, SinrTargets(rng.uniform(0.5, 2, ch.K)))
-    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+    assert min(slacks(bf.bc_covariances(), cons)) >= 0
 
 
 @pytest.mark.parametrize("settings", [{}, {"outer": OUTER, "inner": INNER}])
@@ -756,7 +761,7 @@ def test_sinr_balancing_under_three_antenna_budgets_returns():
     ch, cons, targets = _crawl_family(9, L=3, stall=True)
     _, bf, _, trace = solve_sinr_balance_multi(ch, cons, targets)
     assert trace.converged
-    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+    assert min(slacks(bf.bc_covariances(), cons)) >= 0
 
 
 @pytest.mark.parametrize("stall", [False, True], ids=["crawl", "stall"])
@@ -770,7 +775,7 @@ def test_sinr_balancing_goes_on_past_a_capped_evaluation(stall):
     capped = [v for v, settled in zip(trace.value, trace.settled) if not settled]
     assert capped and min(capped) > 1e3 * trace.value[trace.best_index]
     assert trace.converged
-    assert min(model.constraint_slacks(bf.bc_covariances(), cons)) >= 0
+    assert min(slacks(bf.bc_covariances(), cons)) >= 0
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -10,16 +10,16 @@ from bcmac import (
     LinearConstraint,
     bc_rates_dpc,
     bc_to_mac_capacity,
-    constraint_value,
     mac_rates,
     mac_to_bc_capacity,
     mac_to_bc_sinr,
 )
 from bcmac import model
 from bcmac.errors import DegenerateTransform, InvalidInput, SingularConstraintMatrix
-from bcmac.orchestrator import DualWeights, combined_constraint
+from bcmac.orchestrator import DualWeights, LinearSet
 
 from conftest import (
+    constraint_value,
     rand_channels,
     rand_complex,
     rand_pd,
@@ -215,8 +215,8 @@ def test_capacity_transform_at_scale_near_a_simplex_vertex(rng, monkeypatch):
     ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
                     tuple(rng.permutation(K)))
     all_but_first = LinearConstraint(np.diag(np.r_[0.0, np.ones(nt - 1)]), 1.0)
-    A, _ = combined_constraint([LinearConstraint.sum_power(nt, 1.0), all_but_first],
-                               DualWeights([0.0, 1.0]))
+    A, _ = LinearSet([LinearConstraint.sum_power(nt, 1.0), all_but_first]).merged(
+        DualWeights([0.0, 1.0]))
     w = np.linalg.eigvalsh(A)
     assert w[-1] / w[0] > 5e6
     whitened = model.whitened_channels(ch, A)
@@ -317,8 +317,8 @@ def test_capacity_round_trip_under_ill_conditioned_merge(seed, K, nr, nt, expone
     rng = np.random.default_rng(seed)
     ch = ChannelSet(rand_channels(rng, K, nr, nt), rng.uniform(0.5, 2.0, K),
                     tuple(rng.permutation(K)))
-    A, _ = combined_constraint([LinearConstraint.per_antenna(nt, a, 1.0) for a in range(nt)],
-                               DualWeights(10.0 ** np.array(exponents[:nt])))
+    A, _ = LinearSet([LinearConstraint.per_antenna(nt, a, 1.0) for a in range(nt)]).merged(
+        DualWeights(10.0 ** np.array(exponents[:nt])))
     w = np.linalg.eigvalsh(A)
     tol = 1e-13 * w[-1] / w[0]
     cov_mac = random_mac_cov(rng, K, nr, float(rng.uniform(0.5, 4.0)))
