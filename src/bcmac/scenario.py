@@ -21,10 +21,13 @@ meets every constraint.
 
 A ``nonlinear_wsr`` run writes one row: the weighted sum rate and phi of the
 emitted covariance, the normal of the merged constraint with the best bound
-(whose support function value is its budget), the number of evaluations and
-``gap``, the search's signed relative gap from the best bound to the emitted
-value; a balancing row holds alpha, the best bound's multipliers, the
-slacks, ``iters`` and ``gap`` (uncertified for SINR balancing).
+(whose support function value is its budget), the number of evaluations,
+``converged`` and ``gap``, the search's signed relative gap from the best
+bound to the emitted value; a balancing row holds alpha, the best bound's
+multipliers, the slacks, ``iters``, ``converged`` and ``gap`` (uncertified
+for SINR balancing).  ``converged`` is 1 when the search certified its gap
+within ``outer.tol`` from a settled evaluation (``OuterTrace.converged``),
+else 0.
 
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
@@ -395,12 +398,14 @@ def _region_files(cfg):
 
 def _scalar_files(lead, lam, slacks, trace, trace_label=None):
     """``.csv``, one row: the ``lead`` columns (name: value), lambda_l,
-    slack_l, the search's evaluation count ``iters`` and its signed gap
-    ``gap``; with ``trace_label``, also ``_trace.csv``, one row per
-    evaluation: its bound (under that label), multipliers and subgradient."""
+    slack_l, the search's evaluation count ``iters``, ``converged`` (1 if it
+    certified its gap, else 0) and its signed gap ``gap``; with
+    ``trace_label``, also ``_trace.csv``, one row per evaluation: its bound
+    (under that label), multipliers and subgradient."""
     files = {".csv": _csv(
         list(lead) + _numbered("lambda_{}", len(lam)) + _numbered("slack_{}", len(slacks))
-        + ["iters", "gap"], [[*lead.values(), *lam, *slacks, trace.iterations, trace.gap]])}
+        + ["iters", "converged", "gap"],
+        [[*lead.values(), *lam, *slacks, trace.iterations, int(trace.converged), trace.gap]])}
     if trace_label:
         n = len(trace.lam[0])
         files["_trace.csv"] = _csv(

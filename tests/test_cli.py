@@ -458,8 +458,9 @@ def test_solver_failure_keeps_the_rows_before_it(tmp_path, monkeypatch, heuristi
 ])
 def test_balancing_rows_end_with_the_search_gap(tmp_path, monkeypatch, command, objective,
                                                 solver):
-    """A balancing row ends with ``gap``, the multiplier search's signed
-    relative gap from its best bound to the emitted alpha."""
+    """A balancing row ends with ``converged``, whether the multiplier search
+    certified its gap, and ``gap``, its signed relative gap from its best
+    bound to the emitted alpha."""
     solve, traces = getattr(orchestrator, solver), []
 
     def kept(*args, **kwargs):
@@ -472,10 +473,10 @@ def test_balancing_rows_end_with_the_search_gap(tmp_path, monkeypatch, command, 
     out = tmp_path / "out"
     assert cli.main(_args(command, _write(tmp_path, doc), str(out))) == 0
     header, row = (out / f"{objective}.csv").read_text(encoding="utf-8").splitlines()
-    assert header.split(",")[-1] == "gap"
-    gap = float(row.split(",")[-1])
-    assert gap == traces[0].gap
-    assert -1e-12 <= gap <= 1e-6
+    assert header.split(",")[-2:] == ["converged", "gap"]
+    converged, gap = row.split(",")[-2:]
+    assert int(converged) == int(traces[0].converged)
+    assert float(gap) == traces[0].gap and -1e-12 <= float(gap) <= 1e-6
 
 
 def test_balance_returns_where_an_evaluation_runs_out_of_sweeps(tmp_path):
