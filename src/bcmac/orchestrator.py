@@ -2,21 +2,16 @@
 nonlinear-constraint downlink problems to single-constraint dual-uplink
 solves.
 
-Multiple linear constraints tr(Q A_l) <= P_l are merged into the single
-constraint sum_l lam_l tr(Q A_l) <= sum_l lam_l P_l.  For any nonnegative
-multipliers the merged problem bounds the original (its feasible set is
-larger), the bound is convex and scale-invariant in the multipliers, and it
-is tight at the optimal multipliers, so the search minimizes it over the
-unit simplex (power balancing maximizes a lower bound instead).
-
-Both kinds of constraint are sets of trace values p_l = tr(Q A_l)
+Both kinds of constraint are sets of the trace values p_l = tr(Q A_l)
 (``TraceSet``): linear constraints p <= P (``LinearSet``) and a quadratic
-ball |p| <= r (``QuadraticBall``).  Each merges the same way: at a normal
-c >= 0 the single constraint tr(Q sum_l c_l A_l) <= h(c), with h the set's
-support function (c . P for linear constraints, r |c| for the ball),
-contains the feasible set, so its weighted sum rate bounds the optimum for
-every c and meets it at the optimal normal.  An affine constraint a . p <=
-offset is the linear constraint with matrix sum_l a_l A_l.
+ball |p| <= r (``QuadraticBall``); an affine constraint a . p <= offset is
+the linear constraint with matrix sum_l a_l A_l.  At multipliers c >= 0
+either merges into the single constraint tr(Q sum_l c_l A_l) <= h(c), with h
+the set's support function (c . P, or r |c| for the ball), which contains
+the feasible set.  So for any c the merged problem bounds the original, the
+bound is convex and scale-invariant in c, and it is tight at the optimal
+multipliers: the search minimizes it over the unit simplex (power balancing
+maximizes a lower bound instead).
 
 Weighted sum rate (under either set, through ``_wsr_search``), SINR
 balancing and power balancing share one search (``_multiplier_loop``).  Each
@@ -218,9 +213,7 @@ class LinearSet(TraceSet):
 class QuadraticBall(TraceSet):
     """Convex constraint (tr(Q A_1))^2 + ... + (tr(Q A_L))^2 <= radius_sq on
     the trace values p_l = tr(Q A_l), with support function h(c) = r |c|
-    (r = sqrt(radius_sq)) and gauge r / |p|.  An affine constraint a . p <=
-    offset needs no class of its own: it is ``LinearConstraint(sum_l a_l
-    A_l, offset)``."""
+    (r = sqrt(radius_sq)) and gauge r / |p|."""
 
     def __init__(self, mats, radius_sq):
         super().__init__(model.LinearConstraint(A, 1.0).A for A in mats)  # Hermitian PSD
@@ -245,10 +238,9 @@ class QuadraticBall(TraceSet):
 
 def eval_wsr_relaxation(ch, A, budget, weights, inner=None, init=None):
     """Value and downlink covariance of the weighted sum rate under the
-    merged constraint tr(Q A) <= budget (a ``TraceSet``'s ``merged`` at
-    some multipliers), and the inner solution,
-    whose objective plus gap bounds the multi-constraint optimum for every
-    multiplier.  A is whitened once, by the solve, for the transform too."""
+    merged constraint tr(Q A) <= budget (``TraceSet.merged`` at some
+    multipliers), and the inner solution, whose objective plus gap bounds the
+    multi-constraint optimum for every multiplier.  A is whitened once, by the solve, for the transform too."""
     sol = solve_wsr_mac(ch, A, budget, weights, inner, init=init)
     cov_bc = transforms.mac_to_bc_capacity(ch, sol.cov, A, sol.whitened)
     return sol.objective, cov_bc, sol

@@ -22,12 +22,11 @@ meets every constraint.
 A ``nonlinear_wsr`` run writes one row: the weighted sum rate and phi of the
 emitted covariance, the normal of the merged constraint with the best bound
 (whose support function value is its budget), the number of evaluations,
-``converged`` and ``gap``, the search's signed relative gap from the best
-bound to the emitted value; a balancing row holds alpha, the best bound's
-multipliers, the slacks, ``iters``, ``converged`` and ``gap`` (uncertified
-for SINR balancing).  ``converged`` is 1 when the search certified its gap
-within ``outer.tol`` from a settled evaluation (``OuterTrace.converged``),
-else 0.
+``converged`` (1 if the search certified its gap, ``OuterTrace.converged``)
+and ``gap``, the search's signed relative gap from the best bound to the
+emitted value; a balancing row holds alpha, the best bound's multipliers,
+the slacks, ``iters``, ``converged`` and ``gap`` (uncertified for SINR
+balancing).
 
 Both weighted-sum-rate objectives encode users in descending weight, the
 optimal order on the dual uplink, so a swept weight is solved once; there a
@@ -73,11 +72,6 @@ class ScenarioConfig:
     basename: str = "result"
     heuristic: bool = False
     raw: dict = None
-
-    @property
-    def linear(self):
-        """``constraints`` as one ``LinearSet``."""
-        return LinearSet(self.constraints)
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ def _region_point(cfg, t, start=None):
     rates = _user_rates(ch, users, solved, cov)
     row = [w[0], w[1] if ch.K == 2 else 0.0,
            _order_label(solved if len(users) == ch.K else ch), *rates / LN2, *lam.values,
-           *cfg.linear.slacks(cov), tr.iterations,
+           *LinearSet(cfg.constraints).slacks(cov), tr.iterations,
            min(tr.value) - float(w @ rates)]
     return row, solved, users, cov, lam
 
@@ -371,7 +365,7 @@ def run_heuristic_normalization(cfg):
         scaled = model.CovarianceSet.built(model.BC, others.room(cov) * cov.Q)
         rates = _user_rates(cfg.channels, users, solved, scaled)
         rows.append([*point[:3], *rates / LN2, *np.full(len(cfg.constraints), np.nan),
-                     *cfg.linear.slacks(scaled), 0, np.nan])
+                     *LinearSet(cfg.constraints).slacks(scaled), 0, np.nan])
     return rows
 
 
@@ -418,14 +412,15 @@ def _scalar_files(lead, lam, slacks, trace, trace_label=None):
 def _sinr_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_sinr_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
-    slacks = cfg.linear.slacks(bf.bc_covariances())
+    slacks = LinearSet(cfg.constraints).slacks(bf.bc_covariances())
     return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "alpha")
 
 
 def _power_balance_files(cfg):
     alpha, bf, lam, trace = orchestrator.solve_power_balance_multi(
         cfg.channels, cfg.constraints, cfg.targets, cfg.outer, cfg.solver)
-    slacks = alpha * cfg.linear.P - cfg.linear.traces(bf.bc_covariances())
+    cset = LinearSet(cfg.constraints)
+    slacks = alpha * cset.P - cset.traces(bf.bc_covariances())
     return _scalar_files({"alpha": alpha}, lam.values, slacks, trace, "bound")
 
 

@@ -283,39 +283,40 @@ def _inside(cset, cov):
     return np.all(p <= cset.P)
 
 
-@pytest.mark.parametrize("cset, diag", [
-    (LinearSet([LinearConstraint(np.eye(3), 5.0), LinearConstraint.per_antenna(3, 1, 5.0)]),
-     [1.372849829498692, 3.011873244080891, 2.9415685347227503]),
-    (QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 100.0), [4.0, 9.5]),
-], ids=["LinearSet", "QuadraticBall"])
-def test_feasible_scale_lands_on_the_feasible_side(cset, diag):
-    """The rounded gauge (P / tr(Q) for the sum-power budget, r / |p| for the
-    ball) overshoots the set by an ulp; ``room`` steps the factor down until
-    the scaled covariance meets it exactly."""
-    cov = CovarianceSet.built("bc", np.diag(diag)[None].astype(complex))
-    plain = cset.gauge(cset.traces(cov))
-    assert plain < 1 and not _inside(cset, CovarianceSet.built("bc", plain * cov.Q))
-    factor = cset.room(cov)
-    assert plain - 4 * np.spacing(plain) <= factor < plain
-    assert _inside(cset, CovarianceSet.built("bc", factor * cov.Q))
+def _diagonal(*d):
+    return CovarianceSet.built("bc", np.diag(d)[None].astype(complex))
 
 
-def test_room_steps_down_on_the_emitted_beamformer():
-    """SINR balancing scales powers, and the covariance of the scaled
-    beamformer rounds differently from the scaled covariance: here the
-    factor that fits s * Q (0.25 + 1 ulp) leaves the beamformer's covariance
-    over the sum-power budget, and ``room`` given that emitted covariance
-    steps down to 0.25."""
+def _beamformer_case():
+    """Two beams at powers (1, 3) under sum power 1 and the first antenna's
+    power 1; the repair scales the powers and emits the beamformer's own
+    covariance, as SINR balancing does."""
     u = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)
     u /= np.linalg.norm(u, axis=1)[:, None]
     p = np.array([1.0, 3.0])
-    cov = BeamformingSolution.built(u, np.ones((2, 1), complex), p).bc_covariances()
-    cset = LinearSet([LinearConstraint(np.eye(2), 1.0), LinearConstraint.per_antenna(2, 0, 1.0)])
     emitted = lambda s: BeamformingSolution.built(u, None, s * p).bc_covariances()
-    plain = cset.room(cov)
-    assert plain > 0.25 and not _inside(cset, emitted(plain))
+    cons = [LinearConstraint(np.eye(2), 1.0), LinearConstraint.per_antenna(2, 0, 1.0)]
+    return LinearSet(cons), emitted(1.0), emitted
+
+
+@pytest.mark.parametrize("cset, cov, emitted", [
+    (LinearSet([LinearConstraint(np.eye(3), 5.0), LinearConstraint.per_antenna(3, 1, 5.0)]),
+     _diagonal(1.372849829498692, 3.011873244080891, 2.9415685347227503), None),
+    (QuadraticBall([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 100.0), _diagonal(4.0, 9.5), None),
+    _beamformer_case(),
+], ids=["LinearSet", "QuadraticBall", "beamformer"])
+def test_feasible_scale_lands_on_the_feasible_side(cset, cov, emitted):
+    """The rounded gauge (P / tr(Q) for a sum-power budget, r / |p| for the
+    ball) overshoots the set by an ulp; ``room`` steps the factor down until
+    the covariance it emits (s * Q by default) meets the set exactly.  The
+    beamformer's covariance rounds differently from s * Q: there the gauge
+    0.25 + 1 ulp fits s * Q but not the beamformer's covariance at s."""
     factor = cset.room(cov, emitted)
-    assert factor == 0.25 and _inside(cset, emitted(factor))
+    emitted = emitted or (lambda s: CovarianceSet.built("bc", s * cov.Q))
+    plain = cset.gauge(cset.traces(cov))
+    assert plain < 1 and not _inside(cset, emitted(plain))
+    assert plain - 4 * np.spacing(plain) <= factor < plain
+    assert _inside(cset, emitted(factor))
 
 
 @pytest.mark.parametrize("nr", [1, 3])
